@@ -2,9 +2,10 @@
 
 Runs the geometry / mesh-size / permeability / preconditioner grid the way
 the robustness studies in the literature tabulate GMRES iteration counts:
-one row per parameter tuple, grids cached per mesh size, every solve with a
-zero initial guess and a relative residual stopping criterion. Individual
-tuple failures are recorded in their row and do not abort the sweep.
+one row per parameter tuple, grids cached per mesh size, one preconditioner
+set-up per assembled system shared by its kinds, every solve with a zero
+initial guess and a relative residual stopping criterion. Individual tuple
+failures are recorded in their row and do not abort the sweep.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from .assembly import PhysicalParams, assemble, monolithic
 from .amg import AmgParams
 from .grids import build_cross_2d, build_random_network_2d, build_regular_network_3d
 from .krylov import SolveConfig, gmres
-from .precond import build_preconditioner
+from .precond import KINDS, build_preconditioner
 from .sysio import import_system
 
-__all__ = ["GEOMETRIES", "SweepSpec", "SweepRow", "SweepResult", "run_sweep", "emit_table"]
+__all__ = [
+    "GEOMETRIES", "SweepSpec", "SweepRow", "SweepResult", "build_grid", "run_sweep",
+    "emit_table",
+]
 
 GEOMETRIES = ("cross_2d", "random_2d", "regular_3d", "imported")
 
@@ -35,8 +39,9 @@ class SweepSpec:
     ``mesh_sizes`` is the mesh refinement knob (cells per direction); on the
     matching grids this package builds it refines fractures and matrix
     together, so it doubles as the fracture-refinement parameter. For
-    ``geometry="imported"`` set ``import_path`` and a single placeholder
-    mesh size.
+    ``geometry="imported"`` set ``import_path``, a single placeholder mesh
+    size and a single ``(K_par, kappa)`` pair: the imported system is fixed,
+    so more values would only label identical solves differently.
     """
 
     geometry: str = "cross_2d"
@@ -65,12 +70,30 @@ class SweepSpec:
             raise ValueError("mesh sizes must be at least 2")
         if any(v <= 0 for v in self.k_parallel_values + self.kappa_values):
             raise ValueError("permeability values must be positive")
-        if self.geometry == "imported" and not self.import_path:
-            raise ValueError("geometry 'imported' needs import_path")
+        unknown = [k for k in self.precond_kinds if k not in KINDS + ("none",)]
+        if unknown:
+            raise ValueError(f"unknown preconditioner kind {unknown[0]!r} in precond_kinds")
+        if self.geometry == "imported":
+            if not self.import_path:
+                raise ValueError("geometry 'imported' needs import_path")
+            for name in ("mesh_sizes", "k_parallel_values", "kappa_values"):
+                if len(getattr(self, name)) > 1:
+                    raise ValueError(
+                        f"geometry 'imported' takes a single {name} entry, the imported "
+                        f"system does not depend on it"
+                    )
 
 
 @dataclass
 class SweepRow:
+    """One solve of a sweep.
+
+    ``setup_seconds`` is the preconditioner set-up time on the row that built
+    it and 0.0 on rows that reused it: set-up is shared across the kinds of
+    one ``(n, K_par, kappa)`` system. ``error`` holds the exception text of a
+    failed set-up or solve, and is empty otherwise.
+    """
+
     geometry: str
     n: int
     k_parallel: float
@@ -101,30 +124,49 @@ class SweepResult:
     rows: list
 
 
-def _build_grid(spec: SweepSpec, n: int):
-    if spec.geometry == "cross_2d":
+def build_grid(geometry: str, n: int, num_fractures: int = 4, num_planes: int = 3,
+               seed: int = 0):
+    """The grid of a grid-backed geometry at mesh size ``n``.
+
+    ``num_fractures`` and ``seed`` apply to ``random_2d``, ``num_planes`` to
+    ``regular_3d``.
+    """
+    if geometry == "cross_2d":
         return build_cross_2d(n)
-    if spec.geometry == "random_2d":
-        return build_random_network_2d(n, spec.num_fractures, spec.seed)
-    if spec.geometry == "regular_3d":
-        return build_regular_network_3d(n, spec.num_planes)
-    raise ValueError(f"geometry {spec.geometry!r} is not grid-backed")
+    if geometry == "random_2d":
+        return build_random_network_2d(n, num_fractures, seed)
+    if geometry == "regular_3d":
+        return build_regular_network_3d(n, num_planes)
+    raise ValueError(f"geometry {geometry!r} has no grid; use --import with solve/sweep")
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: SweepSpec, progress=None) -> SweepResult:
     """Execute the sweep; deterministic for identical specs and seeds.
 
+    The preconditioner set-up (Schur complement and inner solves) is built
+    once for each ``(n, K_par, kappa)`` system, at its first kind other than
+    ``none``; every kind of that system solves with a view of it
+    (:meth:`~mdsolve.precond.BlockPreconditioner.with_kind`). If that set-up
+    raises, every preconditioned row of the system records the error and
+    ``none`` rows still solve. An imported system is read once per sweep.
+
     ``progress`` may be a callable taking the finished :class:`SweepRow`.
     """
     rows = []
     grids = {}
+    imported = import_system(spec.import_path) if spec.geometry == "imported" else None
     for n in spec.mesh_sizes:
-        if spec.geometry != "imported" and n not in grids:
-            grids[n] = _build_grid(spec, n)
+        if imported is None and n not in grids:
+            grids[n] = build_grid(spec.geometry, n, spec.num_fractures, spec.num_planes,
+                                  spec.seed)
         for k_par in spec.k_parallel_values:
             for kappa in spec.kappa_values:
-                if spec.geometry == "imported":
-                    system = import_system(spec.import_path)
+                if imported is not None:
+                    system = imported
                 else:
                     params = PhysicalParams(
                         matrix_permeability=spec.matrix_permeability,
@@ -133,6 +175,7 @@ def run_sweep(spec: SweepSpec, progress=None) -> SweepResult:
                     )
                     system = assemble(grids[n], params)
                 operator = monolithic(system)
+                shared = None  # this system's preconditioner, or its set-up error text
                 for kind in spec.precond_kinds:
                     row = SweepRow(
                         geometry=spec.geometry, n=n, k_parallel=k_par, kappa=kappa,
@@ -140,26 +183,30 @@ def run_sweep(spec: SweepSpec, progress=None) -> SweepResult:
                         setup_seconds=0.0, solve_seconds=0.0,
                         n_omega=system.n_omega, n_gamma=system.n_gamma,
                     )
-                    try:
+                    if kind != "none" and shared is None:
                         t0 = time.perf_counter()
-                        if kind == "none":
-                            prec = None
-                            row.setup_seconds = 0.0
-                        else:
-                            prec = build_preconditioner(
+                        try:
+                            shared = build_preconditioner(
                                 system, kind=kind, schur_mode=spec.schur_mode,
                                 inner_omega=spec.inner_omega,
                                 inner_gamma=spec.inner_gamma,
                                 amg_params=spec.amg_params,
                             )
                             row.setup_seconds = time.perf_counter() - t0
-                        report = gmres(operator, system.rhs, prec, spec.solver)
-                        row.iterations = report.iterations
-                        row.converged = report.converged
-                        row.residual = report.true_residual
-                        row.solve_seconds = report.solve_seconds
-                    except Exception as exc:  # keep sweeping, record the failure
-                        row.error = f"{type(exc).__name__}: {exc}"
+                        except Exception as exc:  # fails every preconditioned kind alike
+                            shared = _error_text(exc)
+                    if kind != "none" and isinstance(shared, str):
+                        row.error = shared
+                    else:
+                        try:
+                            prec = None if kind == "none" else shared.with_kind(kind)
+                            report = gmres(operator, system.rhs, prec, spec.solver)
+                            row.iterations = report.iterations
+                            row.converged = report.converged
+                            row.residual = report.true_residual
+                            row.solve_seconds = report.solve_seconds
+                        except Exception as exc:  # keep sweeping, record the failure
+                            row.error = _error_text(exc)
                     rows.append(row)
                     if progress is not None:
                         progress(row)

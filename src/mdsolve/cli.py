@@ -20,8 +20,7 @@ import numpy as np
 
 from .assembly import PhysicalParams, assemble, monolithic
 from .amg import amg_setup
-from .bench import GEOMETRIES, SweepResult, SweepSpec, emit_table, run_sweep
-from .grids import build_cross_2d, build_random_network_2d, build_regular_network_3d
+from .bench import GEOMETRIES, SweepSpec, build_grid, emit_table, run_sweep
 from .krylov import SolveConfig, gmres
 from .precond import approx_schur, build_preconditioner
 from .sysio import export_system, import_system
@@ -174,22 +173,12 @@ def _single_n(args) -> int:
     return ns[0]
 
 
-def _build_grid(args, n):
-    if args.geometry == "cross_2d":
-        return build_cross_2d(n)
-    if args.geometry == "random_2d":
-        return build_random_network_2d(n, args.num_fractures, args.seed)
-    if args.geometry == "regular_3d":
-        return build_regular_network_3d(n, args.num_planes)
-    raise ValueError("geometry 'imported' has no grid; use --import with solve/sweep")
-
-
 def _build_system(args, n):
     if args.geometry == "imported":
         if not args.import_path:
             raise ValueError("geometry 'imported' needs --import")
         return import_system(args.import_path)
-    grid = _build_grid(args, n)
+    grid = build_grid(args.geometry, n, args.num_fractures, args.num_planes, args.seed)
     params = PhysicalParams(
         matrix_permeability=args.matrix_perm,
         k_parallel=(args.kpar or [1.0])[0],
@@ -214,7 +203,8 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "generate":
-        grid = _build_grid(args, _single_n(args))
+        grid = build_grid(args.geometry, _single_n(args), args.num_fractures,
+                          args.num_planes, args.seed)
         print(json.dumps(grid.summary(), indent=2) if args.json else grid.describe())
         return 0
 

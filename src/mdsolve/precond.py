@@ -18,6 +18,7 @@ exist to validate the approximate path, not to solve anything large.
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
@@ -46,6 +47,11 @@ __all__ = [
 
 KINDS = ("ml", "bl", "bu", "bd")
 DEFAULT_ORACLE_CAP = 2000
+
+
+def _check_kind(kind: str):
+    if kind not in KINDS:
+        raise ValueError(f"unknown preconditioner kind {kind!r}, expected one of {KINDS}")
 
 
 def _dense_lu(a: np.ndarray, context: str):
@@ -155,8 +161,9 @@ class BlockPreconditioner:
 
     Instances are created by :func:`build_preconditioner`. The setup (Schur
     assembly, inner factorizations or AMG hierarchies) is done once and is
-    reusable across right-hand sides. Apply allocates its own scratch, so
-    concurrent applications are safe.
+    reusable across right-hand sides and, through :meth:`with_kind`, across
+    kinds. Apply allocates its own scratch, so concurrent applications are
+    safe.
     """
 
     def __init__(self, kind, schur_mode, inner_omega, inner_gamma, n_omega, n_gamma,
@@ -178,6 +185,19 @@ class BlockPreconditioner:
     @property
     def n_total(self) -> int:
         return self.n_omega + self.n_gamma
+
+    def with_kind(self, kind: str) -> "BlockPreconditioner":
+        """This preconditioner with another kind, at no set-up cost.
+
+        The kinds differ only in the order of the apply steps, so the result
+        shares every factor of this one: the Schur matrix, both inner solves
+        with their hierarchies, and the coupling blocks. Its ``apply`` equals
+        that of a preconditioner built afresh with ``kind``.
+        """
+        _check_kind(kind)
+        view = copy.copy(self)
+        view.kind = kind
+        return view
 
     def hierarchies(self) -> dict:
         """AMG hierarchies in use, keyed by block name (may be empty)."""
@@ -245,8 +265,7 @@ def build_preconditioner(
         diagonal interface block degenerates to the exact diagonal solve.
     amg_params : AmgParams, optional
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown preconditioner kind {kind!r}, expected one of {KINDS}")
+    _check_kind(kind)
     if schur_mode not in ("diag", "exact"):
         raise ValueError(f"unknown schur_mode {schur_mode!r}")
     for name, mode in (("inner_omega", inner_omega), ("inner_gamma", inner_gamma)):

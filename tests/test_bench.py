@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+import mdsolve.bench
+from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.bench import SweepResult, SweepRow, SweepSpec, emit_table, run_sweep
-from mdsolve.krylov import SolveConfig
+from mdsolve.grids import build_cross_2d, build_random_network_2d
+from mdsolve.krylov import SolveConfig, gmres
+from mdsolve.precond import build_preconditioner
+from mdsolve.sysio import export_system, import_system
 
 
 def small_spec(**overrides):
@@ -16,6 +21,18 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+def count_calls(monkeypatch, name, fn):
+    """Route ``mdsolve.bench.<name>`` through ``fn``, recording each call's kwargs."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(mdsolve.bench, name, counting)
+    return calls
 
 
 def test_single_tuple_sweep():
@@ -59,19 +76,61 @@ def test_converged_rows_satisfy_reverified_residual():
         assert row.residual <= 1.1 * result.spec.solver.rel_tol
 
 
-def test_tuple_failure_is_recorded_and_sweep_continues():
-    # exact Schur above the oracle cap fails for the first tuple only
+def test_tuple_failure_is_recorded_and_sweep_continues(monkeypatch):
+    # exact Schur above the oracle cap fails the shared set-up, which is not retried
+    setups = count_calls(monkeypatch, "build_preconditioner", build_preconditioner)
     result = run_sweep(
         small_spec(mesh_sizes=(64,), schur_mode="exact",
                    inner_omega="direct", inner_gamma="direct",
-                   precond_kinds=("bl", "none"),
+                   precond_kinds=("bl", "none", "bu"),
                    solver=SolveConfig(rel_tol=1e-6, max_iters=30))
     )
-    assert len(result.rows) == 2
-    assert "exact" in result.rows[0].error
-    assert not result.rows[0].converged
-    assert result.rows[1].error == ""  # the sweep went on past the failure
-    assert result.rows[1].iterations == 30  # ran out of budget, recorded honestly
+    assert len(setups) == 1
+    assert len(result.rows) == 3
+    bl, none, bu = result.rows
+    for row in (bl, bu):
+        assert row.error.startswith("ValueError: ") and "exact" in row.error
+        assert not row.converged
+        assert row.setup_seconds == 0.0
+    assert bu.error == bl.error
+    assert none.error == ""  # the sweep went on past the failure
+    assert none.iterations == 30  # ran out of budget, recorded honestly
+
+
+def test_setup_is_shared_across_kinds_of_each_system(monkeypatch):
+    setups = count_calls(monkeypatch, "build_preconditioner", build_preconditioner)
+    kinds = ("ml", "bl", "bu", "bd", "none")
+    spec = small_spec(geometry="random_2d", mesh_sizes=(8,), seed=3,
+                      k_parallel_values=(1e-4, 1e4), precond_kinds=kinds)
+    result = run_sweep(spec)
+    assert [c["kind"] for c in setups] == ["ml", "ml"]  # one per assembled system
+    assert len(result.rows) == 2 * len(kinds)
+    for row in result.rows:
+        assert (row.setup_seconds > 0.0) == (row.kind == "ml")
+        system = assemble(build_random_network_2d(8, spec.num_fractures, spec.seed),
+                          PhysicalParams(k_parallel=row.k_parallel, kappa=row.kappa))
+        prec = None if row.kind == "none" else build_preconditioner(system, kind=row.kind)
+        report = gmres(monolithic(system), system.rhs, prec, spec.solver)
+        assert (row.iterations, row.converged, row.residual) == (
+            report.iterations, report.converged, report.true_residual
+        )
+
+
+def test_imported_system_is_read_once_per_sweep(monkeypatch, tmp_path):
+    export_system(assemble(build_cross_2d(4), PhysicalParams()), tmp_path)
+    reads = count_calls(monkeypatch, "import_system", import_system)
+    result = run_sweep(small_spec(geometry="imported", import_path=str(tmp_path),
+                                  precond_kinds=("ml", "bu", "none")))
+    assert len(reads) == 1
+    assert [r.kind for r in result.rows] == ["ml", "bu", "none"]
+    assert all(r.converged for r in result.rows)
+
+
+def test_imported_geometry_rejects_parameters_it_ignores(tmp_path):
+    for name, values in (("mesh_sizes", (4, 8)), ("k_parallel_values", (1.0, 1e4)),
+                         ("kappa_values", (1e-4, 1.0))):
+        with pytest.raises(ValueError, match=name):
+            small_spec(geometry="imported", import_path=str(tmp_path), **{name: values})
 
 
 def test_all_preconditioner_kinds_run():
@@ -92,6 +151,8 @@ def test_spec_validation():
         small_spec(k_parallel_values=(0.0,))
     with pytest.raises(ValueError, match="import_path"):
         small_spec(geometry="imported")
+    with pytest.raises(ValueError, match="kind 'xl'"):
+        small_spec(precond_kinds=("ml", "xl"))
 
 
 def test_emit_empty_table_has_header_only():

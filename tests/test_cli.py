@@ -101,3 +101,8 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mystery = 7\n")
     assert main(["--config", str(cfg), "generate", "--n", "4"]) == 2
+
+
+def test_generate_rejects_imported_geometry(capsys):
+    assert main(["generate", "--geometry", "imported"]) == 2
+    assert "geometry 'imported' has no grid" in capsys.readouterr().err

@@ -272,3 +272,23 @@ def test_hierarchies_are_exposed_for_stats():
     hs = p.hierarchies()
     assert "schur" in hs and "interface" in hs
     assert hs["interface"].diagonal is not None  # matching grid: direct inverse
+
+
+def test_with_kind_is_a_view_equal_to_a_fresh_build():
+    sys_ = cross_system(8, k_parallel=1e4, kappa=1e-4)
+    base = build_preconditioner(sys_, kind="ml")
+    rng = np.random.default_rng(11)
+    residuals = rng.standard_normal((3, sys_.n_total))
+    for kind in ("ml", "bl", "bu", "bd"):
+        view = base.with_kind(kind)
+        assert view.kind == kind
+        assert view.schur_matrix is base.schur_matrix
+        assert set(view.hierarchies()) == {"schur", "interface"}
+        for name, hierarchy in view.hierarchies().items():
+            assert hierarchy is base.hierarchies()[name]
+        fresh = build_preconditioner(sys_, kind=kind)
+        for r in residuals:
+            assert np.array_equal(view.apply(r), fresh.apply(r))
+    assert base.kind == "ml"
+    with pytest.raises(ValueError, match="kind"):
+        base.with_kind("xl")
