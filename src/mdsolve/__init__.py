@@ -31,7 +31,14 @@ from .grids import (
     build_regular_network_3d,
 )
 from .assembly import BlockSystem, PhysicalParams, assemble, monolithic
-from .amg import AmgHierarchy, AmgParams, amg_setup, apply_preconditioner_vcycle, v_cycle
+from .amg import (
+    AmgHierarchy,
+    AmgParams,
+    AmgSetupWarning,
+    amg_setup,
+    apply_preconditioner_vcycle,
+    v_cycle,
+)
 from .precond import (
     BlockPreconditioner,
     approx_schur,
@@ -48,6 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmgHierarchy",
     "AmgParams",
+    "AmgSetupWarning",
     "BlockPreconditioner",
     "BlockSystem",
     "BoundaryConfig",

@@ -16,6 +16,7 @@ setup, with the cycle solving the original sign convention.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +24,17 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .sparse import CsrMatrix, SingularMatrixError
+from .sparse import CsrMatrix, dense_lu
 
-__all__ = ["AmgParams", "AmgLevel", "AmgHierarchy", "amg_setup", "v_cycle",
-           "apply_preconditioner_vcycle"]
+__all__ = ["AmgParams", "AmgLevel", "AmgHierarchy", "AmgSetupWarning", "amg_setup",
+           "v_cycle", "apply_preconditioner_vcycle"]
+
+
+class AmgSetupWarning(UserWarning):
+    """The hierarchy stopped with a coarsest level of at least
+    ``max_coarse_size`` rows: aggregation stalled or ``max_levels`` was
+    reached. The hierarchy is still usable, but its coarsest solve is a dense
+    LU of that size."""
 
 
 @dataclass(frozen=True)
@@ -119,64 +127,68 @@ class AmgHierarchy:
         return "\n".join(lines)
 
 
-def _aggregate(a: sp.csr_matrix, theta: float):
-    """Greedy aggregation over the strength graph.
-
-    Root sweep first (a free node whose strong neighbors are all free seeds
-    an aggregate), then stragglers attach to their most strongly connected
-    aggregated neighbor, then leftovers seed aggregates of their own.
-    Returns (aggregate id per node, number of aggregates).
-    """
-    n = a.shape[0]
+def _strength(a: sp.csr_matrix, theta: float):
+    """Row of each stored entry, off-diagonal mask, and the strength threshold
+    ``theta * sqrt(|a_ii a_jj|)`` of each entry; shared by aggregation and
+    filtering of one level."""
     diag = a.diagonal()
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
     off = a.indices != rows
     thresh = theta * np.sqrt(np.abs(diag[rows] * diag[a.indices]))
-    strong = off & (np.abs(a.data) >= thresh) & (np.abs(a.data) > 0)
-    s_mat = sp.csr_matrix(
-        (np.abs(a.data[strong]), a.indices[strong], np.insert(np.cumsum(np.bincount(rows[strong], minlength=n)), 0, 0)),
-        shape=(n, n),
-    )
-    indptr, indices, weights = s_mat.indptr, s_mat.indices, s_mat.data
+    return rows, off, thresh
 
-    agg = np.full(n, -1, dtype=np.int64)
+
+def _aggregate(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray):
+    """Greedy aggregation over the strength graph (Vanek, Mandel & Brezina).
+
+    An off-diagonal entry is strong when ``|a_ij| >= thresh`` and
+    ``|a_ij| > 0``. Root pass: nodes are visited in natural order, and a
+    free node whose strong neighbors are all free seeds an aggregate with
+    them. Straggler pass, again in natural order: each remaining node joins
+    the aggregate of the first strictly strongest aggregated neighbor in row
+    order, seeing nodes attached earlier in the same pass. Hierarchies stay
+    bit-identical only while this order and tie-break hold.
+    Returns (int64 aggregate id per node, number of aggregates).
+    """
+    n = a.shape[0]
+    absval = np.abs(a.data)
+    strong = off & (absval >= thresh) & (absval > 0)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[strong], minlength=n))]).tolist()
+    indices = a.indices[strong].tolist()
+    weights = absval[strong].tolist()
+
+    agg = [-1] * n
     n_agg = 0
     for i in range(n):
         if agg[i] >= 0:
             continue
         nbrs = indices[indptr[i] : indptr[i + 1]]
-        if np.all(agg[nbrs] < 0):
+        for j in nbrs:
+            if agg[j] >= 0:
+                break
+        else:  # every strong neighbor is free
             agg[i] = n_agg
-            agg[nbrs] = n_agg
+            for j in nbrs:
+                agg[j] = n_agg
             n_agg += 1
     for i in range(n):
         if agg[i] >= 0:
             continue
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        w = weights[indptr[i] : indptr[i + 1]]
         best, best_w = -1, -1.0
-        for j, wj in zip(nbrs, w):
-            if agg[j] >= 0 and wj > best_w:
-                best, best_w = agg[j], wj
-        if best >= 0:
-            agg[i] = best
-    for i in range(n):
-        if agg[i] >= 0:
-            continue
-        agg[i] = n_agg
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        agg[nbrs[agg[nbrs] < 0]] = n_agg
-        n_agg += 1
-    return agg, n_agg
+        for k in range(indptr[i], indptr[i + 1]):
+            j = agg[indices[k]]
+            if j >= 0 and weights[k] > best_w:
+                best, best_w = j, weights[k]
+        agg[i] = best
+    # No third pass: a node the root pass skips has an aggregated strong neighbor.
+    return np.array(agg, dtype=np.int64), n_agg
 
 
-def _filtered(a: sp.csr_matrix, theta: float) -> sp.csr_matrix:
-    """Drop weak off-diagonal entries and lump them into the diagonal."""
+def _filtered(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray,
+              thresh: np.ndarray) -> sp.csr_matrix:
+    """Drop weak off-diagonal entries (``|a_ij| < thresh``) and lump them
+    into the diagonal."""
     n = a.shape[0]
-    diag = a.diagonal()
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    off = a.indices != rows
-    thresh = theta * np.sqrt(np.abs(diag[rows] * diag[a.indices]))
     weak = off & (np.abs(a.data) < thresh)
     lump = np.zeros(n)
     np.add.at(lump, rows[weak], a.data[weak])
@@ -207,19 +219,6 @@ def _triangular_solvers(a: sp.csr_matrix):
     return lower, upper
 
 
-def _coarse_factor(a: sp.csr_matrix):
-    dense = a.toarray()
-    anorm = np.abs(dense).sum(axis=1).max() if dense.size else 0.0
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(dense)
-    if dense.size and np.min(np.abs(np.diag(lu))) <= 1e-14 * anorm:
-        raise SingularMatrixError("amg_setup: coarsest-level operator is singular")
-    return lu, piv
-
-
 def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
     """Build a smoothed-aggregation hierarchy for a square operator.
 
@@ -235,6 +234,14 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
     ------
     ValueError
         If the operator is not square or has a zero diagonal entry.
+    SingularMatrixError
+        If the coarsest-level operator is singular to working precision.
+
+    Warns
+    -----
+    AmgSetupWarning
+        If the coarsest level keeps at least ``max_coarse_size`` rows, because
+        aggregation stalled or ``max_levels`` was reached.
     """
     params = params or AmgParams()
     if a.nrows != a.ncols:
@@ -259,15 +266,30 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
         n = current.shape[0]
         last = n < params.max_coarse_size or depth == params.max_levels - 1
         if not last:
-            agg, n_agg = _aggregate(current, params.strength_threshold)
+            strength = _strength(current, params.strength_threshold)
+            agg, n_agg = _aggregate(current, *strength)
+            # filter now: the per-entry strength arrays must not stay alive
+            # through the Galerkin product, where set-up peaks in memory
+            a_filt = _filtered(current, *strength)
+            del strength
             if n_agg >= n:
                 last = True  # aggregation stalled; stop coarsening here
         if last:
+            if n >= params.max_coarse_size:
+                warnings.warn(
+                    f"amg_setup: coarsest level has {n} rows after {depth + 1} levels, "
+                    f"not below max_coarse_size={params.max_coarse_size} "
+                    f"(max_levels={params.max_levels})",
+                    AmgSetupWarning,
+                    stacklevel=2,
+                )
             levels.append(
                 AmgLevel(
                     a=CsrMatrix.from_scipy(current),
                     _a_scipy=current,
-                    _coarse_lu=_coarse_factor(current),
+                    _coarse_lu=dense_lu(
+                        current.toarray(), "amg_setup: coarsest-level operator is singular"
+                    ),
                 )
             )
             break
@@ -277,7 +299,6 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
         dinv = 1.0 / current.diagonal()
         rho = _rho_dinv_a(current, dinv, params.power_iterations)
         omega = params.omega_factor / max(rho, np.finfo(float).tiny)
-        a_filt = _filtered(current, params.strength_threshold)
         p = (p_tent - sp.diags(omega * dinv) @ (a_filt @ p_tent)).tocsr()
         coarse = (p.T @ current @ p).tocsr()
         coarse.sum_duplicates()

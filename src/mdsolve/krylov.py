@@ -55,7 +55,6 @@ class SolveReport:
     residual_history: np.ndarray
     solution: np.ndarray
     true_residual: float
-    setup_seconds: float = 0.0
     solve_seconds: float = 0.0
 
 

@@ -30,8 +30,8 @@ from .amg import AmgParams, amg_setup, apply_preconditioner_vcycle
 from .sparse import (
     CsrMatrix,
     DenseMatrix,
-    SingularMatrixError,
     csr_add,
+    dense_lu,
     extract_diagonal,
     triple_product_diag_scaled,
 )
@@ -54,18 +54,6 @@ def _check_kind(kind: str):
         raise ValueError(f"unknown preconditioner kind {kind!r}, expected one of {KINDS}")
 
 
-def _dense_lu(a: np.ndarray, context: str):
-    anorm = np.abs(a).sum(axis=1).max() if a.size else 0.0
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a)
-    if a.size and np.min(np.abs(np.diag(lu))) <= 1e-14 * anorm:
-        raise SingularMatrixError(f"{context}: matrix is singular to working precision")
-    return lu, piv
-
-
 def exact_schur(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_CAP) -> DenseMatrix:
     """Dense Schur complement of the interface block (oracle only).
 
@@ -79,7 +67,10 @@ def exact_schur(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_CAP) -> De
     a_oo = system.a_omega_omega.to_dense()
     if system.n_gamma == 0:
         return DenseMatrix(a_oo)
-    lu = _dense_lu(system.a_gamma_gamma.to_dense(), "exact_schur: interface block")
+    lu = dense_lu(
+        system.a_gamma_gamma.to_dense(),
+        "exact_schur: interface block: matrix is singular to working precision",
+    )
     x = scipy.linalg.lu_solve(lu, system.a_gamma_omega.to_dense())
     return DenseMatrix(a_oo - system.a_omega_gamma.to_dense() @ x)
 
@@ -125,7 +116,9 @@ def factorization_factors(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_
     d[:no, :no] = s
     if ng:
         a_gg = system.a_gamma_gamma.to_dense()
-        lu = _dense_lu(a_gg, "factorization_factors: interface block")
+        lu = dense_lu(
+            a_gg, "factorization_factors: interface block: matrix is singular to working precision"
+        )
         u[:no, no:] = scipy.linalg.lu_solve(lu, system.a_omega_gamma.to_dense().T).T
         lo[no:, :no] = scipy.linalg.lu_solve(lu, system.a_gamma_omega.to_dense())
         d[no:, no:] = a_gg
@@ -134,7 +127,7 @@ def factorization_factors(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_
 
 class _DirectDense:
     def __init__(self, a: np.ndarray, context: str):
-        self._lu = _dense_lu(a, context)
+        self._lu = dense_lu(a, f"{context}: matrix is singular to working precision")
 
     def __call__(self, r):
         return scipy.linalg.lu_solve(self._lu, r)

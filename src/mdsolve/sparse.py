@@ -10,6 +10,8 @@ dimension checks, and retention of cancellation zeros in sparsity patterns.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.io
 import scipy.linalg
@@ -24,6 +26,7 @@ __all__ = [
     "extract_diagonal",
     "triple_product_diag_scaled",
     "csr_add",
+    "dense_lu",
     "dense_lu_solve",
     "read_matrix_market",
     "write_matrix_market",
@@ -252,6 +255,24 @@ def csr_add(a: CsrMatrix, b: CsrMatrix, alpha: float = 1.0) -> CsrMatrix:
     return CsrMatrix.from_coo(a.nrows, a.ncols, rows, cols, vals)
 
 
+def dense_lu(a: np.ndarray, message: str):
+    """LU factors ``(lu, piv)`` of a square ndarray, with partial pivoting.
+
+    Raises
+    ------
+    SingularMatrixError
+        With ``message`` if a pivot falls below 1e-14 times the infinity
+        norm of A.
+    """
+    anorm = np.abs(a).sum(axis=1).max() if a.size else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # LAPACK warns on exact zero pivots
+        lu, piv = scipy.linalg.lu_factor(a)
+    if a.size and np.min(np.abs(np.diag(lu))) <= 1e-14 * anorm:
+        raise SingularMatrixError(message)
+    return lu, piv
+
+
 def dense_lu_solve(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by LU with partial pivoting.
 
@@ -267,15 +288,8 @@ def dense_lu_solve(a: DenseMatrix, b: np.ndarray) -> np.ndarray:
         raise ValueError("dense_lu_solve: right-hand side length mismatch")
     if a.nrows == 0:
         return np.zeros(0)
-    anorm = np.abs(a.values).sum(axis=1).max()
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LAPACK warns on exact zero pivots
-        lu, piv = scipy.linalg.lu_factor(a.values, check_finite=True)
-    if np.min(np.abs(np.diag(lu))) <= 1e-14 * anorm:
-        raise SingularMatrixError("dense_lu_solve: matrix is singular to working precision")
-    return scipy.linalg.lu_solve((lu, piv), b)
+    lu = dense_lu(a.values, "dense_lu_solve: matrix is singular to working precision")
+    return scipy.linalg.lu_solve(lu, b)
 
 
 # -- Matrix Market exchange ------------------------------------------------

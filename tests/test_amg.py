@@ -1,9 +1,29 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poisson1d, poisson2d
-from mdsolve.amg import AmgParams, amg_setup, apply_preconditioner_vcycle, v_cycle
+from mdsolve import (
+    AmgSetupWarning,
+    PhysicalParams,
+    assemble,
+    build_random_network_2d,
+    build_regular_network_3d,
+)
+from mdsolve.amg import (
+    AmgParams,
+    _aggregate,
+    _strength,
+    amg_setup,
+    apply_preconditioner_vcycle,
+    v_cycle,
+)
+from mdsolve.precond import approx_schur
 from mdsolve.sparse import CsrMatrix
 
 
@@ -155,3 +175,117 @@ def test_custom_params_are_respected():
     b = rng.standard_normal(256)
     z = apply_preconditioner_vcycle(h, b)
     assert np.all(np.isfinite(z))
+
+
+def test_coarsest_level_above_max_coarse_size_warns():
+    with pytest.warns(AmgSetupWarning, match=r"176 rows after 2 levels.*max_coarse_size=64"):
+        h = amg_setup(poisson2d(32, 32), AmgParams(max_levels=2))
+    assert [lev.n for lev in h.levels] == [1024, 176]
+
+
+def test_healthy_hierarchy_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AmgSetupWarning)
+        h = amg_setup(poisson2d(64, 64))
+    assert h.levels[-1].n == 31
+
+
+# -- aggregation against the per-node reference ---------------------------------
+
+
+def _reference_aggregate(a: sp.csr_matrix, theta: float):
+    """The original per-node numpy aggregation, kept as the oracle."""
+    n = a.shape[0]
+    diag = a.diagonal()
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    off = a.indices != rows
+    thresh = theta * np.sqrt(np.abs(diag[rows] * diag[a.indices]))
+    strong = off & (np.abs(a.data) >= thresh) & (np.abs(a.data) > 0)
+    s_mat = sp.csr_matrix(
+        (np.abs(a.data[strong]), a.indices[strong], np.insert(np.cumsum(np.bincount(rows[strong], minlength=n)), 0, 0)),
+        shape=(n, n),
+    )
+    indptr, indices, weights = s_mat.indptr, s_mat.indices, s_mat.data
+
+    agg = np.full(n, -1, dtype=np.int64)
+    n_agg = 0
+    for i in range(n):
+        if agg[i] >= 0:
+            continue
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        if np.all(agg[nbrs] < 0):
+            agg[i] = n_agg
+            agg[nbrs] = n_agg
+            n_agg += 1
+    for i in range(n):
+        if agg[i] >= 0:
+            continue
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        w = weights[indptr[i] : indptr[i + 1]]
+        best, best_w = -1, -1.0
+        for j, wj in zip(nbrs, w):
+            if agg[j] >= 0 and wj > best_w:
+                best, best_w = agg[j], wj
+        if best >= 0:
+            agg[i] = best
+    for i in range(n):
+        if agg[i] >= 0:
+            continue
+        agg[i] = n_agg
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        agg[nbrs[agg[nbrs] < 0]] = n_agg
+        n_agg += 1
+    return agg, n_agg
+
+
+def _assert_matches_reference(a: sp.csr_matrix, theta: float):
+    expected, expected_n = _reference_aggregate(a, theta)
+    agg, n_agg = _aggregate(a, *_strength(a, theta))
+    assert agg.dtype == np.int64
+    assert n_agg == expected_n
+    assert np.array_equal(agg, expected)
+
+
+@st.composite
+def symmetric_operators(draw):
+    """Canonical symmetric CSR with ties (repeated values), explicit zeros,
+    weak entries and rows without any strong neighbor."""
+    n = draw(st.integers(1, 14))
+    values = st.sampled_from([0.0, -1.0, -1.0, -1.0, -0.5, -0.01, 0.3, -2.0])
+    entries = {}
+    for i in range(n):
+        entries[i, i] = draw(st.sampled_from([1.0, 2.0, 4.0, 0.5]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)):
+        if i != j:
+            entries[i, j] = entries[j, i] = draw(values)
+    keys = sorted(entries)
+    rows = np.array([k[0] for k in keys])
+    a = sp.csr_matrix(
+        (np.array([entries[k] for k in keys]), np.array([k[1] for k in keys]),
+         np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])),
+        shape=(n, n),
+    )
+    return a, draw(st.sampled_from([0.0, 0.08, 0.25, 0.6]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_operators())
+def test_aggregation_matches_reference_on_generated_operators(case):
+    a, theta = case
+    _assert_matches_reference(a, theta)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [lambda: build_regular_network_3d(8, 3), lambda: build_random_network_2d(16, 6, seed=3)],
+    ids=["regular_3d_n8", "random_2d_n16"],
+)
+@pytest.mark.parametrize("k_par, kappa", [(1.0, 1.0), (1e4, 1e-4)])
+def test_aggregation_matches_reference_on_every_schur_level(grid, k_par, kappa):
+    system = assemble(grid(), PhysicalParams(k_parallel=k_par, kappa=kappa))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmgSetupWarning)
+        h = amg_setup(approx_schur(system))
+    assert len(h.levels) >= 2
+    for lev in h.levels:
+        _assert_matches_reference(lev._a_scipy, h.params.strength_threshold)

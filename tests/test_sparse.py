@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from mdsolve.sparse import (
     DenseMatrix,
     SingularMatrixError,
     csr_add,
+    dense_lu,
     dense_lu_solve,
     extract_diagonal,
     read_matrix_market,
@@ -243,6 +245,28 @@ def test_lu_rejects_singular():
     rank_deficient = np.ones((3, 3))
     with pytest.raises(SingularMatrixError):
         dense_lu_solve(DenseMatrix(rank_deficient), np.ones(3))
+
+
+def test_dense_lu_factors_solve_and_singular_message():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+    b = rng.standard_normal(6)
+    x = scipy.linalg.lu_solve(dense_lu(a, "unused"), b)
+    assert np.abs(a @ x - b).max() < 1e-12
+    with pytest.raises(SingularMatrixError, match="^caller: singular$"):
+        dense_lu(np.ones((3, 3)), "caller: singular")
+
+
+def test_dense_lu_callers_keep_their_messages():
+    from mdsolve.amg import amg_setup
+    from mdsolve.precond import _DirectDense
+
+    with pytest.raises(SingularMatrixError, match="^dense_lu_solve: matrix is singular to working precision$"):
+        dense_lu_solve(DenseMatrix(np.zeros((2, 2))), np.zeros(2))
+    with pytest.raises(SingularMatrixError, match="^amg_setup: coarsest-level operator is singular$"):
+        amg_setup(CsrMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(SingularMatrixError, match="^ctx: matrix is singular to working precision$"):
+        _DirectDense(np.zeros((2, 2)), "ctx")
 
 
 def test_lu_shape_errors():
