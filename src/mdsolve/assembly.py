@@ -24,7 +24,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .grids import DIRICHLET, NEUMANN, DofPartition, MixedDimGrid
+from .grids import DofPartition, MixedDimGrid, _concat
 from .sparse import CsrMatrix, transpose
 
 __all__ = ["PhysicalParams", "BlockSystem", "assemble", "monolithic"]
@@ -73,6 +73,13 @@ def _lookup(value: ParamValue, key: int, what: str) -> float:
     if not np.isfinite(out) or out <= 0.0:
         raise ValueError(f"{what} for id {key} must be positive and finite, got {out}")
     return out
+
+
+def _global_index(starts, counts) -> np.ndarray:
+    """Global DOF of each entry of consecutive objects numbered from their ``starts``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    first = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(np.asarray(starts, dtype=np.int64) - first, counts)
 
 
 @dataclass(frozen=True)
@@ -143,46 +150,24 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
     """
     part = grid.dof_partition
     n_omega, n_gamma = part.n_omega, part.n_gamma
+    subs, itfs = grid.subdomains, grid.interfaces
 
     # parameter coverage check up front so errors do not depend on topology
     perm = {}
-    for s in grid.subdomains:
+    for s in subs:
         which = (
             ("matrix permeability", params.matrix_permeability)
             if s.dim == grid.ambient_dim
             else ("tangential permeability", params.k_parallel)
         )
         perm[s.id] = _lookup(which[1], s.id, which[0])
-    kappa = {i.id: _lookup(params.kappa, i.id, "interface transmissivity") for i in grid.interfaces}
+    kappa = [_lookup(params.kappa, i.id, "interface transmissivity") for i in itfs]
     aperture = float(params.aperture)
     if not np.isfinite(aperture) or aperture <= 0:
         raise ValueError(f"aperture must be positive and finite, got {aperture}")
-
-    rows, cols, vals = [], [], []
-    rhs_omega = np.zeros(n_omega)
-
-    omega_offset = {sid: start for sid, start, _ in part.omega_ranges}
-    gamma_offset = {iid: start - n_omega for iid, start, _ in part.gamma_ranges}
-
-    for s in grid.subdomains:
-        off = omega_offset[s.id]
-        k = perm[s.id]
-        xsec = aperture ** (grid.ambient_dim - s.dim)
-        for ca, cb, geo in s.internal_faces:
-            t = k * geo * xsec
-            rows += [off + ca, off + cb, off + ca, off + cb]
-            cols += [off + ca, off + cb, off + cb, off + ca]
-            vals += [t, t, -t, -t]
-        for c, geo, (kind, value) in s.boundary_faces:
-            if kind == DIRICHLET:
-                t = k * geo * xsec
-                rows.append(off + c)
-                cols.append(off + c)
-                vals.append(t)
-                rhs_omega[off + c] += t * value
-            elif kind == NEUMANN:
-                rhs_omega[off + c] += value
-        if isinstance(params.source, Mapping):
+    if isinstance(params.source, Mapping):
+        sources = []
+        for s in subs:
             if s.id not in params.source:
                 raise ValueError(f"missing source for id {s.id}")
             f = np.asarray(params.source[s.id], dtype=float)
@@ -190,28 +175,68 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
                 raise ValueError(
                     f"source for subdomain {s.id} has shape {f.shape}, expected ({s.cell_count},)"
                 )
-        else:
-            f = np.full(s.cell_count, float(params.source))
-        rhs_omega[off : off + s.cell_count] += f * np.asarray(s.cell_volumes) * xsec
+            sources.append(f)
+        source = _concat(sources, float)
+    else:
+        source = float(params.source)
 
-    cp_rows, cp_cols, cp_vals = [], [], []  # omega-gamma coupling triplets
+    # per-object values, repeated below onto their faces, cells and mortars
+    omega_start = {sid: start for sid, start, _ in part.omega_ranges}
+    xsec = {s.id: aperture ** (grid.ambient_dim - s.dim) for s in subs}
+    k_sub = np.array([perm[s.id] for s in subs])
+    x_sub = np.array([xsec[s.id] for s in subs])
+    off_sub = np.array([omega_start[s.id] for s in subs], dtype=np.int64)
+
+    # TPFA triplets of all internal faces, then Dirichlet diagonals. Each row
+    # receives its duplicates in face order, (a,a),(b,b),(a,b),(b,a) per
+    # face, and the CSR conversion sums them in that order.
+    n_faces = [len(s.face_a) for s in subs]
+    off = np.repeat(off_sub, n_faces)
+    fa = _concat([s.face_a for s in subs], np.int64) + off
+    fb = _concat([s.face_b for s in subs], np.int64) + off
+    geo = _concat([s.face_geo for s in subs], float)
+    t = np.repeat(k_sub, n_faces) * geo * np.repeat(x_sub, n_faces)
+    n_bnd = [len(s.bnd_cell) for s in subs]
+    bc = _concat([s.bnd_cell for s in subs], np.int64) + np.repeat(off_sub, n_bnd)
+    geo = _concat([s.bnd_geo for s in subs], float)
+    tb = np.repeat(k_sub, n_bnd) * geo * np.repeat(x_sub, n_bnd)
+    dirichlet = _concat([s.bnd_dirichlet for s in subs], bool)
+    value = _concat([s.bnd_value for s in subs], float)
+    rows = np.concatenate([np.stack([fa, fb, fa, fb], axis=1).ravel(), bc[dirichlet]])
+    cols = np.concatenate([np.stack([fa, fb, fb, fa], axis=1).ravel(), bc[dirichlet]])
+    vals = np.concatenate([np.stack([t, t, -t, -t], axis=1).ravel(), tb[dirichlet]])
+
+    # right-hand side: boundary terms in face order, then cell sources
+    rhs_omega = np.zeros(n_omega)
+    np.add.at(rhs_omega, bc, np.where(dirichlet, tb * value, value))
+    counts = [s.cell_count for s in subs]
+    volumes = _concat([s.cell_volumes for s in subs], float)
+    rhs_omega[_global_index(off_sub, counts)] += source * volumes * np.repeat(x_sub, counts)
+
+    # omega-gamma coupling: +1 on the higher side, -1 on the lower side
+    n_mortar = [len(i.area) for i in itfs]
+    gamma_start = {iid: start - n_omega for iid, start, _ in part.gamma_ranges}
+    gamma = _global_index([gamma_start[i.id] for i in itfs], n_mortar)
+    higher = _concat([i.higher_cell for i in itfs], np.int64) + np.repeat(
+        [omega_start[i.higher_id] for i in itfs], n_mortar
+    )
+    lower = _concat([i.lower_cell for i in itfs], np.int64) + np.repeat(
+        [omega_start[i.lower_id] for i in itfs], n_mortar
+    )
+    cp_rows = np.stack([higher, lower], axis=1).ravel()
+    cp_cols = np.repeat(gamma, 2)
+    cp_vals = np.tile([1.0, -1.0], len(gamma))
+    # per-area half transmissibility of the higher-dim neighbor cell
+    area = _concat([i.area for i in itfs], float)
+    t_half = (
+        np.repeat([perm[i.higher_id] for i in itfs], n_mortar)
+        * np.repeat([xsec[i.higher_id] for i in itfs], n_mortar)
+        * _concat([i.higher_geo for i in itfs], float)
+        / area
+    )
+    kappa_eff = 1.0 / (1.0 / np.repeat(kappa, n_mortar) + 1.0 / t_half)
     gamma_diag = np.zeros(n_gamma)
-    sub_by_id = {s.id: s for s in grid.subdomains}
-    for itf in grid.interfaces:
-        goff = gamma_offset[itf.id]
-        hoff = omega_offset[itf.higher_id]
-        loff = omega_offset[itf.lower_id]
-        k_high = perm[itf.higher_id]
-        xsec_high = aperture ** (grid.ambient_dim - sub_by_id[itf.higher_id].dim)
-        for m, (hc, geo_h, lc, area) in enumerate(itf.cell_pairs):
-            g = goff + m
-            cp_rows += [hoff + hc, loff + lc]
-            cp_cols += [g, g]
-            cp_vals += [1.0, -1.0]
-            # per-area half transmissibility of the higher-dim neighbor cell
-            t_half = k_high * xsec_high * geo_h / area
-            kappa_eff = 1.0 / (1.0 / kappa[itf.id] + 1.0 / t_half)
-            gamma_diag[g] = -area / kappa_eff
+    gamma_diag[gamma] = -area / kappa_eff
 
     a_oo = CsrMatrix.from_coo(n_omega, n_omega, rows, cols, vals)
     a_og = CsrMatrix.from_coo(n_omega, n_gamma, cp_rows, cp_cols, cp_vals)

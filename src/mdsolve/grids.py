@@ -7,8 +7,9 @@ on a Cartesian n-by-n(-by-n) lattice with matching grids, so every mortar
 cell coincides with one boundary face of the higher-dimensional neighbor and
 one cell of the lower-dimensional one.
 
-Degrees of freedom are laid out with all subdomain (pressure) unknowns first
-and all interface (mortar flux) unknowns after them.
+Faces and mortar cells are stored as numpy arrays, one entry per face or
+mortar cell. Degrees of freedom are laid out with all subdomain (pressure)
+unknowns first and all interface (mortar flux) unknowns after them.
 """
 
 from __future__ import annotations
@@ -64,10 +65,13 @@ class BoundaryConfig:
 class Subdomain:
     """One geometric object of fixed dimension with its cell grid.
 
-    ``internal_faces`` holds ``(cell_a, cell_b, geometric_factor)`` with the
-    factor being face measure divided by center distance in the subdomain's
-    own dimension. ``boundary_faces`` holds ``(cell, geometric_factor, tag)``
-    where ``tag`` is ``("dirichlet", value)`` or ``("neumann", flux)``.
+    Internal face ``k`` joins cells ``face_a[k]`` and ``face_b[k]`` with
+    geometric factor ``face_geo[k]``: face measure divided by center
+    distance in the subdomain's own dimension. Boundary face ``k`` belongs
+    to cell ``bnd_cell[k]`` with factor ``bnd_geo[k]``; it imposes pressure
+    ``bnd_value[k]`` where ``bnd_dirichlet[k]`` is true and carries the
+    Neumann flux ``bnd_value[k]`` elsewhere. Cell indices are int64 arrays,
+    ``bnd_dirichlet`` is bool, and the factors and values are float64.
     """
 
     id: int
@@ -75,26 +79,35 @@ class Subdomain:
     cell_count: int
     cell_volumes: np.ndarray
     cell_centers: np.ndarray
-    internal_faces: tuple
-    boundary_faces: tuple
+    face_a: np.ndarray
+    face_b: np.ndarray
+    face_geo: np.ndarray
+    bnd_cell: np.ndarray
+    bnd_geo: np.ndarray
+    bnd_dirichlet: np.ndarray
+    bnd_value: np.ndarray
 
 
 @dataclass(frozen=True)
 class Interface:
     """Mortar coupling between a (d+1)-dimensional and a d-dimensional subdomain.
 
-    ``cell_pairs`` holds one entry per mortar cell:
-    ``(higher_cell, higher_face_geometric_factor, lower_cell, mortar_area)``,
-    all cell indices local to their subdomain. ``orientation`` is the sign of
-    the axis component of the higher side's outward normal at each mortar.
+    Mortar cell ``m`` joins cell ``higher_cell[m]`` of the higher side, whose
+    face toward the mortar has geometric factor ``higher_geo[m]``, to cell
+    ``lower_cell[m]`` of the lower side over area ``area[m]``; cell indices
+    are local to their subdomain. ``orientation[m]`` is the sign (+-1) of
+    the axis component of the higher side's outward normal at the mortar.
     """
 
     id: int
     dim: int
     higher_id: int
     lower_id: int
-    cell_pairs: tuple
-    orientation: tuple
+    higher_cell: np.ndarray
+    higher_geo: np.ndarray
+    lower_cell: np.ndarray
+    area: np.ndarray
+    orientation: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -138,6 +151,24 @@ class DofPartition:
         return self
 
 
+def _concat(arrays, dtype) -> np.ndarray:
+    """Concatenate per-object arrays into one of ``dtype``, empty when there are none."""
+    return np.concatenate([np.empty(0, dtype), *arrays])
+
+
+def _outside(cells: np.ndarray, count) -> np.ndarray:
+    return (cells < 0) | (cells >= count)
+
+
+def _reject(items, sizes, bad: np.ndarray, message: str, *columns):
+    """If ``bad`` has a true entry over the items' concatenated arrays, raise
+    ``ValueError(message.format(item.id, *column values))`` for the first."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        item = items[int(np.searchsorted(np.cumsum(sizes), k, side="right"))]
+        raise ValueError(message.format(item.id, *(c[k] for c in columns)))
+
+
 @dataclass(frozen=True)
 class MixedDimGrid:
     ambient_dim: int
@@ -159,29 +190,45 @@ class MixedDimGrid:
         raise KeyError(f"no {what} with id {ident}")
 
     def validate(self):
-        """Check structural invariants; raises ValueError on the first violation."""
-        sub_by_id = {s.id: s for s in self.subdomains}
-        if len(sub_by_id) != len(self.subdomains):
+        """Check structural invariants; raises ValueError naming the first
+        object that breaks a rule. Array rules run over the concatenated
+        arrays of all subdomains, then of all interfaces."""
+        subs, itfs = self.subdomains, self.interfaces
+        sub_by_id = {s.id: s for s in subs}
+        if len(sub_by_id) != len(subs):
             raise ValueError("duplicate subdomain ids")
-        for s in self.subdomains:
+        for s in subs:
             if not 0 <= s.dim <= self.ambient_dim:
                 raise ValueError(f"subdomain {s.id} has dim {s.dim} outside 0..{self.ambient_dim}")
             if len(s.cell_volumes) != s.cell_count or len(s.cell_centers) != s.cell_count:
                 raise ValueError(f"subdomain {s.id}: cell array lengths mismatch")
-            if s.cell_count and np.any(np.asarray(s.cell_volumes) <= 0):
-                raise ValueError(f"subdomain {s.id}: nonpositive cell volume")
-            for ca, cb, geo in s.internal_faces:
-                if ca == cb or not (0 <= ca < s.cell_count and 0 <= cb < s.cell_count):
-                    raise ValueError(f"subdomain {s.id}: invalid internal face ({ca},{cb})")
-                if geo <= 0:
-                    raise ValueError(f"subdomain {s.id}: nonpositive face factor")
-            for c, geo, tag in s.boundary_faces:
-                if not 0 <= c < s.cell_count or geo <= 0:
-                    raise ValueError(f"subdomain {s.id}: invalid boundary face")
-                if tag[0] not in (DIRICHLET, NEUMANN):
-                    raise ValueError(f"subdomain {s.id}: unknown boundary tag {tag[0]!r}")
+            if not len(s.face_a) == len(s.face_b) == len(s.face_geo):
+                raise ValueError(f"subdomain {s.id}: internal face array lengths mismatch")
+            if not len(s.bnd_cell) == len(s.bnd_geo) == len(s.bnd_dirichlet) == len(s.bnd_value):
+                raise ValueError(f"subdomain {s.id}: boundary face array lengths mismatch")
+            if s.bnd_dirichlet.dtype != bool:
+                raise ValueError(
+                    f"subdomain {s.id}: unknown boundary tag, bnd_dirichlet has dtype "
+                    f"{s.bnd_dirichlet.dtype} instead of bool"
+                )
+        counts = [s.cell_count for s in subs]
+        n_faces = [len(s.face_a) for s in subs]
+        n_bnd = [len(s.bnd_cell) for s in subs]
+        volumes = _concat([s.cell_volumes for s in subs], float)
+        _reject(subs, counts, volumes <= 0, "subdomain {}: nonpositive cell volume")
+        fa = _concat([s.face_a for s in subs], np.int64)
+        fb = _concat([s.face_b for s in subs], np.int64)
+        face_count = np.repeat(counts, n_faces)
+        bad = (fa == fb) | _outside(fa, face_count) | _outside(fb, face_count)
+        _reject(subs, n_faces, bad, "subdomain {}: invalid internal face ({},{})", fa, fb)
+        bad = _concat([s.face_geo for s in subs], float) <= 0
+        _reject(subs, n_faces, bad, "subdomain {}: nonpositive face factor")
+        bad = _outside(_concat([s.bnd_cell for s in subs], np.int64), np.repeat(counts, n_bnd))
+        bad |= _concat([s.bnd_geo for s in subs], float) <= 0
+        _reject(subs, n_bnd, bad, "subdomain {}: invalid boundary face")
+
         iface_ids = set()
-        for itf in self.interfaces:
+        for itf in itfs:
             if itf.id in iface_ids:
                 raise ValueError("duplicate interface ids")
             iface_ids.add(itf.id)
@@ -193,22 +240,33 @@ class MixedDimGrid:
                     f"interface {itf.id}: dimension chain broken "
                     f"(higher {hi.dim}, lower {lo.dim}, interface {itf.dim})"
                 )
-            if len(itf.orientation) != len(itf.cell_pairs):
+            lengths = {len(a) for a in (itf.higher_cell, itf.higher_geo, itf.lower_cell, itf.area)}
+            if len(lengths) != 1:
+                raise ValueError(f"interface {itf.id}: mortar array lengths mismatch")
+            if len(itf.orientation) != len(itf.area):
                 raise ValueError(f"interface {itf.id}: orientation length mismatch")
-            seen_faces = set()
-            for (hc, geo, lc, area), sign in zip(itf.cell_pairs, itf.orientation):
-                if not 0 <= hc < hi.cell_count or not 0 <= lc < lo.cell_count:
-                    raise ValueError(f"interface {itf.id}: cell index out of range")
-                if geo <= 0 or area <= 0:
-                    raise ValueError(f"interface {itf.id}: nonpositive mortar geometry")
-                if sign not in (-1, 1):
-                    raise ValueError(f"interface {itf.id}: orientation must be +-1")
-                if (hc, sign) in seen_faces:
-                    raise ValueError(f"interface {itf.id}: higher-dim face used twice")
-                seen_faces.add((hc, sign))
+        n_mortar = [len(i.area) for i in itfs]
+        hc = _concat([i.higher_cell for i in itfs], np.int64)
+        bad = _outside(hc, np.repeat([sub_by_id[i.higher_id].cell_count for i in itfs], n_mortar))
+        bad |= _outside(
+            _concat([i.lower_cell for i in itfs], np.int64),
+            np.repeat([sub_by_id[i.lower_id].cell_count for i in itfs], n_mortar),
+        )
+        _reject(itfs, n_mortar, bad, "interface {}: cell index out of range")
+        bad = _concat([i.higher_geo for i in itfs], float) <= 0
+        bad |= _concat([i.area for i in itfs], float) <= 0
+        _reject(itfs, n_mortar, bad, "interface {}: nonpositive mortar geometry")
+        sign = _concat([i.orientation for i in itfs], np.int64)
+        _reject(itfs, n_mortar, (sign != 1) & (sign != -1), "interface {}: orientation must be +-1")
+        # one key per (interface, higher cell, side); a repeat uses a face twice
+        owner = np.repeat(np.arange(len(itfs)), n_mortar)
+        key = (owner * (max(counts, default=0) + 1) + hc) * 2 + (sign > 0)
+        repeated = np.ones(len(key), dtype=bool)
+        repeated[np.unique(key, return_index=True)[1]] = False
+        _reject(itfs, n_mortar, repeated, "interface {}: higher-dim face used twice")
         self.dof_partition.validate()
         for iid, start, stop in self.dof_partition.gamma_ranges:
-            if stop - start != len(self.interface(iid).cell_pairs):
+            if stop - start != len(self.interface(iid).area):
                 raise ValueError(f"interface {iid}: gamma range does not match mortar count")
         for sid, start, stop in self.dof_partition.omega_ranges:
             if stop - start != self.subdomain(sid).cell_count:
@@ -228,7 +286,7 @@ class MixedDimGrid:
             "interfaces": len(self.interfaces),
             "subdomains_by_dim": dict(sorted(by_dim_subs.items(), reverse=True)),
             "cells_by_dim": dict(sorted(by_dim_cells.items(), reverse=True)),
-            "mortar_cells": sum(len(i.cell_pairs) for i in self.interfaces),
+            "mortar_cells": sum(len(i.area) for i in self.interfaces),
             "n_omega": self.dof_partition.n_omega,
             "n_gamma": self.dof_partition.n_gamma,
             "n_total": self.dof_partition.n_total,
@@ -257,9 +315,91 @@ def _build_partition(subdomains, interfaces) -> DofPartition:
         cursor += s.cell_count
     gamma = []
     for itf in interfaces:
-        gamma.append((itf.id, cursor, cursor + len(itf.cell_pairs)))
-        cursor += len(itf.cell_pairs)
+        gamma.append((itf.id, cursor, cursor + len(itf.area)))
+        cursor += len(itf.area)
     return DofPartition(tuple(omega), tuple(gamma))
+
+
+# -- lattice helpers shared by both builders ----------------------------------
+
+
+def _cells(shape) -> np.ndarray:
+    """Cell index ``c_0 + m_0 c_1 + m_0 m_1 c_2`` of every lattice cell, indexed by coordinates."""
+    return np.arange(int(np.prod(shape))).reshape(shape, order="F")
+
+
+def _layer(shape, axis: int, k: int) -> np.ndarray:
+    """Cells of lattice layer ``k`` normal to ``axis``, first remaining axis fastest."""
+    return np.moveaxis(_cells(shape), axis, 0)[k].ravel(order="F")
+
+
+def _lattice(sid, shape, h, bc, axes=(), fixed=(), origin=None, cuts=(), sides=None) -> Subdomain:
+    """Subdomain on a box of ``shape`` cells of spacing ``h``, one entry per lattice axis.
+
+    Lattice axis ``a`` runs along ambient axis ``axes[a]``, its first cell
+    ``origin[a]`` cells from the ambient origin; ``fixed`` maps each other
+    ambient axis to the lattice line the object sits on. A cut ``(a, k,
+    span)`` removes the internal faces between layers ``k - 1`` and ``k``
+    along axis ``a`` over ``span`` of every transverse axis. ``sides[a]``
+    tells whether the low and the high end along axis ``a`` lie on the outer
+    box (default: both).
+
+    Internal faces come axis by axis, in lexicographic order of (k, the
+    other axes in increasing order). Boundary faces come axis by axis in the
+    same order of the other axes, low end before high end at each position.
+    """
+    dim = len(shape)
+    cells = _cells(shape)
+    origin = origin or (0,) * dim
+    fixed = dict(fixed)
+    centers = np.empty((cells.size, dim + len(fixed)))
+    for a, coord in enumerate(np.indices(shape)):
+        centers[:, axes[a]] = (coord.ravel(order="F") + origin[a] + 0.5) * h
+    for axis, line in fixed.items():
+        centers[:, axis] = line * h
+    # face measure over center distance (a point has no faces), and cell volume
+    geo = (0.0, 1.0 / h, 1.0, h)[dim]
+    volume = (1.0, h, h * h, h**3)[dim]
+
+    face_a, face_b, bnd_cell, bnd_dirichlet, bnd_value = [], [], [], [], []
+    for a in range(dim):
+        layers = np.moveaxis(cells, a, 0)
+        open_faces = np.ones((shape[a] - 1,) + layers.shape[1:], dtype=bool)
+        for axis, k, span in cuts:
+            if axis == a:
+                open_faces[(k - 1,) + (span,) * (dim - 1)] = False
+        face_a.append(layers[:-1][open_faces])
+        face_b.append(layers[1:][open_faces])
+        on_box = sides[a] if sides else (True, True)
+        ends = [high for high, on in zip((False, True), on_box) if on]
+        if ends:
+            tags = [bc.tag(axes[a], high) for high in ends]
+            end_cells = [layers[-1 if high else 0].ravel() for high in ends]
+            bnd_cell.append(np.stack(end_cells, axis=1).ravel())
+            bnd_dirichlet.append(np.tile([kind == DIRICHLET for kind, _ in tags], layers[0].size))
+            bnd_value.append(np.tile([float(value) for _, value in tags], layers[0].size))
+
+    face_a, bnd_cell = _concat(face_a, np.int64), _concat(bnd_cell, np.int64)
+    return Subdomain(
+        sid, dim, cells.size, np.full(cells.size, volume), centers,
+        face_a, _concat(face_b, np.int64), np.full(len(face_a), geo),
+        bnd_cell, np.full(len(bnd_cell), 2.0 * geo), _concat(bnd_dirichlet, bool),
+        _concat(bnd_value, float),
+    )
+
+
+def _coupling(iid, higher, lower, higher_cell, geo, area, orientation) -> Interface:
+    """Interface whose mortar cells meet ``higher_cell`` on the higher side.
+
+    Every mortar cell of a point meets its single cell; otherwise mortar
+    cell ``m`` meets lower cell ``m``.
+    """
+    m = len(higher_cell)
+    lower_cell = np.zeros(m, np.int64) if lower.dim == 0 else np.arange(m)
+    return Interface(
+        iid, lower.dim, higher.id, lower.id, np.asarray(higher_cell, np.int64), np.full(m, geo),
+        lower_cell, np.full(m, area), np.broadcast_to(orientation, m).astype(np.int64),
+    )
 
 
 # -- 2d builder --------------------------------------------------------------
@@ -326,117 +466,43 @@ def build_network_2d(n: int, segments, bc: BoundaryConfig | None = None) -> Mixe
                     points[(px, py)].append((ti, py))
     point_keys = sorted(points)
 
-    subdomains = []
-    interfaces = []
-
-    # matrix subdomain, id 0
-    blocked = {0: set(), 1: set()}  # axis of face normal -> {(line, transverse cell)}
-    for s in segs:
-        normal = 1 - s.axis
-        for t in range(s.lo, s.hi):
-            blocked[normal].add((s.line, t))
-    centers = np.empty((n * n, 2))
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    cell = lambda i, j: i + j * n  # noqa: E731
-    centers[(ix + iy * n).ravel()] = np.column_stack(
-        [(ix.ravel() + 0.5) * h, (iy.ravel() + 0.5) * h]
+    # matrix id 0, then one subdomain per segment, then the crossing points
+    matrix = _lattice(
+        0, (n, n), h, bc, axes=(0, 1), cuts=[(1 - s.axis, s.line, slice(s.lo, s.hi)) for s in segs]
     )
-    internal = []
-    for k in range(1, n):  # x-normal faces
-        for j in range(n):
-            if (k, j) not in blocked[0]:
-                internal.append((cell(k - 1, j), cell(k, j), 1.0))
-    for k in range(1, n):  # y-normal faces
-        for i in range(n):
-            if (k, i) not in blocked[1]:
-                internal.append((cell(i, k - 1), cell(i, k), 1.0))
-    boundary = []
-    for j in range(n):
-        boundary.append((cell(0, j), 2.0, bc.tag(0, False)))
-        boundary.append((cell(n - 1, j), 2.0, bc.tag(0, True)))
-    for i in range(n):
-        boundary.append((cell(i, 0), 2.0, bc.tag(1, False)))
-        boundary.append((cell(i, n - 1), 2.0, bc.tag(1, True)))
-    subdomains.append(
-        Subdomain(0, 2, n * n, np.full(n * n, h * h), centers, tuple(internal), tuple(boundary))
-    )
-
-    # fracture subdomains
-    seg_sid = {}
-    next_id = 1
+    fractures = []
     for si, s in enumerate(segs):
-        m = s.hi - s.lo
-        splits = {
-            pos
-            for (px, py), inc in points.items()
-            for (idx, pos) in inc
-            if idx == si and s.lo < pos < s.hi
-        }
-        cc = np.empty((m, 2))
-        run = (np.arange(s.lo, s.hi) + 0.5) * h
-        cc[:, s.axis] = run
-        cc[:, 1 - s.axis] = s.line * h
-        internal = tuple(
-            (t - s.lo - 1, t - s.lo, 1.0 / h) for t in range(s.lo + 1, s.hi) if t not in splits
-        )
-        boundary = []
-        if s.lo == 0:
-            boundary.append((0, 2.0 / h, bc.tag(s.axis, False)))
-        if s.hi == n:
-            boundary.append((m - 1, 2.0 / h, bc.tag(s.axis, True)))
-        subdomains.append(
-            Subdomain(next_id, 1, m, np.full(m, h), cc, internal, tuple(boundary))
-        )
-        seg_sid[si] = next_id
-        next_id += 1
-
-    # 0d intersection subdomains
-    point_sid = {}
-    for px, py in point_keys:
-        subdomains.append(
-            Subdomain(
-                next_id, 0, 1, np.ones(1), np.array([[px * h, py * h]]), (), ()
-            )
-        )
-        point_sid[(px, py)] = next_id
-        next_id += 1
+        splits = {pos for inc in points.values() for idx, pos in inc if idx == si}
+        fractures.append(_lattice(
+            1 + si, (s.hi - s.lo,), h, bc, axes=(s.axis,), origin=(s.lo,),
+            fixed={1 - s.axis: s.line}, sides=[(s.lo == 0, s.hi == n)],
+            cuts=[(0, pos - s.lo, slice(None)) for pos in splits if s.lo < pos < s.hi],
+        ))
+    point_subs = {
+        key: _lattice(1 + len(segs) + k, (), h, bc, fixed=enumerate(key))
+        for k, key in enumerate(point_keys)
+    }
 
     # matrix <-> fracture interfaces, one per side
-    iid = 0
-    for si, s in enumerate(segs):
-        for high_side in (False, True):
-            line = s.line if high_side else s.line - 1
-            pairs = []
-            for t in range(s.lo, s.hi):
-                if s.axis == 0:
-                    hc = cell(t, line)
-                else:
-                    hc = cell(line, t)
-                pairs.append((hc, 2.0, t - s.lo, h))
-            sign = -1 if high_side else 1
-            interfaces.append(
-                Interface(iid, 1, 0, seg_sid[si], tuple(pairs), (sign,) * len(pairs))
-            )
-            iid += 1
+    interfaces = []
+    for s, frac in zip(segs, fractures):
+        for sign, line in ((1, s.line - 1), (-1, s.line)):
+            cells = _layer((n, n), 1 - s.axis, line)[s.lo : s.hi]
+            interfaces.append(_coupling(len(interfaces), matrix, frac, cells, 2.0, h, sign))
 
     # fracture <-> point interfaces
-    for px, py in point_keys:
-        for si, pos in sorted(set(points[(px, py)])):
+    for key in point_keys:
+        for si, pos in sorted(set(points[key])):
             s = segs[si]
-            pairs = []
-            orient = []
-            if pos > s.lo:
-                pairs.append((pos - s.lo - 1, 2.0 / h, 0, 1.0))
-                orient.append(1)
-            if pos < s.hi:
-                pairs.append((pos - s.lo, 2.0 / h, 0, 1.0))
-                orient.append(-1)
-            interfaces.append(
-                Interface(iid, 0, seg_sid[si], point_sid[(px, py)], tuple(pairs), tuple(orient))
-            )
-            iid += 1
+            below, above = pos > s.lo, pos < s.hi  # branches present on either side
+            cells = [pos - s.lo - 1] * below + [pos - s.lo] * above
+            interfaces.append(_coupling(
+                len(interfaces), fractures[si], point_subs[key], cells, 2.0 / h, 1.0,
+                [1] * below + [-1] * above,
+            ))
 
-    grid = MixedDimGrid(2, tuple(subdomains), tuple(interfaces), _build_partition(subdomains, interfaces))
+    subdomains = (matrix, *fractures, *point_subs.values())
+    grid = MixedDimGrid(2, subdomains, tuple(interfaces), _build_partition(subdomains, interfaces))
     return grid.validate()
 
 
@@ -539,177 +605,73 @@ def build_regular_network_3d(
         (x, y, z) for x in by_axis[0] for y in by_axis[1] for z in by_axis[2]
     )
 
-    subdomains = []
-    interfaces = []
+    def on_line(pt, fixed):
+        return all(pt[a] == line for a, line in fixed)
 
-    # 3d matrix, id 0
-    plane_set = {(p.axis, p.line) for p in planes}
-    idx = lambda i, j, k: i + j * n + k * n * n  # noqa: E731
-    ii, jj, kk = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    centers = np.empty((n**3, 3))
-    centers[idx(ii, jj, kk).ravel()] = np.column_stack(
-        [(ii.ravel() + 0.5) * h, (jj.ravel() + 0.5) * h, (kk.ravel() + 0.5) * h]
-    )
-    internal = []
-    for axis in range(3):
-        u, v = [a for a in range(3) if a != axis]
-        for k in range(1, n):
-            if (axis, k) in plane_set:
-                continue
-            for tu in range(n):
-                for tv in range(n):
-                    lo_c = [0, 0, 0]
-                    lo_c[axis], lo_c[u], lo_c[v] = k - 1, tu, tv
-                    hi_c = list(lo_c)
-                    hi_c[axis] = k
-                    internal.append((idx(*lo_c), idx(*hi_c), h))
-    boundary = []
-    for axis in range(3):
-        u, v = [a for a in range(3) if a != axis]
-        for tu in range(n):
-            for tv in range(n):
-                c = [0, 0, 0]
-                c[u], c[v] = tu, tv
-                c[axis] = 0
-                boundary.append((idx(*c), 2.0 * h, bc.tag(axis, False)))
-                c[axis] = n - 1
-                boundary.append((idx(*c), 2.0 * h, bc.tag(axis, True)))
-    subdomains.append(
-        Subdomain(0, 3, n**3, np.full(n**3, h**3), centers, tuple(internal), tuple(boundary))
-    )
+    def in_plane_axis(p, run):
+        # a plane's lattice axes are its two in-plane axes in increasing
+        # order; this is the one a line running along `run` is fixed on
+        return int(3 - p.axis - run > run)
 
-    # plane subdomains
-    plane_sid = {}
-    next_id = 1
+    # matrix id 0, then planes, lines and points
+    subdomains = [
+        _lattice(0, (n, n, n), h, bc, axes=(0, 1, 2),
+                 cuts=[(p.axis, p.line, slice(None)) for p in planes])
+    ]
     for p in planes:
-        u, v = [a for a in range(3) if a != p.axis]
         # in-plane lattice lines where an intersection line disconnects the grid
-        cut = {0: set(), 1: set()}  # 0 -> u-normal cuts, 1 -> v-normal cuts
-        for fixed, run in lines:
-            fd = dict(fixed)
-            if fd.get(p.axis) == p.line:
-                other_axis = [a for a in fd if a != p.axis][0]
-                if other_axis == u:
-                    cut[0].add(fd[u])
-                else:
-                    cut[1].add(fd[v])
-        loc = lambda a, b: a + b * n  # noqa: E731
-        cc = np.empty((n * n, 3))
-        au, av = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        flat = loc(au, av).ravel()
-        cc[flat, u] = (au.ravel() + 0.5) * h
-        cc[flat, v] = (av.ravel() + 0.5) * h
-        cc[flat, p.axis] = p.line * h
-        internal = []
-        for k in range(1, n):
-            if k not in cut[0]:
-                for b in range(n):
-                    internal.append((loc(k - 1, b), loc(k, b), 1.0))
-        for k in range(1, n):
-            if k not in cut[1]:
-                for a in range(n):
-                    internal.append((loc(a, k - 1), loc(a, k), 1.0))
-        boundary = []
-        for b in range(n):
-            boundary.append((loc(0, b), 2.0, bc.tag(u, False)))
-            boundary.append((loc(n - 1, b), 2.0, bc.tag(u, True)))
-        for a in range(n):
-            boundary.append((loc(a, 0), 2.0, bc.tag(v, False)))
-            boundary.append((loc(a, n - 1), 2.0, bc.tag(v, True)))
-        subdomains.append(
-            Subdomain(next_id, 2, n * n, np.full(n * n, h * h), cc, tuple(internal), tuple(boundary))
-        )
-        plane_sid[p] = next_id
-        next_id += 1
-
-    # line subdomains
-    line_sid = {}
+        cuts = [
+            (in_plane_axis(p, run), dict(fixed)[3 - p.axis - run], slice(None))
+            for fixed, run in lines
+            if dict(fixed).get(p.axis) == p.line
+        ]
+        subdomains.append(_lattice(
+            len(subdomains), (n, n), h, bc, axes=tuple(a for a in range(3) if a != p.axis),
+            fixed={p.axis: p.line}, cuts=cuts,
+        ))
     for fixed, run in lines:
-        fd = dict(fixed)
-        splits = {pt[run] for pt in pts if all(pt[a] == fd[a] for a in fd)}
-        cc = np.empty((n, 3))
-        cc[:, run] = (np.arange(n) + 0.5) * h
-        for a, l in fd.items():
-            cc[:, a] = l * h
-        internal = tuple(
-            (t - 1, t, 1.0 / h) for t in range(1, n) if t not in splits
-        )
-        boundary = (
-            (0, 2.0 / h, bc.tag(run, False)),
-            (n - 1, 2.0 / h, bc.tag(run, True)),
-        )
-        subdomains.append(
-            Subdomain(next_id, 1, n, np.full(n, h), cc, internal, boundary)
-        )
-        line_sid[(fixed, run)] = next_id
-        next_id += 1
-
-    # point subdomains
-    point_sid = {}
+        splits = {pt[run] for pt in pts if on_line(pt, fixed)}
+        subdomains.append(_lattice(
+            len(subdomains), (n,), h, bc, axes=(run,), fixed=fixed,
+            cuts=[(0, t, slice(None)) for t in splits],
+        ))
     for pt in pts:
-        subdomains.append(
-            Subdomain(next_id, 0, 1, np.ones(1), np.array([np.array(pt) * h]), (), ())
-        )
-        point_sid[pt] = next_id
-        next_id += 1
+        subdomains.append(_lattice(len(subdomains), (), h, bc, fixed=enumerate(pt)))
+    matrix = subdomains[0]
+    plane_subs = dict(zip(planes, subdomains[1:]))
+    line_subs = dict(zip(lines, subdomains[1 + len(planes):]))
+    point_subs = dict(zip(pts, subdomains[1 + len(planes) + len(lines):]))
 
+    interfaces = []
     # matrix <-> plane interfaces
-    iid = 0
     for p in planes:
-        u, v = [a for a in range(3) if a != p.axis]
-        for high_side in (False, True):
-            layer = p.line if high_side else p.line - 1
-            pairs = []
-            for av_ in range(n):
-                for au_ in range(n):
-                    c = [0, 0, 0]
-                    c[p.axis], c[u], c[v] = layer, au_, av_
-                    pairs.append((idx(*c), 2.0 * h, au_ + av_ * n, h * h))
-            sign = -1 if high_side else 1
+        for sign, layer in ((1, p.line - 1), (-1, p.line)):
+            cells = _layer((n, n, n), p.axis, layer)
             interfaces.append(
-                Interface(iid, 2, 0, plane_sid[p], tuple(pairs), (sign,) * len(pairs))
+                _coupling(len(interfaces), matrix, plane_subs[p], cells, 2.0 * h, h * h, sign)
             )
-            iid += 1
 
     # plane <-> line interfaces
     for fixed, run in lines:
-        fd = dict(fixed)
         for p in planes:
-            if fd.get(p.axis) != p.line:
+            if dict(fixed).get(p.axis) != p.line:
                 continue
-            u, v = [a for a in range(3) if a != p.axis]
-            other_axis = [a for a in fd if a != p.axis][0]
-            k = fd[other_axis]
-            for high_side in (False, True):
-                layer = k if high_side else k - 1
-                pairs = []
-                for t in range(n):
-                    if other_axis == u:
-                        hc = layer + t * n
-                    else:
-                        hc = t + layer * n
-                    pairs.append((hc, 2.0, t, h))
-                sign = -1 if high_side else 1
-                interfaces.append(
-                    Interface(
-                        iid, 1, plane_sid[p], line_sid[(fixed, run)], tuple(pairs),
-                        (sign,) * len(pairs),
-                    )
-                )
-                iid += 1
+            k = dict(fixed)[3 - p.axis - run]
+            for sign, layer in ((1, k - 1), (-1, k)):
+                cells = _layer((n, n), in_plane_axis(p, run), layer)
+                interfaces.append(_coupling(
+                    len(interfaces), plane_subs[p], line_subs[(fixed, run)], cells, 2.0, h, sign
+                ))
 
     # line <-> point interfaces
     for fixed, run in lines:
-        fd = dict(fixed)
         for pt in pts:
-            if not all(pt[a] == fd[a] for a in fd):
-                continue
-            t = pt[run]
-            pairs = ((t - 1, 2.0 / h, 0, 1.0), (t, 2.0 / h, 0, 1.0))
-            interfaces.append(
-                Interface(iid, 0, line_sid[(fixed, run)], point_sid[pt], pairs, (1, -1))
-            )
-            iid += 1
+            if on_line(pt, fixed):
+                t = pt[run]
+                interfaces.append(_coupling(
+                    len(interfaces), line_subs[(fixed, run)], point_subs[pt], [t - 1, t],
+                    2.0 / h, 1.0, [1, -1],
+                ))
 
     grid = MixedDimGrid(3, tuple(subdomains), tuple(interfaces), _build_partition(subdomains, interfaces))
     return grid.validate()

@@ -1,21 +1,36 @@
+import importlib.util
+from pathlib import Path
+from typing import Mapping
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mdsolve.assembly import BlockSystem, PhysicalParams, assemble, monolithic
+from mdsolve.assembly import BlockSystem, PhysicalParams, _lookup, assemble, monolithic
 from mdsolve.grids import (
+    DIRICHLET,
+    NEUMANN,
     BoundaryConfig,
     DofPartition,
     Interface,
     MixedDimGrid,
+    Segment,
     Subdomain,
     build_cross_2d,
+    build_network_2d,
     build_random_network_2d,
     build_regular_network_3d,
 )
 from mdsolve.sparse import CsrMatrix, spmv, transpose
+from mdsolve.sysio import import_system
 
 PURE_NEUMANN = BoundaryConfig(dirichlet_axis=None)
+NO_BOUNDARY = dict(
+    bnd_cell=np.empty(0, np.int64), bnd_geo=np.empty(0),
+    bnd_dirichlet=np.empty(0, bool), bnd_value=np.empty(0),
+)
 
 
 def minimal_one_sided_grid():
@@ -28,19 +43,20 @@ def minimal_one_sided_grid():
         id=0, dim=2, cell_count=2,
         cell_volumes=np.ones(2),
         cell_centers=np.array([[0.5, 0.5], [0.5, 1.5]]),
-        internal_faces=((0, 1, 1.0),),
-        boundary_faces=(),
+        face_a=np.array([0]), face_b=np.array([1]), face_geo=np.array([1.0]),
+        **NO_BOUNDARY,
     )
     fracture = Subdomain(
         id=1, dim=1, cell_count=1,
         cell_volumes=np.ones(1),
         cell_centers=np.array([[0.5, 0.0]]),
-        internal_faces=(),
-        boundary_faces=(),
+        face_a=np.empty(0, np.int64), face_b=np.empty(0, np.int64), face_geo=np.empty(0),
+        **NO_BOUNDARY,
     )
     itf = Interface(
         id=0, dim=1, higher_id=0, lower_id=1,
-        cell_pairs=((0, 2.0, 0, 1.0),), orientation=(-1,),
+        higher_cell=np.array([0]), higher_geo=np.array([2.0]), lower_cell=np.array([0]),
+        area=np.array([1.0]), orientation=np.array([-1]),
     )
     part = DofPartition(((0, 0, 2), (1, 2, 3)), ((0, 3, 4),))
     return MixedDimGrid(2, (matrix, fracture), (itf,), part).validate()
@@ -200,3 +216,172 @@ def test_block_system_shape_validation():
             sys_.a_omega_omega, sys_.a_omega_gamma, sys_.a_gamma_omega,
             sys_.a_gamma_gamma, np.zeros(3), sys_.rhs_gamma, sys_.partition,
         )
+
+
+# -- byte equality with the face-loop assembly ---------------------------------
+
+DATA = Path(__file__).parent / "data"
+_spec = importlib.util.spec_from_file_location("write_systems", DATA / "write_systems.py")
+FIXTURES = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(FIXTURES)
+BLOCKS = ("a_omega_omega", "a_omega_gamma", "a_gamma_omega", "a_gamma_gamma")
+
+
+def assert_same_bytes(got: BlockSystem, want: BlockSystem):
+    for name in BLOCKS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape, name
+        for field in ("row_ptr", "col_idx", "values"):
+            assert getattr(g, field).tobytes() == getattr(w, field).tobytes(), (name, field)
+    assert got.rhs_omega.tobytes() == want.rhs_omega.tobytes()
+    assert got.rhs_gamma.tobytes() == want.rhs_gamma.tobytes()
+    assert got.partition == want.partition
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES.CASES))
+def test_blocks_equal_the_committed_fixtures_byte_for_byte(name):
+    build, params = FIXTURES.CASES[name]
+    got = assemble(build(), PhysicalParams(**params))
+    assert_same_bytes(got, import_system(DATA / "systems" / name))
+
+
+def _internal_faces(s):
+    return tuple(zip(s.face_a.tolist(), s.face_b.tolist(), s.face_geo.tolist()))
+
+
+def _boundary_faces(s):
+    tags = [(DIRICHLET if d else NEUMANN, v) for d, v in zip(s.bnd_dirichlet, s.bnd_value.tolist())]
+    return tuple(zip(s.bnd_cell.tolist(), s.bnd_geo.tolist(), tags))
+
+
+def _cell_pairs(itf):
+    return tuple(zip(itf.higher_cell.tolist(), itf.higher_geo.tolist(),
+                     itf.lower_cell.tolist(), itf.area.tolist()))
+
+
+def _reference_assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
+    """The face-loop ``assemble`` of the tuple-based grids, reading a tuple view.
+
+    Parameter checks are left to :func:`assemble`, which runs first."""
+    part = grid.dof_partition
+    n_omega, n_gamma = part.n_omega, part.n_gamma
+
+    perm = {}
+    for s in grid.subdomains:
+        which = (
+            ("matrix permeability", params.matrix_permeability)
+            if s.dim == grid.ambient_dim
+            else ("tangential permeability", params.k_parallel)
+        )
+        perm[s.id] = _lookup(which[1], s.id, which[0])
+    kappa = {i.id: _lookup(params.kappa, i.id, "interface transmissivity") for i in grid.interfaces}
+    aperture = float(params.aperture)
+
+    rows, cols, vals = [], [], []
+    rhs_omega = np.zeros(n_omega)
+
+    omega_offset = {sid: start for sid, start, _ in part.omega_ranges}
+    gamma_offset = {iid: start - n_omega for iid, start, _ in part.gamma_ranges}
+
+    for s in grid.subdomains:
+        off = omega_offset[s.id]
+        k = perm[s.id]
+        xsec = aperture ** (grid.ambient_dim - s.dim)
+        for ca, cb, geo in _internal_faces(s):
+            t = k * geo * xsec
+            rows += [off + ca, off + cb, off + ca, off + cb]
+            cols += [off + ca, off + cb, off + cb, off + ca]
+            vals += [t, t, -t, -t]
+        for c, geo, (kind, value) in _boundary_faces(s):
+            if kind == DIRICHLET:
+                t = k * geo * xsec
+                rows.append(off + c)
+                cols.append(off + c)
+                vals.append(t)
+                rhs_omega[off + c] += t * value
+            elif kind == NEUMANN:
+                rhs_omega[off + c] += value
+        if isinstance(params.source, Mapping):
+            f = np.asarray(params.source[s.id], dtype=float)
+        else:
+            f = np.full(s.cell_count, float(params.source))
+        rhs_omega[off : off + s.cell_count] += f * np.asarray(s.cell_volumes) * xsec
+
+    cp_rows, cp_cols, cp_vals = [], [], []
+    gamma_diag = np.zeros(n_gamma)
+    sub_by_id = {s.id: s for s in grid.subdomains}
+    for itf in grid.interfaces:
+        goff = gamma_offset[itf.id]
+        hoff = omega_offset[itf.higher_id]
+        loff = omega_offset[itf.lower_id]
+        k_high = perm[itf.higher_id]
+        xsec_high = aperture ** (grid.ambient_dim - sub_by_id[itf.higher_id].dim)
+        for m, (hc, geo_h, lc, area) in enumerate(_cell_pairs(itf)):
+            g = goff + m
+            cp_rows += [hoff + hc, loff + lc]
+            cp_cols += [g, g]
+            cp_vals += [1.0, -1.0]
+            t_half = k_high * xsec_high * geo_h / area
+            kappa_eff = 1.0 / (1.0 / kappa[itf.id] + 1.0 / t_half)
+            gamma_diag[g] = -area / kappa_eff
+
+    a_oo = CsrMatrix.from_coo(n_omega, n_omega, rows, cols, vals)
+    a_og = CsrMatrix.from_coo(n_omega, n_gamma, cp_rows, cp_cols, cp_vals)
+    a_go = transpose(a_og)
+    a_gg = CsrMatrix.from_coo(
+        n_gamma, n_gamma, np.arange(n_gamma), np.arange(n_gamma), gamma_diag
+    )
+    return BlockSystem(a_oo, a_og, a_go, a_gg, rhs_omega, np.zeros(n_gamma), part)
+
+
+POSITIVE = st.floats(1e-6, 1e6)
+VALUES = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def fracture_problems(draw):
+    """A 2d network (n 2-24) or a small 3d one, with per-object parameters."""
+    bc = BoundaryConfig(draw(st.sampled_from([None, 0, 1])), draw(VALUES), draw(VALUES))
+    if draw(st.integers(0, 4)):
+        n = draw(st.integers(2, 24))
+        segments = []
+        for _ in range(draw(st.integers(0, 8))):
+            lo, hi = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True)))
+            segments.append(Segment(draw(st.integers(0, 1)), draw(st.integers(1, n - 1)), lo, hi))
+        grid = build_network_2d(n, segments, bc)
+    else:
+        n, planes = draw(st.sampled_from([(2, 3), (4, 1), (4, 3), (4, 6), (8, 9)]))
+        grid = build_regular_network_3d(n, planes, bc)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sources = {s.id: rng.uniform(-1e3, 1e3, s.cell_count) for s in grid.subdomains}
+    params = PhysicalParams(
+        matrix_permeability=draw(st.one_of(POSITIVE, st.fixed_dictionaries({0: POSITIVE}))),
+        k_parallel=draw(st.fixed_dictionaries({s.id: POSITIVE for s in grid.subdomains})),
+        kappa=draw(st.fixed_dictionaries({i.id: POSITIVE for i in grid.interfaces})),
+        aperture=draw(st.floats(1e-4, 1.0)),
+        source=draw(st.one_of(VALUES, st.just(sources))),
+    )
+    return grid, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(fracture_problems())
+def test_assemble_matches_the_face_loop_reference(problem):
+    grid, params = problem
+    assert_same_bytes(assemble(grid, params), _reference_assemble(grid, params))
+
+
+def test_assemble_numbers_dofs_by_the_partition_not_the_object_order():
+    grid = build_cross_2d(4)
+    omega, gamma, cursor = [], [], 0
+    for ranges, items, size in (
+        (omega, grid.subdomains, lambda s: s.cell_count),
+        (gamma, grid.interfaces, lambda i: len(i.area)),
+    ):
+        for item in reversed(items):
+            ranges.append((item.id, cursor, cursor + size(item)))
+            cursor += size(item)
+    grid = MixedDimGrid(2, grid.subdomains, grid.interfaces, DofPartition(tuple(omega), tuple(gamma)))
+    params = PhysicalParams(k_parallel=1e4, kappa=1e-4, source=1.5)
+    assert_same_bytes(assemble(grid.validate(), params), _reference_assemble(grid, params))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def test_cross_gamma_dof_count(n):
     expected = 2 * 2 * n + 4
     g = build_cross_2d(n)
     assert g.dof_partition.n_gamma == expected
-    assert sum(len(i.cell_pairs) for i in g.interfaces) == expected
+    assert sum(len(i.higher_cell) for i in g.interfaces) == expected
 
 
 def test_cross_n4_matches_frozen_count():
@@ -71,7 +73,7 @@ def test_single_horizontal_fracture():
     g = build_network_2d(4, [Segment(0, 2, 0, 4)])
     assert dims_of(g) == [2, 1]
     assert len(g.interfaces) == 2
-    assert all(len(i.cell_pairs) == 4 for i in g.interfaces)
+    assert all(len(i.higher_cell) == 4 for i in g.interfaces)
 
 
 def test_random_network_is_deterministic():
@@ -80,7 +82,8 @@ def test_random_network_is_deterministic():
     assert a.summary() == b.summary()
     for sa, sb in zip(a.subdomains, b.subdomains):
         assert np.array_equal(sa.cell_centers, sb.cell_centers)
-        assert sa.internal_faces == sb.internal_faces
+        for field in ("face_a", "face_b", "face_geo"):
+            assert np.array_equal(getattr(sa, field), getattr(sb, field))
 
 
 def test_collinear_overlapping_fractures_merge():
@@ -107,7 +110,7 @@ def test_immersed_tip_gets_no_coupling():
     g = build_network_2d(8, [Segment(0, 4, 2, 6)])
     frac = [s for s in g.subdomains if s.dim == 1][0]
     assert frac.cell_count == 4
-    assert frac.boundary_faces == ()
+    assert len(frac.bnd_cell) == 0
 
 
 def test_t_junction_couples_single_branch():
@@ -115,7 +118,7 @@ def test_t_junction_couples_single_branch():
     g = build_network_2d(8, [Segment(0, 4, 0, 8), Segment(1, 4, 4, 8)])
     assert dims_of(g) == [2, 1, 1, 0]
     point_ifaces = [i for i in g.interfaces if i.dim == 0]
-    pair_counts = sorted(len(i.cell_pairs) for i in point_ifaces)
+    pair_counts = sorted(len(i.higher_cell) for i in point_ifaces)
     assert pair_counts == [1, 2]  # one branch from the vertical, two from the horizontal
 
 
@@ -154,9 +157,9 @@ def test_plane_grids_disconnect_along_lines():
     for s in g.subdomains:
         if s.dim == 2:
             # a quartered plane loses 2n of its 2n(n-1) internal faces
-            assert len(s.internal_faces) == 2 * n * (n - 1) - 2 * n
+            assert len(s.face_a) == 2 * n * (n - 1) - 2 * n
         if s.dim == 1:
-            assert len(s.internal_faces) == n - 2  # split at the center
+            assert len(s.face_a) == n - 2  # split at the center
 
 
 def test_interface_dimension_chain():
@@ -180,8 +183,7 @@ def test_codim_one_cells_are_coupled_twice():
             seen = np.zeros(s.cell_count, dtype=int)
             for itf in grid.interfaces:
                 if itf.lower_id == s.id and grid.subdomain(itf.higher_id).dim == nd:
-                    for _, _, lc, _ in itf.cell_pairs:
-                        seen[lc] += 1
+                    np.add.at(seen, itf.lower_cell, 1)
             assert np.all(seen == 2)
 
 
@@ -223,9 +225,96 @@ def test_summary_fields():
 
 def test_pure_neumann_config():
     g = build_cross_2d(2, bc=BoundaryConfig(dirichlet_axis=None))
-    tags = {
-        tag[0]
-        for s in g.subdomains
-        for (_, _, tag) in s.boundary_faces
-    }
-    assert tags == {"neumann"}
+    dirichlet = np.concatenate([s.bnd_dirichlet for s in g.subdomains])
+    assert dirichlet.size > 0 and not dirichlet.any()
+
+
+# -- validate() rejections --------------------------------------------------------
+
+
+def _set(obj, field, index, value):
+    arr = getattr(obj, field).copy()
+    arr[index] = value
+    return replace(obj, **{field: arr})
+
+
+def _corrupt_subdomain(grid, sid, change):
+    subs = tuple(change(s) if s.id == sid else s for s in grid.subdomains)
+    return replace(grid, subdomains=subs)
+
+
+def _corrupt_interface(grid, iid, change):
+    itfs = tuple(change(i) if i.id == iid else i for i in grid.interfaces)
+    return replace(grid, interfaces=itfs)
+
+
+def _shift_first_range(ranges):
+    # move one dof from the second range to the first, keeping them contiguous
+    (i0, a0, b0), (i1, a1, b1), *rest = ranges
+    return ((i0, a0, b0 + 1), (i1, a1 + 1, b1), *rest)
+
+
+# subdomain 2 of build_cross_2d(4) is a 4-cell fracture split at the center:
+# two internal faces and two boundary faces; interface 3 couples its high
+# side to the 16-cell matrix
+SUBDOMAIN_CORRUPTIONS = {
+    "equal-cells": (lambda s: _set(s, "face_b", 0, s.face_a[0]), "invalid internal face"),
+    "cell-past-the-end": (lambda s: _set(s, "face_b", 0, s.cell_count), "invalid internal face"),
+    "negative-cell": (lambda s: _set(s, "face_a", 1, -1), "invalid internal face"),
+    "zero-face-factor": (lambda s: _set(s, "face_geo", 1, 0.0), "nonpositive face factor"),
+    "short-face-array": (lambda s: replace(s, face_geo=s.face_geo[1:]), "internal face array"),
+    "boundary-cell-past-the-end": (lambda s: _set(s, "bnd_cell", 0, s.cell_count), "invalid boundary face"),
+    "negative-boundary-factor": (lambda s: _set(s, "bnd_geo", 1, -2.0), "invalid boundary face"),
+    "short-boundary-array": (lambda s: replace(s, bnd_value=s.bnd_value[1:]), "boundary face array"),
+    "unknown-boundary-tag": (
+        lambda s: replace(s, bnd_dirichlet=s.bnd_dirichlet.astype(np.int64) * 2),
+        "unknown boundary tag",
+    ),
+}
+
+INTERFACE_CORRUPTIONS = {
+    "higher-cell-past-the-end": (lambda i: _set(i, "higher_cell", 0, 16), "cell index out of range"),
+    "negative-lower-cell": (lambda i: _set(i, "lower_cell", 1, -1), "cell index out of range"),
+    "zero-mortar-area": (lambda i: _set(i, "area", 0, 0.0), "nonpositive mortar geometry"),
+    "negative-face-factor": (lambda i: _set(i, "higher_geo", 2, -1.0), "nonpositive mortar geometry"),
+    "orientation-zero": (lambda i: _set(i, "orientation", 0, 0), "orientation must be"),
+    "orientation-two": (lambda i: _set(i, "orientation", 3, 2), "orientation must be"),
+    "face-used-twice": (lambda i: _set(i, "higher_cell", 1, i.higher_cell[0]), "higher-dim face used twice"),
+    "short-orientation": (lambda i: replace(i, orientation=i.orientation[1:]), "orientation length"),
+    "short-mortar-array": (lambda i: replace(i, area=i.area[1:]), "mortar array"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(SUBDOMAIN_CORRUPTIONS))
+def test_validate_rejects_corrupt_subdomain(what):
+    change, message = SUBDOMAIN_CORRUPTIONS[what]
+    grid = _corrupt_subdomain(build_cross_2d(4), 2, change)
+    with pytest.raises(ValueError, match=f"subdomain 2: {message}"):
+        grid.validate()
+
+
+@pytest.mark.parametrize("what", sorted(INTERFACE_CORRUPTIONS))
+def test_validate_rejects_corrupt_interface(what):
+    change, message = INTERFACE_CORRUPTIONS[what]
+    grid = _corrupt_interface(build_cross_2d(4), 3, change)
+    with pytest.raises(ValueError, match=f"interface 3: {message}"):
+        grid.validate()
+
+
+def test_validate_rejects_range_mismatches():
+    grid = build_cross_2d(4)
+    part = grid.dof_partition
+    omega = replace(part, omega_ranges=_shift_first_range(part.omega_ranges))
+    with pytest.raises(ValueError, match="subdomain 0: omega range does not match cell count"):
+        replace(grid, dof_partition=omega).validate()
+    gamma = replace(part, gamma_ranges=_shift_first_range(part.gamma_ranges))
+    with pytest.raises(ValueError, match="interface 0: gamma range does not match mortar count"):
+        replace(grid, dof_partition=gamma).validate()
+
+
+def test_validate_allows_one_cell_on_both_sides_of_an_interface():
+    # a face is the pair (cell, side): one cell may meet the mortar on both sides
+    grid = build_cross_2d(4)
+    itf = next(i for i in grid.interfaces if i.dim == 0)
+    assert list(itf.orientation) == [1, -1]
+    _corrupt_interface(grid, itf.id, lambda i: _set(i, "higher_cell", 1, i.higher_cell[0])).validate()
