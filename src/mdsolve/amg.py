@@ -20,9 +20,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrs
 
 from .sparse import CsrMatrix, dense_lu
 
@@ -51,13 +51,15 @@ class AmgParams:
 
 @dataclass
 class AmgLevel:
-    """One level: its operator, the prolongator from the next coarser level,
-    Gauss-Seidel smoother state, and dense LU factors on the coarsest level."""
+    """One level: its operator, the prolongator from the next coarser level
+    and its transpose, Gauss-Seidel smoother state, and dense LU factors on
+    the coarsest level."""
 
     a: CsrMatrix
     p: CsrMatrix | None = None
     _a_scipy: sp.csr_matrix = field(default=None, repr=False)
     _p_scipy: sp.csr_matrix = field(default=None, repr=False)
+    _r_scipy: sp.csc_matrix = field(default=None, repr=False)  # p.T: a CSC view of P's arrays
     _lower: object = field(default=None, repr=False)  # splu of tril(A)
     _upper: object = field(default=None, repr=False)  # splu of triu(A)
     _coarse_lu: tuple | None = field(default=None, repr=False)
@@ -309,6 +311,7 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
                 p=CsrMatrix.from_scipy(p),
                 _a_scipy=current,
                 _p_scipy=p,
+                _r_scipy=p.T,
                 _lower=lower,
                 _upper=upper,
             )
@@ -320,14 +323,14 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
 def _cycle(levels, depth: int, b: np.ndarray, x: np.ndarray | None) -> np.ndarray:
     lev = levels[depth]
     if lev.is_coarsest:
-        return scipy.linalg.lu_solve(lev._coarse_lu, b)
+        return dgetrs(*lev._coarse_lu, b)[0]
     a = lev._a_scipy
     if x is None:
         x = lev._lower.solve(b)  # forward sweep from a zero guess
     else:
         x = x + lev._lower.solve(b - a @ x)
     resid = b - a @ x
-    correction = _cycle(levels, depth + 1, lev._p_scipy.T @ resid, None)
+    correction = _cycle(levels, depth + 1, lev._r_scipy @ resid, None)
     x = x + lev._p_scipy @ correction
     return x + lev._upper.solve(b - a @ x)
 

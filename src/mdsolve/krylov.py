@@ -91,11 +91,22 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
         Right preconditioner, same duck typing as ``a``; identity if None.
     cfg : SolveConfig, optional
 
+    Raises
+    ------
+    FloatingPointError
+        At the first iteration whose Arnoldi vector is not finite, that is
+        when the operator or the preconditioner returned inf or NaN.
+
     Notes
     -----
     A happy breakdown (the Arnoldi residual vanishing) reports convergence
     with the exact solution of the current Krylov space. Non-convergence
     within ``max_iters`` returns the best iterate with ``converged=False``.
+
+    Each cycle of ``steps`` iterations (``max_iters`` for full GMRES, else
+    ``restart``) reserves ``(2*steps+1)*n*8`` bytes of basis, uninitialised:
+    only the rows the iteration writes are touched, and an unwritten row is
+    never read.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -130,8 +141,8 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
             converged = True
             break
         steps = min(cycle, cfg.max_iters - total_iters)
-        v = np.zeros((steps + 1, n))
-        z = np.zeros((steps, n))
+        v = np.empty((steps + 1, n))
+        z = np.empty((steps, n))
         h = np.zeros((steps + 1, steps))
         cs = np.zeros(steps)
         sn = np.zeros(steps)
@@ -146,6 +157,10 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
                 h[i, k] = v[i] @ w
                 w -= h[i, k] * v[i]
             h[k + 1, k] = np.linalg.norm(w)
+            if not np.isfinite(h[k + 1, k]):
+                raise FloatingPointError(
+                    f"gmres: Arnoldi vector is not finite at iteration {total_iters + 1}"
+                )
             breakdown = h[k + 1, k] <= 1e-14 * max(beta, np.abs(h[: k + 1, k]).max())
             if not breakdown:
                 v[k + 1] = w / h[k + 1, k]

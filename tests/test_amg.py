@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -11,7 +12,10 @@ from conftest import poisson1d, poisson2d
 from mdsolve import (
     AmgSetupWarning,
     PhysicalParams,
+    Segment,
     assemble,
+    build_cross_2d,
+    build_network_2d,
     build_random_network_2d,
     build_regular_network_3d,
 )
@@ -289,3 +293,87 @@ def test_aggregation_matches_reference_on_every_schur_level(grid, k_par, kappa):
     assert len(h.levels) >= 2
     for lev in h.levels:
         _assert_matches_reference(lev._a_scipy, h.params.strength_threshold)
+
+
+# -- V-cycle against the per-call-transpose reference ---------------------------
+
+
+def _reference_cycle(levels, depth, b, x):
+    """The cycle as it was with the restriction ``p.T`` built on every call
+    and ``scipy.linalg.lu_solve`` on the coarsest level, kept as the oracle."""
+    lev = levels[depth]
+    if lev.is_coarsest:
+        return scipy.linalg.lu_solve(lev._coarse_lu, b)
+    a = lev._a_scipy
+    if x is None:
+        x = lev._lower.solve(b)
+    else:
+        x = x + lev._lower.solve(b - a @ x)
+    resid = b - a @ x
+    correction = _reference_cycle(levels, depth + 1, lev._p_scipy.T @ resid, None)
+    x = x + lev._p_scipy @ correction
+    return x + lev._upper.solve(b - a @ x)
+
+
+def _reference_v_cycle(h, b, x0):
+    if h.diagonal is not None:
+        return b / h.diagonal
+    x = x0 if x0 is not None and np.any(x0) else None
+    return _reference_cycle(h.levels, 0, -b if h.negated else b, x)
+
+
+@pytest.fixture(scope="module")
+def hierarchies():
+    """Hierarchies of the conftest operators (also negated, as the interface
+    blocks of the test geometries are all diagonal), of a single level, and of
+    the Schur and interface blocks of every test geometry at three parameter
+    pairs."""
+    operators = {
+        "poisson1d_64": poisson1d(64),
+        "poisson2d_32": poisson2d(32, 32),
+        "poisson2d_64": poisson2d(64, 64),
+        "negated_poisson2d_16": CsrMatrix.from_scipy((-poisson2d(16, 16).to_scipy()).tocsr()),
+    }
+    geometries = {
+        "cross_2d": build_cross_2d(16),
+        "random_2d": build_random_network_2d(16, 6, seed=3),
+        "network_2d": build_network_2d(
+            8, [Segment(0, 4, 0, 8), Segment(1, 4, 4, 8), Segment(1, 6, 1, 6), Segment(0, 2, 1, 5)]
+        ),
+        "regular_3d": build_regular_network_3d(8, 3),
+    }
+    for name, grid in geometries.items():
+        for k_par, kappa in ((1.0, 1.0), (1e4, 1e-4), (1e-4, 1e4)):
+            system = assemble(grid, PhysicalParams(k_parallel=k_par, kappa=kappa))
+            operators[f"{name}_{k_par:g}_{kappa:g}_schur"] = approx_schur(system)
+            operators[f"{name}_{k_par:g}_{kappa:g}_interface"] = system.a_gamma_gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AmgSetupWarning)
+        out = {name: amg_setup(a) for name, a in operators.items()}
+        out["single_level"] = amg_setup(poisson2d(8, 8), AmgParams(max_levels=1))
+    return out
+
+
+def test_v_cycle_matches_the_reference_byte_for_byte(hierarchies):
+    rng = np.random.default_rng(11)
+    for name, h in hierarchies.items():
+        b = rng.standard_normal(h.n)
+        for x0 in (None, rng.standard_normal(h.n)):
+            expected = _reference_v_cycle(h, b, x0)
+            assert v_cycle(h, b, x0).tobytes() == expected.tobytes(), name
+    # the cases cover every path through the cycle
+    assert any(h.negated for h in hierarchies.values())
+    assert any(h.diagonal is not None for h in hierarchies.values())
+    assert len(hierarchies["single_level"].levels) == 1
+    assert max(len(h.levels) for h in hierarchies.values()) >= 4
+
+
+def test_restriction_is_a_view_of_the_prolongator(hierarchies):
+    for h in hierarchies.values():
+        for lev in h.levels[:-1]:
+            r, p = lev._r_scipy, lev._p_scipy
+            assert r.format == "csc" and r.shape == p.shape[::-1]
+            for attr in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(r, attr), getattr(p, attr))
+        if h.levels:
+            assert h.levels[-1]._r_scipy is None

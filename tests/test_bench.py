@@ -97,6 +97,19 @@ def test_tuple_failure_is_recorded_and_sweep_continues(monkeypatch):
     assert none.iterations == 30  # ran out of budget, recorded honestly
 
 
+def test_non_finite_preconditioner_output_is_recorded_in_the_row(monkeypatch):
+    def nan_setup(system, **kwargs):
+        prec = build_preconditioner(system, **kwargs)
+        prec.apply = lambda r: np.full_like(r, np.nan)  # with_kind views copy it
+        return prec
+
+    monkeypatch.setattr(mdsolve.bench, "build_preconditioner", nan_setup)
+    bl, none = run_sweep(small_spec(precond_kinds=("bl", "none"))).rows
+    assert bl.error == "FloatingPointError: gmres: Arnoldi vector is not finite at iteration 1"
+    assert not bl.converged
+    assert none.error == "" and none.converged
+
+
 def test_setup_is_shared_across_kinds_of_each_system(monkeypatch):
     setups = count_calls(monkeypatch, "build_preconditioner", build_preconditioner)
     kinds = ("ml", "bl", "bu", "bd", "none")

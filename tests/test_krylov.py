@@ -1,10 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poisson1d, random_spd_dense
+from mdsolve import krylov
 from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.grids import build_cross_2d
-from mdsolve.krylov import SolveConfig, cg_reference, gmres
+from mdsolve.krylov import SolveConfig, SolveReport, _solve_upper, as_operator, cg_reference, gmres
 from mdsolve.precond import build_preconditioner
 from mdsolve.sparse import CsrMatrix, DenseMatrix, dense_lu_solve
 
@@ -152,3 +157,189 @@ def test_cg_agrees_with_gmres_on_spd_systems():
     x_cg = cg_reference(a, b, cfg).solution
     x_gm = gmres(a, b, cfg=cfg).solution
     assert np.abs(x_cg - x_gm).max() < 1e-6
+
+
+# -- non-finite Arnoldi values ----------------------------------------------------
+
+
+def test_nan_preconditioner_raises_at_the_first_iteration():
+    sys_ = assemble(build_cross_2d(8), PhysicalParams())
+    with pytest.raises(FloatingPointError, match=r"^gmres: .* not finite at iteration 1$"):
+        gmres(monolithic(sys_), sys_.rhs, lambda v: np.full_like(v, np.nan))
+
+
+def test_infinite_operator_raises_at_the_first_iteration():
+    with pytest.raises(FloatingPointError, match=r"not finite at iteration 1$"), \
+            np.errstate(invalid="ignore"):
+        gmres(lambda v: np.full_like(v, np.inf), np.array([1.0, -2.0, 0.5]))
+
+
+def test_non_finite_error_names_the_iteration_across_restarts():
+    calls = []
+
+    def prec(v):
+        calls.append(1)
+        return v * (np.nan if len(calls) == 4 else 1.0)
+
+    rng = np.random.default_rng(7)
+    a = CsrMatrix.from_dense(random_spd_dense(rng, 12))
+    with pytest.raises(FloatingPointError, match=r"not finite at iteration 4$"):
+        gmres(a, rng.standard_normal(12), prec, SolveConfig(rel_tol=1e-14, restart=3))
+
+
+# -- byte equality with the zero-initialised basis ----------------------------------
+
+
+def _reference_gmres(a, b, m=None, cfg=None):
+    """The solver as it was with a zero-filled basis and no finite check,
+    kept as the oracle."""
+    cfg = cfg or SolveConfig()
+    b = np.asarray(b, dtype=np.float64)
+    n = len(b)
+    apply_a = as_operator(a, n)
+    apply_m = as_operator(m, n)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return SolveReport(converged=True, iterations=0, residual_history=np.array([0.0]),
+                           solution=np.zeros(n), true_residual=0.0)
+    x = np.zeros(n)
+    history = [1.0]
+    total_iters = 0
+    converged = False
+    cycle = cfg.max_iters if cfg.restart is None else cfg.restart
+    while total_iters < cfg.max_iters and not converged:
+        r = b - apply_a(x) if total_iters else b.copy()
+        beta = np.linalg.norm(r)
+        if beta / b_norm <= cfg.rel_tol:
+            converged = True
+            break
+        steps = min(cycle, cfg.max_iters - total_iters)
+        v = np.zeros((steps + 1, n))
+        z = np.zeros((steps, n))
+        h = np.zeros((steps + 1, steps))
+        cs = np.zeros(steps)
+        sn = np.zeros(steps)
+        g = np.zeros(steps + 1)
+        g[0] = beta
+        v[0] = r / beta
+        k_done = 0
+        for k in range(steps):
+            z[k] = apply_m(v[k])
+            w = apply_a(z[k])
+            for i in range(k + 1):
+                h[i, k] = v[i] @ w
+                w -= h[i, k] * v[i]
+            h[k + 1, k] = np.linalg.norm(w)
+            breakdown = h[k + 1, k] <= 1e-14 * max(beta, np.abs(h[: k + 1, k]).max())
+            if not breakdown:
+                v[k + 1] = w / h[k + 1, k]
+            for i in range(k):
+                hi = cs[i] * h[i, k] + sn[i] * h[i + 1, k]
+                h[i + 1, k] = -sn[i] * h[i, k] + cs[i] * h[i + 1, k]
+                h[i, k] = hi
+            denom = np.hypot(h[k, k], h[k + 1, k])
+            cs[k] = h[k, k] / denom
+            sn[k] = h[k + 1, k] / denom
+            h[k, k] = denom
+            h[k + 1, k] = 0.0
+            g[k + 1] = -sn[k] * g[k]
+            g[k] = cs[k] * g[k]
+            k_done = k + 1
+            total_iters += 1
+            rel = np.abs(g[k + 1]) / b_norm
+            history.append(rel)
+            if rel <= cfg.rel_tol or breakdown:
+                converged = rel <= cfg.rel_tol or breakdown
+                break
+        if k_done:
+            y = _solve_upper(h[:k_done, :k_done], g[:k_done])
+            x = x + z[:k_done].T @ y
+    true_res = np.linalg.norm(b - apply_a(x)) / b_norm
+    return SolveReport(
+        converged=bool(converged),
+        iterations=total_iters,
+        residual_history=np.asarray(history if cfg.record_history else history[-1:]),
+        solution=x,
+        true_residual=float(true_res),
+    )
+
+
+class _NanEmptyNumpy:
+    """numpy, except that ``empty`` returns NaN-filled arrays and counts its calls."""
+
+    def __init__(self):
+        self.empty_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        self.empty_calls += 1
+        return np.full(shape, np.nan, dtype=dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_case(kind, k_par, kappa):
+    system = assemble(build_cross_2d(4), PhysicalParams(k_parallel=k_par, kappa=kappa))
+    return monolithic(system), build_preconditioner(system, kind=kind), system.rhs
+
+
+@st.composite
+def gmres_cases(draw):
+    """An operator, right-hand side, preconditioner and config for one solve."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["block", "spd", "nonsymmetric", "identity_like"]))
+    preconditioners = []
+    if shape == "block":
+        a, block, b = _block_case(draw(st.sampled_from(["ml", "bu", "bd"])),
+                                  *draw(st.sampled_from([(1.0, 1.0), (1e4, 1e-4), (1e-4, 1e4)])))
+        n = a.nrows
+        if draw(st.booleans()):
+            b = b + rng.standard_normal(n)
+        preconditioners.append(block)
+    else:
+        n = draw(st.integers(1, 60))
+        if shape == "spd":
+            a = CsrMatrix.from_dense(random_spd_dense(rng, n))
+        elif shape == "nonsymmetric":
+            a = CsrMatrix.from_dense(rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n))
+        else:  # at most three distinct eigenvalues: a happy breakdown within three steps
+            a = CsrMatrix.from_dense(np.diag(rng.choice([1.0, 2.0, 3.0], size=n)))
+        b = rng.standard_normal(n)
+    d = rng.uniform(0.5, 2.0, size=n)
+    preconditioners += [None, lambda v: v / d]
+    m = draw(st.sampled_from(preconditioners))
+    restart = draw(st.none() | st.integers(1, 8))
+    unconverged = draw(st.booleans())  # stops at max_iters unless it breaks down
+    cfg = SolveConfig(
+        rel_tol=1e-15 if unconverged else draw(st.sampled_from([1e-6, 1e-10, 1e-14])),
+        max_iters=draw(st.integers(1, 5)) if unconverged else 200 if restart else 500,
+        restart=restart,
+        record_history=draw(st.booleans()),
+    )
+    return a, b, m, cfg
+
+
+def _assert_same_report(report, expected):
+    assert report.iterations == expected.iterations
+    assert report.converged == expected.converged
+    assert np.float64(report.true_residual).tobytes() == np.float64(expected.true_residual).tobytes()
+    assert report.solution.tobytes() == expected.solution.tobytes()
+    assert report.residual_history.dtype == expected.residual_history.dtype
+    assert report.residual_history.tobytes() == expected.residual_history.tobytes()
+
+
+@pytest.mark.parametrize("nan_empty", [False, True], ids=["numpy", "nan_filled_empty"])
+@settings(max_examples=150, deadline=None)
+@given(case=gmres_cases())
+def test_gmres_matches_the_zero_filled_reference_byte_for_byte(nan_empty, case):
+    a, b, m, cfg = case
+    expected = _reference_gmres(a, b, m, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        if nan_empty:  # an unwritten basis row that is read would spread NaN
+            fake = _NanEmptyNumpy()
+            mp.setattr(krylov, "np", fake)
+        report = gmres(a, b, m, cfg)
+    if nan_empty:
+        assert fake.empty_calls >= 2
+    _assert_same_report(report, expected)
