@@ -2,11 +2,16 @@
 
 Setup builds a hierarchy by strength-filtered greedy aggregation, a
 piecewise-constant tentative prolongator smoothed by one damped-Jacobi step,
-and Galerkin coarsening. The solve side is a V(1,1) cycle: one forward
-Gauss-Seidel pre-smoothing sweep, coarse-grid correction, one backward
-Gauss-Seidel post-smoothing sweep, with a dense LU solve on the coarsest
-level. One cycle from a zero initial guess is a fixed linear operator, which
-is what the block preconditioner uses for its inner solves.
+and Galerkin coarsening. Smoothing and the Galerkin product widen the coarse
+stencils, so on coarse levels many nodes keep no strong neighbor. Each would
+seed a singleton aggregate and coarsening would stall, so on every level
+below the finest a second pass attaches each such node to the aggregate of
+its strongest neighbor that has a strong neighbor. The solve side is a
+V(1,1) cycle: one forward Gauss-Seidel pre-smoothing sweep, coarse-grid
+correction, one backward Gauss-Seidel post-smoothing sweep, with a dense LU
+solve on the coarsest level. One cycle from a zero initial guess is a fixed
+linear operator, which is what the block preconditioner uses for its inner
+solves.
 
 Two special cases are handled transparently: operators whose off-diagonal
 part is entirely zero are solved directly (no hierarchy), and operators with
@@ -183,7 +188,38 @@ def _aggregate(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray, thresh: np.n
                 best, best_w = j, weights[k]
         agg[i] = best
     # No third pass: a node the root pass skips has an aggregated strong neighbor.
+    # A node without strong neighbors seeds a singleton here; below the finest
+    # level amg_setup then merges it into a neighbor's (_attach_isolated).
     return np.array(agg, dtype=np.int64), n_agg
+
+
+def _attach_isolated(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray,
+                     thresh: np.ndarray, agg: np.ndarray):
+    """Merge each node without a strong neighbor into the aggregate of its
+    strongest neighbor that has one, then renumber the aggregates
+    contiguously in their previous order.
+
+    Strength here is the normalised ``|a_ij| / sqrt(|a_ii a_jj|)`` of the
+    strength test; ties go to the first neighbor in row order. Nodes whose
+    nonzero neighbors are all isolated keep their aggregate. Returns
+    (int64 aggregate id per node, number of aggregates).
+    """
+    n = a.shape[0]
+    absval = np.abs(a.data)
+    strong = off & (absval >= thresh) & (absval > 0)
+    has_strong = np.bincount(rows[strong], minlength=n) > 0
+    cand = np.flatnonzero(off & (absval > 0) & ~has_strong[rows] & has_strong[a.indices])
+    if len(cand):
+        r, c = rows[cand], a.indices[cand]
+        diag = a.diagonal()
+        weight = absval[cand] / np.sqrt(np.abs(diag[r] * diag[c]))
+        order = np.lexsort((-weight, r))  # by row, then strongest first; stable on ties
+        r, c = r[order], c[order]
+        first = np.r_[True, r[1:] != r[:-1]]
+        agg = agg.copy()
+        agg[r[first]] = agg[c[first]]
+    ids, agg = np.unique(agg, return_inverse=True)
+    return agg.astype(np.int64, copy=False), len(ids)
 
 
 def _filtered(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray,
@@ -200,14 +236,19 @@ def _filtered(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray,
 
 
 def _rho_dinv_a(a: sp.csr_matrix, dinv: np.ndarray, iterations: int) -> float:
-    """Spectral radius estimate of D^-1 A by power iteration (seeded, deterministic)."""
+    """Spectral radius estimate of D^-1 A by power iteration (seeded, deterministic).
+
+    Norms are ``sqrt(sum(w * w))``, not ``np.linalg.norm``: the latter is a
+    BLAS dot whose rounding depends on the BLAS thread count, and the
+    estimate sets omega, which every coarser level inherits.
+    """
     rng = np.random.default_rng(20220601)
     v = rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
+    v /= np.sqrt(np.sum(v * v))
     rho = 1.0
     for _ in range(iterations):
         w = dinv * (a @ v)
-        nrm = np.linalg.norm(w)
+        nrm = np.sqrt(np.sum(w * w))
         if nrm == 0.0:
             return 1.0
         rho = nrm
@@ -270,6 +311,8 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
         if not last:
             strength = _strength(current, params.strength_threshold)
             agg, n_agg = _aggregate(current, *strength)
+            if depth > 0:  # attaching on the finest level too cost 2d iterations
+                agg, n_agg = _attach_isolated(current, *strength, agg)
             # filter now: the per-entry strength arrays must not stay alive
             # through the Galerkin product, where set-up peaks in memory
             a_filt = _filtered(current, *strength)

@@ -167,7 +167,7 @@ def test_criterion_5_robustness_sweep_3d():
         SweepSpec(
             geometry="regular_3d",
             num_planes=3,
-            mesh_sizes=(8, 16),
+            mesh_sizes=(8, 16, 32),
             k_parallel_values=values,
             kappa_values=values,
             precond_kinds=("ml",),
@@ -175,13 +175,13 @@ def test_criterion_5_robustness_sweep_3d():
         )
     )
     elapsed = time.perf_counter() - t0
-    assert len(result.rows) == 18
+    assert len(result.rows) == 27
     all_converged = all(r.converged for r in result.rows)
     max_iters = max(r.iterations for r in result.rows)
     ok = all_converged and max_iters <= 80 and elapsed < 300.0
     assert report(
         5, "robustness-sweep-3d", ok,
-        f"18 tuples, converged {all_converged}, max iters {max_iters}, {elapsed:.1f}s"
+        f"27 tuples, converged {all_converged}, max iters {max_iters}, {elapsed:.1f}s"
     )
 
 

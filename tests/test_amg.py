@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,20 +11,26 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdsolve
 from conftest import poisson1d, poisson2d
 from mdsolve import (
     AmgSetupWarning,
     PhysicalParams,
     Segment,
+    SolveConfig,
     assemble,
     build_cross_2d,
     build_network_2d,
     build_random_network_2d,
+    build_preconditioner,
     build_regular_network_3d,
+    gmres,
+    monolithic,
 )
 from mdsolve.amg import (
     AmgParams,
     _aggregate,
+    _attach_isolated,
     _strength,
     amg_setup,
     apply_preconditioner_vcycle,
@@ -173,7 +182,8 @@ def test_cycle_rejects_wrong_lengths():
 
 def test_custom_params_are_respected():
     params = AmgParams(max_coarse_size=8, max_levels=3)
-    h = amg_setup(poisson2d(16, 16), params)
+    with pytest.warns(AmgSetupWarning, match="after 3 levels"):
+        h = amg_setup(poisson2d(16, 16), params)
     assert len(h.levels) <= 3
     rng = np.random.default_rng(5)
     b = rng.standard_normal(256)
@@ -191,7 +201,7 @@ def test_healthy_hierarchy_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AmgSetupWarning)
         h = amg_setup(poisson2d(64, 64))
-    assert h.levels[-1].n == 31
+    assert h.levels[-1].n == 18
 
 
 # -- aggregation against the per-node reference ---------------------------------
@@ -293,6 +303,116 @@ def test_aggregation_matches_reference_on_every_schur_level(grid, k_par, kappa):
     assert len(h.levels) >= 2
     for lev in h.levels:
         _assert_matches_reference(lev._a_scipy, h.params.strength_threshold)
+
+
+# -- attaching strength-isolated nodes on coarse levels -------------------------
+
+
+def _assert_isolated_nodes_attached(a: sp.csr_matrix, theta: float):
+    """Check the attach pass against a per-node reading of its rule: every
+    node without a strong neighbor joins the aggregate of its first
+    strongest (normalised) nonzero neighbor that has a strong neighbor, all
+    other nodes keep their aggregates, and ids stay contiguous and ordered.
+    Returns the number of aggregates and of attached nodes."""
+    strength = _strength(a, theta)
+    before, _ = _aggregate(a, *strength)
+    agg, n_agg = _attach_isolated(a, *strength, before)
+    assert agg.dtype == np.int64
+    assert np.array_equal(np.unique(agg), np.arange(n_agg))
+
+    n = a.shape[0]
+    diag = a.diagonal()
+    measure = lambda i, j, v: abs(v) / np.sqrt(abs(diag[i] * diag[j]))  # noqa: E731
+    nbrs = [
+        [(j, v) for j, v in zip(a.indices[a.indptr[i]:a.indptr[i + 1]],
+                                a.data[a.indptr[i]:a.indptr[i + 1]]) if j != i and v != 0.0]
+        for i in range(n)
+    ]
+    has_strong = [
+        any(abs(v) >= theta * np.sqrt(abs(diag[i] * diag[j])) for j, v in nbrs[i]) for i in range(n)
+    ]
+    target = {}
+    for i in range(n):
+        if not has_strong[i]:
+            candidates = [(measure(i, j, v), j) for j, v in nbrs[i] if has_strong[j]]
+            if candidates:
+                target[i] = max(candidates, key=lambda t: t[0])[1]  # first of the strongest
+    sizes = np.bincount(agg, minlength=n_agg)
+    for i, j in target.items():
+        assert agg[i] == agg[j]
+        assert sizes[agg[i]] > 1
+    stay = np.ones(n, dtype=bool)
+    stay[list(target)] = False
+    old, new = before[stay], agg[stay]
+    assert np.array_equal(old[:, None] == old[None, :], new[:, None] == new[None, :])
+    assert np.all(np.diff(new[np.argsort(old, kind="stable")]) >= 0)
+    return n_agg, len(target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_operators())
+def test_attach_isolated_on_generated_operators(case):
+    a, theta = case
+    _assert_isolated_nodes_attached(a, theta)
+
+
+def test_attach_isolated_on_every_coarse_schur_level():
+    attached = 0
+    for grid in (build_regular_network_3d(8, 3), build_random_network_2d(16, 6, seed=3)):
+        for k_par, kappa in ((1.0, 1.0), (1e4, 1e-4), (1e-4, 1e4)):
+            system = assemble(grid, PhysicalParams(k_parallel=k_par, kappa=kappa))
+            h = amg_setup(approx_schur(system))
+            theta = h.params.strength_threshold
+            for depth, lev in enumerate(h.levels[1:], start=1):
+                n_agg, moved = _assert_isolated_nodes_attached(lev._a_scipy, theta)
+                attached += moved
+                if depth + 1 < len(h.levels):
+                    assert n_agg == h.levels[depth + 1].n
+    assert attached > 0  # the cases exercise the pass
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_3d_schur_hierarchy_coarsens_at_scale(n):
+    system = assemble(build_regular_network_3d(n, 3), PhysicalParams(k_parallel=1e4, kappa=1e-4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AmgSetupWarning)
+        prec = build_preconditioner(system, kind="ml")
+    h = prec.hierarchies()["schur"]
+    assert h.levels[-1].n < h.params.max_coarse_size
+    assert h.operator_complexity < 2.0
+    report = gmres(monolithic(system), system.rhs, prec, SolveConfig(rel_tol=1e-6))
+    assert report.converged
+
+
+_HIERARCHY_BYTES = """
+import hashlib
+from mdsolve import PhysicalParams, assemble, build_regular_network_3d
+from mdsolve.amg import amg_setup
+from mdsolve.precond import approx_schur
+system = assemble(build_regular_network_3d(28, 3), PhysicalParams(k_parallel=1e4, kappa=1e-4))
+h = amg_setup(approx_schur(system))
+for lev in h.levels:
+    digest = hashlib.sha256()
+    for m in (lev._a_scipy, lev._p_scipy):
+        if m is not None:
+            for arr in (m.data, m.indices, m.indptr):
+                digest.update(arr.tobytes())
+    print(lev.n, digest.hexdigest())
+"""
+
+
+def test_hierarchy_does_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdsolve.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-c", _HIERARCHY_BYTES], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout)
+    assert len(out[0].splitlines()) >= 3
+    assert out[0] == out[1]
 
 
 # -- V-cycle against the per-call-transpose reference ---------------------------
