@@ -8,14 +8,14 @@ aggregation AMG inner solves.
 
 from .sparse import (
     CsrMatrix,
-    DenseMatrix,
     SingularMatrixError,
+    canonical,
+    check_canonical,
     csr_add,
+    csr_equal,
+    csr_from_triplets,
     dense_lu_solve,
-    extract_diagonal,
     read_matrix_market,
-    spmv,
-    transpose,
     triple_product_diag_scaled,
     write_matrix_market,
 )
@@ -46,7 +46,7 @@ from .precond import (
     exact_schur,
     factorization_factors,
 )
-from .krylov import SolveConfig, SolveReport, cg_reference, gmres
+from .krylov import SolveConfig, SolveReport, gmres
 from .bench import SweepResult, SweepRow, SweepSpec, emit_table, run_sweep
 from .sysio import export_system, import_system
 
@@ -60,7 +60,6 @@ __all__ = [
     "BlockSystem",
     "BoundaryConfig",
     "CsrMatrix",
-    "DenseMatrix",
     "Interface",
     "MixedDimGrid",
     "PhysicalParams",
@@ -81,21 +80,21 @@ __all__ = [
     "build_preconditioner",
     "build_random_network_2d",
     "build_regular_network_3d",
-    "cg_reference",
+    "canonical",
+    "check_canonical",
     "csr_add",
+    "csr_equal",
+    "csr_from_triplets",
     "dense_lu_solve",
     "emit_table",
     "exact_schur",
     "export_system",
-    "extract_diagonal",
     "factorization_factors",
     "gmres",
     "import_system",
     "monolithic",
     "read_matrix_market",
     "run_sweep",
-    "spmv",
-    "transpose",
     "triple_product_diag_scaled",
     "v_cycle",
     "write_matrix_market",

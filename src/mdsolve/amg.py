@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrs
 
-from .sparse import CsrMatrix, dense_lu
+from .sparse import CsrMatrix, canonical, dense_lu
 
 __all__ = ["AmgParams", "AmgLevel", "AmgHierarchy", "AmgSetupWarning", "amg_setup",
            "v_cycle", "apply_preconditioner_vcycle"]
@@ -58,20 +58,24 @@ class AmgParams:
 class AmgLevel:
     """One level: its operator, the prolongator from the next coarser level
     and its transpose, Gauss-Seidel smoother state, and dense LU factors on
-    the coarsest level."""
+    the coarsest level.
+
+    ``p`` has read-only arrays but keeps, within each row, the column order
+    the smoothing product left, because the cycle's sums follow that order;
+    sorting it would change the last bits of every cycle. ``r`` is ``p.T``,
+    a CSC view of the same arrays.
+    """
 
     a: CsrMatrix
-    p: CsrMatrix | None = None
-    _a_scipy: sp.csr_matrix = field(default=None, repr=False)
-    _p_scipy: sp.csr_matrix = field(default=None, repr=False)
-    _r_scipy: sp.csc_matrix = field(default=None, repr=False)  # p.T: a CSC view of P's arrays
+    p: sp.csr_array | None = None
+    r: sp.csc_array | None = field(default=None, repr=False)
     _lower: object = field(default=None, repr=False)  # splu of tril(A)
     _upper: object = field(default=None, repr=False)  # splu of triu(A)
     _coarse_lu: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.a.nrows
+        return self.a.shape[0]
 
     @property
     def is_coarsest(self) -> bool:
@@ -134,7 +138,7 @@ class AmgHierarchy:
         return "\n".join(lines)
 
 
-def _strength(a: sp.csr_matrix, theta: float):
+def _strength(a: sp.csr_array, theta: float):
     """Row of each stored entry, off-diagonal mask, and the strength threshold
     ``theta * sqrt(|a_ii a_jj|)`` of each entry; shared by aggregation and
     filtering of one level."""
@@ -145,7 +149,7 @@ def _strength(a: sp.csr_matrix, theta: float):
     return rows, off, thresh
 
 
-def _aggregate(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray):
+def _aggregate(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray):
     """Greedy aggregation over the strength graph (Vanek, Mandel & Brezina).
 
     An off-diagonal entry is strong when ``|a_ij| >= thresh`` and
@@ -193,7 +197,7 @@ def _aggregate(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray, thresh: np.n
     return np.array(agg, dtype=np.int64), n_agg
 
 
-def _attach_isolated(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray,
+def _attach_isolated(a: sp.csr_array, rows: np.ndarray, off: np.ndarray,
                      thresh: np.ndarray, agg: np.ndarray):
     """Merge each node without a strong neighbor into the aggregate of its
     strongest neighbor that has one, then renumber the aggregates
@@ -222,8 +226,8 @@ def _attach_isolated(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray,
     return agg.astype(np.int64, copy=False), len(ids)
 
 
-def _filtered(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray,
-              thresh: np.ndarray) -> sp.csr_matrix:
+def _filtered(a: sp.csr_array, rows: np.ndarray, off: np.ndarray,
+              thresh: np.ndarray) -> sp.csr_array:
     """Drop weak off-diagonal entries (``|a_ij| < thresh``) and lump them
     into the diagonal."""
     n = a.shape[0]
@@ -231,11 +235,11 @@ def _filtered(a: sp.csr_matrix, rows: np.ndarray, off: np.ndarray,
     lump = np.zeros(n)
     np.add.at(lump, rows[weak], a.data[weak])
     data = np.where(weak, 0.0, a.data)
-    filt = sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    return (filt + sp.diags(lump)).tocsr()
+    filt = sp.csr_array((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+    return (filt + sp.diags_array(lump)).tocsr()
 
 
-def _rho_dinv_a(a: sp.csr_matrix, dinv: np.ndarray, iterations: int) -> float:
+def _rho_dinv_a(a: sp.csr_array, dinv: np.ndarray, iterations: int) -> float:
     """Spectral radius estimate of D^-1 A by power iteration (seeded, deterministic).
 
     Norms are ``sqrt(sum(w * w))``, not ``np.linalg.norm``: the latter is a
@@ -256,7 +260,7 @@ def _rho_dinv_a(a: sp.csr_matrix, dinv: np.ndarray, iterations: int) -> float:
     return rho
 
 
-def _triangular_solvers(a: sp.csr_matrix):
+def _triangular_solvers(a: sp.csr_array):
     lower = spla.splu(sp.tril(a, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
     upper = spla.splu(sp.triu(a, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
     return lower, upper
@@ -287,22 +291,20 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
         aggregation stalled or ``max_levels`` was reached.
     """
     params = params or AmgParams()
-    if a.nrows != a.ncols:
-        raise ValueError(f"amg_setup: operator is {a.nrows}x{a.ncols}, not square")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"amg_setup: operator is {a.shape[0]}x{a.shape[1]}, not square")
     diag = a.diagonal()
     zero = np.flatnonzero(diag == 0.0)
     if len(zero):
         raise ValueError(f"amg_setup: zero diagonal entry at row {zero[0]}")
 
-    work = a.to_scipy()
-    rows = np.repeat(np.arange(a.nrows), np.diff(a.row_ptr))
-    off_mask = a.col_idx != rows
-    if not np.any(off_mask & (a.values != 0.0)):
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    if not np.any((a.indices != rows) & (a.data != 0.0)):
         # (block-)diagonal operator: invert directly, no hierarchy needed
         return AmgHierarchy(levels=[], params=params, negated=False, diagonal=diag.copy())
 
     negated = bool(np.all(diag < 0.0))
-    current = (-work).tocsr() if negated else work.copy()
+    current = canonical(-a) if negated else a
 
     levels: list[AmgLevel] = []
     for depth in range(params.max_levels):
@@ -330,35 +332,26 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
                 )
             levels.append(
                 AmgLevel(
-                    a=CsrMatrix.from_scipy(current),
-                    _a_scipy=current,
+                    a=current,
                     _coarse_lu=dense_lu(
                         current.toarray(), "amg_setup: coarsest-level operator is singular"
                     ),
                 )
             )
             break
-        p_tent = sp.csr_matrix(
-            (np.ones(n), agg, np.arange(n + 1)), shape=(n, n_agg)
+        idx = sp.get_index_dtype(maxval=n)  # int32 indices, as in canonical()
+        p_tent = sp.csr_array(
+            (np.ones(n), agg.astype(idx), np.arange(n + 1, dtype=idx)), shape=(n, n_agg)
         )
         dinv = 1.0 / current.diagonal()
         rho = _rho_dinv_a(current, dinv, params.power_iterations)
         omega = params.omega_factor / max(rho, np.finfo(float).tiny)
-        p = (p_tent - sp.diags(omega * dinv) @ (a_filt @ p_tent)).tocsr()
-        coarse = (p.T @ current @ p).tocsr()
-        coarse.sum_duplicates()
+        p = (p_tent - sp.diags_array(omega * dinv) @ (a_filt @ p_tent)).tocsr()
+        for arr in (p.indptr, p.indices, p.data):
+            arr.flags.writeable = False
+        coarse = canonical(p.T @ current @ p)
         lower, upper = _triangular_solvers(current)
-        levels.append(
-            AmgLevel(
-                a=CsrMatrix.from_scipy(current),
-                p=CsrMatrix.from_scipy(p),
-                _a_scipy=current,
-                _p_scipy=p,
-                _r_scipy=p.T,
-                _lower=lower,
-                _upper=upper,
-            )
-        )
+        levels.append(AmgLevel(a=current, p=p, r=p.T, _lower=lower, _upper=upper))
         current = coarse
     return AmgHierarchy(levels=levels, params=params, negated=negated)
 
@@ -367,14 +360,14 @@ def _cycle(levels, depth: int, b: np.ndarray, x: np.ndarray | None) -> np.ndarra
     lev = levels[depth]
     if lev.is_coarsest:
         return dgetrs(*lev._coarse_lu, b)[0]
-    a = lev._a_scipy
+    a = lev.a
     if x is None:
         x = lev._lower.solve(b)  # forward sweep from a zero guess
     else:
         x = x + lev._lower.solve(b - a @ x)
     resid = b - a @ x
-    correction = _cycle(levels, depth + 1, lev._r_scipy @ resid, None)
-    x = x + lev._p_scipy @ correction
+    correction = _cycle(levels, depth + 1, lev.r @ resid, None)
+    x = x + lev.p @ correction
     return x + lev._upper.solve(b - a @ x)
 
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grids import DofPartition, MixedDimGrid, _concat
-from .sparse import CsrMatrix, transpose
+from .sparse import CsrMatrix, canonical, csr_from_triplets
 
 __all__ = ["PhysicalParams", "BlockSystem", "assemble", "monolithic"]
 
@@ -238,26 +239,20 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
     gamma_diag = np.zeros(n_gamma)
     gamma_diag[gamma] = -area / kappa_eff
 
-    a_oo = CsrMatrix.from_coo(n_omega, n_omega, rows, cols, vals)
-    a_og = CsrMatrix.from_coo(n_omega, n_gamma, cp_rows, cp_cols, cp_vals)
-    a_go = transpose(a_og)
-    a_gg = CsrMatrix.from_coo(
-        n_gamma, n_gamma, np.arange(n_gamma), np.arange(n_gamma), gamma_diag
-    )
+    a_oo = csr_from_triplets((n_omega, n_omega), rows, cols, vals)
+    a_og = csr_from_triplets((n_omega, n_gamma), cp_rows, cp_cols, cp_vals)
+    a_go = canonical(a_og.T.tocsr())
+    mortar = np.arange(n_gamma)
+    a_gg = csr_from_triplets((n_gamma, n_gamma), mortar, mortar, gamma_diag)
     return BlockSystem(a_oo, a_og, a_go, a_gg, rhs_omega, np.zeros(n_gamma), part)
 
 
 def monolithic(system: BlockSystem) -> CsrMatrix:
     """Concatenate the four blocks into one operator in partition order."""
-    import scipy.sparse as sp
-
     if system.n_gamma == 0:
         return system.a_omega_omega
-    stacked = sp.bmat(
-        [
-            [system.a_omega_omega.to_scipy(), system.a_omega_gamma.to_scipy()],
-            [system.a_gamma_omega.to_scipy(), system.a_gamma_gamma.to_scipy()],
-        ],
+    return canonical(sp.bmat(
+        [[system.a_omega_omega, system.a_omega_gamma],
+         [system.a_gamma_omega, system.a_gamma_gamma]],
         format="csr",
-    )
-    return CsrMatrix.from_scipy(stacked)
+    ))

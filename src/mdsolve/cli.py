@@ -22,11 +22,11 @@ from .assembly import PhysicalParams, assemble, monolithic
 from .amg import amg_setup
 from .bench import GEOMETRIES, SweepSpec, build_grid, emit_table, run_sweep
 from .krylov import SolveConfig, gmres
-from .precond import approx_schur, build_preconditioner
+from .precond import KINDS, approx_schur, build_preconditioner
 from .sysio import export_system, import_system
 
-# list-valued flags default to None so "was it given explicitly" is visible;
-# scalar flags share these defaults between argparse and the config loader
+# every flag defaults to None so "was it given explicitly" is visible; scalar
+# flags still unset after the config file is read take these defaults
 LIST_KEYS = {"n": int, "kpar": float, "kappa": float, "precond": str}
 SCALAR_DEFAULTS = {
     "geometry": ("cross_2d", str),
@@ -44,6 +44,7 @@ SCALAR_DEFAULTS = {
     "format": ("aligned-text", str),
     "out": (None, str),
 }
+KIND_ALIASES = {"bl": "ml"}  # so scripts and config files naming "bl" still run
 
 
 def _read_config(path) -> dict:
@@ -61,39 +62,42 @@ def _read_config(path) -> dict:
 
 
 def _apply_config(args, config: dict):
-    """Fill config values into flags the user left at their defaults.
+    """Fill config values into flags the user did not give.
 
     Keys the current subcommand does not use are ignored, so one config file
     can serve several subcommands; keys no subcommand knows are rejected.
     """
     for key, value in config.items():
+        if key not in LIST_KEYS and key not in SCALAR_DEFAULTS:
+            raise ValueError(f"unknown config key {key!r}")
+        if not hasattr(args, key) or getattr(args, key) is not None:
+            continue  # the subcommand has no such flag, or it was given
         if key in LIST_KEYS:
-            if not hasattr(args, key):
-                continue
-            if getattr(args, key) is not None:
-                continue  # explicit flag wins
             cast = LIST_KEYS[key]
             setattr(args, key, [cast(p.strip()) for p in value.split(",") if p.strip()])
-        elif key in SCALAR_DEFAULTS:
-            if not hasattr(args, key):
-                continue
-            default, cast = SCALAR_DEFAULTS[key]
-            if getattr(args, key) != default:
-                continue
-            setattr(args, key, cast(value))
         else:
-            raise ValueError(f"unknown config key {key!r}")
+            setattr(args, key, SCALAR_DEFAULTS[key][1](value))
+    return args
+
+
+def _fill_defaults(args):
+    """Give unset scalar flags their defaults and resolve kind aliases."""
+    for key, (default, _) in SCALAR_DEFAULTS.items():
+        if getattr(args, key, default) is None:
+            setattr(args, key, default)
+    if getattr(args, "precond", None):
+        args.precond = [KIND_ALIASES.get(k, k) for k in args.precond]
     return args
 
 
 def _add_geometry_flags(p):
-    p.add_argument("--geometry", choices=GEOMETRIES, default="cross_2d")
+    p.add_argument("--geometry", choices=GEOMETRIES)
     p.add_argument("--n", action="append", type=int, default=None,
                    help="cells per direction; repeatable for sweeps")
-    p.add_argument("--num-fractures", type=int, default=4, dest="num_fractures")
-    p.add_argument("--num-planes", type=int, default=3, dest="num_planes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--import", dest="import_path", default=None,
+    p.add_argument("--num-fractures", type=int, dest="num_fractures")
+    p.add_argument("--num-planes", type=int, dest="num_planes")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--import", dest="import_path",
                    help="directory of an exported system (geometry 'imported')")
 
 
@@ -102,21 +106,19 @@ def _add_param_flags(p):
                    help="tangential fracture permeability; repeatable")
     p.add_argument("--kappa", action="append", type=float, default=None,
                    help="normal fracture transmissivity; repeatable")
-    p.add_argument("--matrix-perm", type=float, default=1.0, dest="matrix_perm")
+    p.add_argument("--matrix-perm", type=float, dest="matrix_perm")
 
 
 def _add_solver_flags(p):
     p.add_argument("--precond", action="append", default=None,
-                   choices=["ml", "bl", "bu", "bd", "none"],
-                   help="preconditioner kind; repeatable")
-    p.add_argument("--schur", choices=["diag", "exact"], default="diag")
-    p.add_argument("--inner-omega", choices=["amg", "direct"], default="amg",
-                   dest="inner_omega")
-    p.add_argument("--inner-gamma", choices=["amg", "direct"], default="amg",
-                   dest="inner_gamma")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=500, dest="max_iters")
-    p.add_argument("--restart", type=int, default=None)
+                   choices=[*KINDS, *KIND_ALIASES, "none"],
+                   help="preconditioner kind; repeatable; 'bl' is 'ml'")
+    p.add_argument("--schur", choices=["diag", "exact"])
+    p.add_argument("--inner-omega", choices=["amg", "direct"], dest="inner_omega")
+    p.add_argument("--inner-gamma", choices=["amg", "direct"], dest="inner_gamma")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int, dest="max_iters")
+    p.add_argument("--restart", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assemble", help="assemble a system and print block shapes")
     _add_geometry_flags(p)
     _add_param_flags(p)
-    p.add_argument("--out", default=None, help="also export the system to this directory")
+    p.add_argument("--out", help="also export the system to this directory")
 
     p = sub.add_parser("solve", help="solve one system with GMRES")
     _add_geometry_flags(p)
@@ -148,9 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p)
     _add_param_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--format", choices=["csv", "aligned-text", "markdown"],
-                   default="aligned-text")
-    p.add_argument("--out", default=None, help="write the table to this file")
+    p.add_argument("--format", choices=["csv", "aligned-text", "markdown"])
+    p.add_argument("--out", help="write the table to this file")
 
     p = sub.add_parser("export", help="assemble a system and write it to disk")
     _add_geometry_flags(p)
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             _apply_config(args, _read_config(args.config))
-        return _dispatch(args)
+        return _dispatch(_fill_defaults(args))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -237,7 +238,7 @@ def _dispatch(args) -> int:
               f"solve {report.solve_seconds:.3f}s)")
         if args.history_csv:
             lines = ["iteration,relative_residual"]
-            lines += [f"{i},{r!r}" for i, r in enumerate(report.residual_history)]
+            lines += [f"{i},{float(r)!r}" for i, r in enumerate(report.residual_history)]
             Path(args.history_csv).write_text("\n".join(lines) + "\n")
             print(f"history written to {args.history_csv}")
         return 0 if report.converged else 1

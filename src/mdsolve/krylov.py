@@ -1,4 +1,4 @@
-"""Krylov solvers: right-preconditioned GMRES and a CG baseline.
+"""Krylov solver: right-preconditioned GMRES.
 
 GMRES runs Arnoldi with modified Gram-Schmidt on the right-preconditioned
 operator, a zero initial guess, and Givens rotations for the least-squares
@@ -17,15 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .sparse import CsrMatrix
-
-__all__ = ["SolveConfig", "SolveReport", "as_operator", "gmres", "cg_reference"]
+__all__ = ["SolveConfig", "SolveReport", "as_operator", "gmres"]
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping criteria and bookkeeping for the Krylov solvers."""
+    """Stopping criteria and bookkeeping for a Krylov solve."""
 
     rel_tol: float = 1e-6
     max_iters: int = 500
@@ -62,11 +61,10 @@ def as_operator(obj, n: int):
     """Coerce a matrix / preconditioner / callable into a matvec callable."""
     if obj is None:
         return lambda v: v.copy()
-    if isinstance(obj, CsrMatrix):
+    if sp.issparse(obj):
         if obj.shape != (n, n):
             raise ValueError(f"operator shape {obj.shape} does not match system size {n}")
-        mat = obj.to_scipy()
-        return lambda v: mat @ v
+        return lambda v: obj @ v
     if hasattr(obj, "apply"):
         return obj.apply
     if callable(obj):
@@ -83,7 +81,7 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
 
     Parameters
     ----------
-    a : CsrMatrix, callable or object with ``apply``
+    a : sparse matrix, callable or object with ``apply``
         The system operator; must be a fixed linear operator.
     b : ndarray
         Right-hand side.
@@ -190,56 +188,6 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
     return SolveReport(
         converged=bool(converged),
         iterations=total_iters,
-        residual_history=np.asarray(history if cfg.record_history else history[-1:]),
-        solution=x,
-        true_residual=float(true_res),
-        solve_seconds=time.perf_counter() - t0,
-    )
-
-
-def cg_reference(a, b: np.ndarray, cfg: SolveConfig | None = None) -> SolveReport:
-    """Unpreconditioned conjugate gradients, the baseline for iteration
-    count comparisons. Expects a symmetric positive definite operator."""
-    cfg = cfg or SolveConfig()
-    b = np.asarray(b, dtype=np.float64)
-    n = len(b)
-    apply_a = as_operator(a, n)
-    t0 = time.perf_counter()
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return SolveReport(
-            converged=True,
-            iterations=0,
-            residual_history=np.array([0.0]),
-            solution=np.zeros(n),
-            true_residual=0.0,
-            solve_seconds=time.perf_counter() - t0,
-        )
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rr = r @ r
-    history = [1.0]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        ap = apply_a(p)
-        alpha = rr / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        iterations += 1
-        rel = np.linalg.norm(r) / b_norm
-        history.append(rel)
-        if rel <= cfg.rel_tol:
-            converged = True
-            break
-        rr_new = r @ r
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    true_res = np.linalg.norm(b - apply_a(x)) / b_norm
-    return SolveReport(
-        converged=converged,
-        iterations=iterations,
         residual_history=np.asarray(history if cfg.record_history else history[-1:]),
         solution=x,
         true_residual=float(true_res),

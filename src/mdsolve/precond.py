@@ -27,14 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
 from .amg import AmgParams, amg_setup, apply_preconditioner_vcycle
-from .sparse import (
-    CsrMatrix,
-    DenseMatrix,
-    csr_add,
-    dense_lu,
-    extract_diagonal,
-    triple_product_diag_scaled,
-)
+from .sparse import CsrMatrix, csr_add, dense_lu, triple_product_diag_scaled
 
 __all__ = [
     "KINDS",
@@ -45,7 +38,7 @@ __all__ = [
     "build_preconditioner",
 ]
 
-KINDS = ("ml", "bl", "bu", "bd")
+KINDS = ("ml", "bu", "bd")
 DEFAULT_ORACLE_CAP = 2000
 
 
@@ -54,7 +47,7 @@ def _check_kind(kind: str):
         raise ValueError(f"unknown preconditioner kind {kind!r}, expected one of {KINDS}")
 
 
-def exact_schur(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_CAP) -> DenseMatrix:
+def exact_schur(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     """Dense Schur complement of the interface block (oracle only).
 
     Computes A_oo - A_og A_gg^-1 A_go. Refuses systems above the oracle cap
@@ -64,15 +57,15 @@ def exact_schur(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_CAP) -> De
         raise ValueError(
             f"exact_schur: system has {system.n_total} dofs, above the oracle cap {oracle_cap}"
         )
-    a_oo = system.a_omega_omega.to_dense()
+    a_oo = system.a_omega_omega.toarray()
     if system.n_gamma == 0:
-        return DenseMatrix(a_oo)
+        return a_oo
     lu = dense_lu(
-        system.a_gamma_gamma.to_dense(),
+        system.a_gamma_gamma.toarray(),
         "exact_schur: interface block: matrix is singular to working precision",
     )
-    x = scipy.linalg.lu_solve(lu, system.a_gamma_omega.to_dense())
-    return DenseMatrix(a_oo - system.a_omega_gamma.to_dense() @ x)
+    x = scipy.linalg.lu_solve(lu, system.a_gamma_omega.toarray())
+    return a_oo - system.a_omega_gamma.toarray() @ x
 
 
 def approx_schur(system: BlockSystem) -> CsrMatrix:
@@ -81,7 +74,7 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
     Equals the exact Schur complement whenever A_gg is diagonal, which is the
     matching-grid case this package assembles.
     """
-    diag = extract_diagonal(system.a_gamma_gamma)
+    diag = system.a_gamma_gamma.diagonal()
     zero = np.flatnonzero(diag == 0.0)
     if len(zero):
         raise ValueError(
@@ -109,20 +102,20 @@ def factorization_factors(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_
             f"above the oracle cap {oracle_cap}"
         )
     no, ng, nt = system.n_omega, system.n_gamma, system.n_total
-    s = exact_schur(system, oracle_cap).values
+    s = exact_schur(system, oracle_cap)
     u = np.eye(nt)
     d = np.zeros((nt, nt))
     lo = np.eye(nt)
     d[:no, :no] = s
     if ng:
-        a_gg = system.a_gamma_gamma.to_dense()
+        a_gg = system.a_gamma_gamma.toarray()
         lu = dense_lu(
             a_gg, "factorization_factors: interface block: matrix is singular to working precision"
         )
-        u[:no, no:] = scipy.linalg.lu_solve(lu, system.a_omega_gamma.to_dense().T).T
-        lo[no:, :no] = scipy.linalg.lu_solve(lu, system.a_gamma_omega.to_dense())
+        u[:no, no:] = scipy.linalg.lu_solve(lu, system.a_omega_gamma.toarray().T).T
+        lo[no:, :no] = scipy.linalg.lu_solve(lu, system.a_gamma_omega.toarray())
         d[no:, no:] = a_gg
-    return DenseMatrix(u), DenseMatrix(d), DenseMatrix(lo)
+    return u, d, lo
 
 
 class _DirectDense:
@@ -135,7 +128,7 @@ class _DirectDense:
 
 class _DirectSparse:
     def __init__(self, a: CsrMatrix):
-        self._lu = spla.splu(a.to_scipy().tocsc())
+        self._lu = spla.splu(a.tocsc())
 
     def __call__(self, r):
         return self._lu.solve(r)
@@ -170,8 +163,8 @@ class BlockPreconditioner:
         self.n_gamma = n_gamma
         self._q_omega = q_omega
         self._q_gamma = q_gamma
-        self._a_gamma_omega = a_gamma_omega.to_scipy()
-        self._a_omega_gamma = a_omega_gamma.to_scipy()
+        self._a_gamma_omega = a_gamma_omega
+        self._a_omega_gamma = a_omega_gamma
         self.setup_seconds = setup_seconds
         self.schur_matrix = schur_matrix
 
@@ -204,7 +197,7 @@ class BlockPreconditioner:
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Apply the preconditioner to a residual vector.
 
-        For the lower-triangular kinds this is exactly: subdomain solve,
+        For the lower-triangular kind this is exactly: subdomain solve,
         interface residual update with the coupling block, interface solve.
         The block diagonal kind skips the update; the upper-triangular kind
         mirrors the order using the omega-gamma coupling block.
@@ -216,7 +209,7 @@ class BlockPreconditioner:
             )
         r_omega = r[: self.n_omega]
         r_gamma = r[self.n_omega :]
-        if self.kind in ("ml", "bl"):
+        if self.kind == "ml":
             z_omega = self._q_omega(r_omega)
             r_gamma = r_gamma - self._a_gamma_omega @ z_omega
             z_gamma = self._q_gamma(r_gamma)
@@ -246,9 +239,8 @@ def build_preconditioner(
     Parameters
     ----------
     system : BlockSystem
-    kind : {"ml", "bl", "bu", "bd"}
-        Lower triangular ("ml" and "bl" share the application path), upper
-        triangular, or block diagonal.
+    kind : {"ml", "bu", "bd"}
+        Block lower triangular, upper triangular, or block diagonal.
     schur_mode : {"diag", "exact"}
         Diagonal approximation of the interface block inside the Schur
         complement, or the dense exact Schur complement (oracle only;
@@ -275,9 +267,9 @@ def build_preconditioner(
     t0 = time.perf_counter()
     if schur_mode == "exact":
         schur = exact_schur(system, oracle_cap)
-        q_omega = _DirectDense(schur.values, "build_preconditioner: Schur block")
+        q_omega = _DirectDense(schur, "build_preconditioner: Schur block")
         q_gamma = (
-            _DirectDense(system.a_gamma_gamma.to_dense(), "build_preconditioner: interface block")
+            _DirectDense(system.a_gamma_gamma.toarray(), "build_preconditioner: interface block")
             if system.n_gamma
             else (lambda r: r.copy())
         )

@@ -19,9 +19,9 @@ import numpy as np
 from .assembly import BlockSystem
 from .grids import DofPartition
 from .sparse import (
+    csr_equal,
     read_matrix_market,
     read_vector_market,
-    transpose,
     write_matrix_market,
     write_vector_market,
 )
@@ -113,9 +113,7 @@ def import_system(directory) -> BlockSystem:
         )
     partition.validate()
 
-    got = blocks["a_omega_gamma"]
-    want = transpose(blocks["a_gamma_omega"])
-    if got != want:
+    if not csr_equal(blocks["a_omega_gamma"], blocks["a_gamma_omega"].T.tocsr()):
         raise ValueError(
             "a_omega_gamma is not the exact transpose of a_gamma_omega; "
             "this importer only accepts systems honoring that contract"

@@ -3,13 +3,17 @@
 import numpy as np
 import scipy.sparse as sp
 
-from mdsolve.sparse import CsrMatrix
+from mdsolve.sparse import CsrMatrix, canonical, csr_from_triplets
+
+
+def eye(n: int) -> CsrMatrix:
+    return canonical(sp.eye_array(n))
 
 
 def poisson1d(n: int) -> CsrMatrix:
     """Tridiagonal (-1, 2, -1) operator."""
-    return CsrMatrix.from_scipy(
-        sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]).tocsr()
+    return canonical(
+        sp.diags_array([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)], offsets=[0, -1, 1])
     )
 
 
@@ -20,10 +24,10 @@ def poisson2d(nx: int, ny: int) -> CsrMatrix:
     off = -1.0 * np.ones(n - 1)
     for row in range(1, ny):
         off[row * nx - 1] = 0.0
-    a = sp.diags([main, off, off], [0, -1, 1]) + sp.diags(
-        [-np.ones(n - nx), -np.ones(n - nx)], [-nx, nx]
+    a = sp.diags_array([main, off, off], offsets=[0, -1, 1]) + sp.diags_array(
+        [-np.ones(n - nx), -np.ones(n - nx)], offsets=[-nx, nx]
     )
-    return CsrMatrix.from_scipy(a.tocsr())
+    return canonical(a)
 
 
 def random_csr(rng: np.random.Generator, nrows: int, ncols: int, density: float = 0.3) -> CsrMatrix:
@@ -32,7 +36,7 @@ def random_csr(rng: np.random.Generator, nrows: int, ncols: int, density: float 
     rows = rng.integers(0, nrows, size=nnz)
     cols = rng.integers(0, ncols, size=nnz)
     vals = rng.standard_normal(nnz)
-    return CsrMatrix.from_coo(nrows, ncols, rows, cols, vals)
+    return csr_from_triplets((nrows, ncols), rows, cols, vals)
 
 
 def random_spd_dense(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdsolve
-from conftest import poisson1d, poisson2d
+from conftest import eye, poisson1d, poisson2d
 from mdsolve import (
     AmgSetupWarning,
     PhysicalParams,
@@ -37,7 +38,7 @@ from mdsolve.amg import (
     v_cycle,
 )
 from mdsolve.precond import approx_schur
-from mdsolve.sparse import CsrMatrix
+from mdsolve.sparse import CsrMatrix, canonical
 
 
 # -- setup structure -----------------------------------------------------------
@@ -54,7 +55,7 @@ def test_poisson_1d_builds_a_real_hierarchy():
 
 def test_diagonal_operator_short_circuits():
     d = np.array([2.0, -3.0, 4.0, 1.5])
-    h = amg_setup(CsrMatrix.from_dense(np.diag(d)))
+    h = amg_setup(canonical(np.diag(d)))
     assert h.diagonal is not None
     b = np.array([4.0, 3.0, -8.0, 3.0])
     assert np.allclose(v_cycle(h, b), b / d)
@@ -62,7 +63,7 @@ def test_diagonal_operator_short_circuits():
 
 
 def test_identity_operator_solved_exactly():
-    h = amg_setup(CsrMatrix.identity(10))
+    h = amg_setup(eye(10))
     r = np.linspace(-1, 1, 10)
     assert np.array_equal(apply_preconditioner_vcycle(h, r), r)
 
@@ -71,9 +72,9 @@ def test_galerkin_identity_on_every_level():
     h = amg_setup(poisson2d(32, 32))
     assert len(h.levels) >= 2
     for fine, coarse in zip(h.levels[:-1], h.levels[1:]):
-        p = fine.p.to_scipy()
-        explicit = (p.T @ fine.a.to_scipy() @ p).toarray()  # oracle triple product
-        assert np.abs(explicit - coarse.a.to_dense()).max() < 1e-12
+        p = fine.p
+        explicit = (p.T @ fine.a @ p).toarray()  # oracle triple product
+        assert np.abs(explicit - coarse.a.toarray()).max() < 1e-12
         assert fine.p.shape == (fine.n, coarse.n)
 
 
@@ -86,14 +87,14 @@ def test_operator_complexity_is_bounded():
 
 
 def test_zero_diagonal_is_rejected():
-    a = CsrMatrix.from_dense([[0.0, 1.0], [1.0, 2.0]])
+    a = canonical(np.array([[0.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ValueError, match="zero diagonal"):
         amg_setup(a)
 
 
 def test_non_square_is_rejected():
     with pytest.raises(ValueError, match="square"):
-        amg_setup(CsrMatrix.from_dense(np.ones((2, 3))))
+        amg_setup(canonical(np.ones((2, 3))))
 
 
 # -- cycles --------------------------------------------------------------------
@@ -112,22 +113,21 @@ def test_single_level_hierarchy_solves_exactly():
     rng = np.random.default_rng(0)
     b = rng.standard_normal(25)
     x = v_cycle(h, b)
-    assert np.abs(a.to_scipy() @ x - b).max() < 1e-10
+    assert np.abs(a @ x - b).max() < 1e-10
 
 
 def test_stationary_cycle_contracts_a_norm_error_by_half():
     a = poisson2d(32, 32)
     h = amg_setup(a)
-    a_s = a.to_scipy()
     rng = np.random.default_rng(1)
-    b = rng.standard_normal(a.nrows)
-    x_star = spla.spsolve(a_s.tocsc(), b)  # direct-solve reference
+    b = rng.standard_normal(a.shape[0])
+    x_star = spla.spsolve(a.tocsc(), b)  # direct-solve reference
     x = np.zeros_like(b)
     previous = None
     for _ in range(10):
         x = v_cycle(h, b, x)
         e = x_star - x
-        norm = np.sqrt(e @ (a_s @ e))
+        norm = np.sqrt(e @ (a @ e))
         if previous is not None:
             assert norm <= 0.5 * previous
         previous = norm
@@ -149,7 +149,7 @@ def test_cycle_from_zero_guess_is_linear():
 def test_preconditioner_matrix_is_constant_across_applications():
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((10, 10))
-    a = CsrMatrix.from_dense(dense @ dense.T + 10 * np.eye(10))
+    a = canonical(dense @ dense.T + 10 * np.eye(10))
     h = amg_setup(a)
     cols = lambda: np.column_stack(  # noqa: E731
         [apply_preconditioner_vcycle(h, e) for e in np.eye(10)]
@@ -161,7 +161,7 @@ def test_preconditioner_matrix_is_constant_across_applications():
 
 def test_negative_definite_operator_is_handled_transparently():
     a_pos = poisson2d(16, 16)
-    a_neg = CsrMatrix.from_scipy((-a_pos.to_scipy()).tocsr())
+    a_neg = canonical(-a_pos)
     h = amg_setup(a_neg)
     assert h.negated
     rng = np.random.default_rng(4)
@@ -169,7 +169,7 @@ def test_negative_definite_operator_is_handled_transparently():
     x = np.zeros_like(b)
     for _ in range(30):
         x = v_cycle(h, b, x)
-    assert np.abs(a_neg.to_scipy() @ x - b).max() < 1e-8
+    assert np.abs(a_neg @ x - b).max() < 1e-8
 
 
 def test_cycle_rejects_wrong_lengths():
@@ -302,7 +302,7 @@ def test_aggregation_matches_reference_on_every_schur_level(grid, k_par, kappa):
         h = amg_setup(approx_schur(system))
     assert len(h.levels) >= 2
     for lev in h.levels:
-        _assert_matches_reference(lev._a_scipy, h.params.strength_threshold)
+        _assert_matches_reference(lev.a, h.params.strength_threshold)
 
 
 # -- attaching strength-isolated nodes on coarse levels -------------------------
@@ -364,7 +364,7 @@ def test_attach_isolated_on_every_coarse_schur_level():
             h = amg_setup(approx_schur(system))
             theta = h.params.strength_threshold
             for depth, lev in enumerate(h.levels[1:], start=1):
-                n_agg, moved = _assert_isolated_nodes_attached(lev._a_scipy, theta)
+                n_agg, moved = _assert_isolated_nodes_attached(lev.a, theta)
                 attached += moved
                 if depth + 1 < len(h.levels):
                     assert n_agg == h.levels[depth + 1].n
@@ -393,7 +393,7 @@ system = assemble(build_regular_network_3d(28, 3), PhysicalParams(k_parallel=1e4
 h = amg_setup(approx_schur(system))
 for lev in h.levels:
     digest = hashlib.sha256()
-    for m in (lev._a_scipy, lev._p_scipy):
+    for m in (lev.a, lev.p):
         if m is not None:
             for arr in (m.data, m.indices, m.indptr):
                 digest.update(arr.tobytes())
@@ -424,14 +424,14 @@ def _reference_cycle(levels, depth, b, x):
     lev = levels[depth]
     if lev.is_coarsest:
         return scipy.linalg.lu_solve(lev._coarse_lu, b)
-    a = lev._a_scipy
+    a = lev.a
     if x is None:
         x = lev._lower.solve(b)
     else:
         x = x + lev._lower.solve(b - a @ x)
     resid = b - a @ x
-    correction = _reference_cycle(levels, depth + 1, lev._p_scipy.T @ resid, None)
-    x = x + lev._p_scipy @ correction
+    correction = _reference_cycle(levels, depth + 1, lev.p.T @ resid, None)
+    x = x + lev.p @ correction
     return x + lev._upper.solve(b - a @ x)
 
 
@@ -452,7 +452,7 @@ def hierarchies():
         "poisson1d_64": poisson1d(64),
         "poisson2d_32": poisson2d(32, 32),
         "poisson2d_64": poisson2d(64, 64),
-        "negated_poisson2d_16": CsrMatrix.from_scipy((-poisson2d(16, 16).to_scipy()).tocsr()),
+        "negated_poisson2d_16": canonical(-poisson2d(16, 16)),
     }
     geometries = {
         "cross_2d": build_cross_2d(16),
@@ -491,9 +491,25 @@ def test_v_cycle_matches_the_reference_byte_for_byte(hierarchies):
 def test_restriction_is_a_view_of_the_prolongator(hierarchies):
     for h in hierarchies.values():
         for lev in h.levels[:-1]:
-            r, p = lev._r_scipy, lev._p_scipy
+            r, p = lev.r, lev.p
             assert r.format == "csc" and r.shape == p.shape[::-1]
             for attr in ("data", "indices", "indptr"):
                 assert np.shares_memory(getattr(r, attr), getattr(p, attr))
         if h.levels:
-            assert h.levels[-1]._r_scipy is None
+            assert h.levels[-1].r is None
+
+
+def test_each_level_stores_its_operator_and_prolongator_once(hierarchies):
+    """A level's sparse fields are A, P and views of them: no second copy."""
+    for name, h in hierarchies.items():
+        for lev in h.levels:
+            assert isinstance(lev.a, CsrMatrix) and lev.a.has_canonical_format, name
+            owned = [m for m in (lev.a, lev.p) if m is not None]
+            owned = [arr for m in owned for arr in (m.data, m.indices, m.indptr)]
+            assert not any(arr.flags.writeable for arr in owned), name
+            for f in dataclasses.fields(lev):
+                m = getattr(lev, f.name)
+                if not sp.issparse(m):
+                    continue
+                for arr in (m.data, m.indices, m.indptr):
+                    assert any(np.shares_memory(arr, o) for o in owned), (name, f.name)

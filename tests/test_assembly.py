@@ -23,7 +23,7 @@ from mdsolve.grids import (
     build_random_network_2d,
     build_regular_network_3d,
 )
-from mdsolve.sparse import CsrMatrix, spmv, transpose
+from mdsolve.sparse import canonical, csr_equal, csr_from_triplets
 from mdsolve.sysio import import_system
 
 PURE_NEUMANN = BoundaryConfig(dirichlet_axis=None)
@@ -77,7 +77,7 @@ def test_hand_assembled_minimal_system():
             [1.0, 0.0, -1.0, -0.5],
         ]
     )
-    assert np.array_equal(monolithic(sys_).to_dense(), expected)
+    assert np.array_equal(monolithic(sys_).toarray(), expected)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -86,8 +86,8 @@ def test_constant_pressure_zero_flux_is_in_nullspace(n):
     sys_ = assemble(grid, PhysicalParams())
     a = monolithic(sys_)
     v = np.concatenate([np.ones(sys_.n_omega), np.zeros(sys_.n_gamma)])
-    scale = np.abs(a.values).max()
-    assert np.abs(spmv(a, v)).max() <= 1e-12 * scale
+    scale = np.abs(a.data).max()
+    assert np.abs(a @ v).max() <= 1e-12 * scale
     assert not sys_.rhs.any()
 
 
@@ -103,24 +103,24 @@ def test_constant_pressure_zero_flux_is_in_nullspace(n):
 )
 def test_coupling_blocks_are_exact_transposes(grid):
     sys_ = assemble(grid, PhysicalParams(k_parallel=1e4, kappa=1e-4))
-    assert sys_.a_omega_gamma == transpose(sys_.a_gamma_omega)
+    assert csr_equal(sys_.a_omega_gamma, sys_.a_gamma_omega.T.tocsr())
 
 
 def test_interface_block_is_diagonal_and_negative():
     sys_ = assemble(build_cross_2d(4), PhysicalParams())
     gg = sys_.a_gamma_gamma
-    assert gg.nnz == gg.nrows
-    assert np.array_equal(gg.col_idx, np.arange(gg.nrows))
-    assert np.all(gg.values < 0)
+    assert gg.nnz == gg.shape[0]
+    assert np.array_equal(gg.indices, np.arange(gg.shape[0]))
+    assert np.all(gg.data < 0)
 
 
 def test_coupling_entries_are_unit_with_correct_signs():
     grid = build_cross_2d(2)
     sys_ = assemble(grid, PhysicalParams())
     og = sys_.a_omega_gamma
-    assert set(np.unique(og.values)) == {-1.0, 1.0}
+    assert set(np.unique(og.data)) == {-1.0, 1.0}
     # one +1 (higher side) and one -1 (lower side) per mortar column
-    dense = og.to_dense()
+    dense = og.toarray()
     assert np.all((dense == 1.0).sum(axis=0) == 1)
     assert np.all((dense == -1.0).sum(axis=0) == 1)
 
@@ -133,19 +133,19 @@ def test_monolithic_consistency_with_blockwise_products():
     for _ in range(5):
         x = rng.standard_normal(sys_.n_total)
         xo, xg = sys_.split(x)
-        yo = spmv(sys_.a_omega_omega, xo) + spmv(sys_.a_omega_gamma, xg)
-        yg = spmv(sys_.a_gamma_omega, xo) + spmv(sys_.a_gamma_gamma, xg)
-        assert np.abs(spmv(a, x) - np.concatenate([yo, yg])).max() < 1e-14
+        yo = sys_.a_omega_omega @ xo + sys_.a_omega_gamma @ xg
+        yg = sys_.a_gamma_omega @ xo + sys_.a_gamma_gamma @ xg
+        assert np.abs(a @ x - np.concatenate([yo, yg])).max() < 1e-14
 
 
 def test_monolithic_of_fracture_free_grid_is_the_omega_block():
     sys_ = assemble(build_random_network_2d(4, 0), PhysicalParams())
-    assert monolithic(sys_) == sys_.a_omega_omega
+    assert csr_equal(monolithic(sys_), sys_.a_omega_omega)
 
 
 def test_monolithic_is_symmetric():
     sys_ = assemble(build_cross_2d(4), PhysicalParams(k_parallel=10.0, kappa=0.1))
-    a = monolithic(sys_).to_scipy()
+    a = monolithic(sys_)
     assert abs(a - a.T).max() == 0.0
 
 
@@ -156,8 +156,8 @@ def test_permeability_scaling_leaves_pressure_unchanged():
     scaled = assemble(
         grid, PhysicalParams(matrix_permeability=s, k_parallel=s, kappa=s)
     )
-    xb = spla.spsolve(monolithic(base).to_scipy().tocsc(), base.rhs)
-    xs = spla.spsolve(monolithic(scaled).to_scipy().tocsc(), scaled.rhs)
+    xb = spla.spsolve(monolithic(base).tocsc(), base.rhs)
+    xs = spla.spsolve(monolithic(scaled).tocsc(), scaled.rhs)
     no = base.n_omega
     assert np.abs(xb[:no] - xs[:no]).max() < 1e-10
     assert np.abs(xs[no:] - s * xb[no:]).max() < 1e-10 * np.abs(xb[no:]).max() * s
@@ -175,7 +175,7 @@ def test_refinement_grows_dofs_and_keeps_shapes_consistent():
 
 def test_dirichlet_drive_respects_maximum_principle():
     sys_ = assemble(build_cross_2d(8), PhysicalParams(k_parallel=1e4, kappa=1e4))
-    x = spla.spsolve(monolithic(sys_).to_scipy().tocsc(), sys_.rhs)
+    x = spla.spsolve(monolithic(sys_).tocsc(), sys_.rhs)
     p = x[: sys_.n_omega]
     assert p.min() > -1e-12 and p.max() < 1.0 + 1e-12
 
@@ -206,7 +206,7 @@ def test_per_object_parameter_maps_are_honored():
     k_par = {s.id: 2.0 for s in grid.subdomains if s.dim < 2}
     kappa = {i.id: 5.0 for i in grid.interfaces}
     sys_ = assemble(grid, PhysicalParams(k_parallel=k_par, kappa=kappa))
-    assert sys_.n_total == monolithic(sys_).nrows
+    assert sys_.n_total == monolithic(sys_).shape[0]
 
 
 def test_block_system_shape_validation():
@@ -231,8 +231,10 @@ def assert_same_bytes(got: BlockSystem, want: BlockSystem):
     for name in BLOCKS:
         g, w = getattr(got, name), getattr(want, name)
         assert g.shape == w.shape, name
-        for field in ("row_ptr", "col_idx", "values"):
-            assert getattr(g, field).tobytes() == getattr(w, field).tobytes(), (name, field)
+        for field in ("indptr", "indices"):  # index dtypes may differ
+            got_idx, want_idx = (getattr(m, field).astype(np.int64) for m in (g, w))
+            assert got_idx.tobytes() == want_idx.tobytes(), (name, field)
+        assert g.data.tobytes() == w.data.tobytes(), (name, "data")
     assert got.rhs_omega.tobytes() == want.rhs_omega.tobytes()
     assert got.rhs_gamma.tobytes() == want.rhs_gamma.tobytes()
     assert got.partition == want.partition
@@ -325,11 +327,11 @@ def _reference_assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSyst
             kappa_eff = 1.0 / (1.0 / kappa[itf.id] + 1.0 / t_half)
             gamma_diag[g] = -area / kappa_eff
 
-    a_oo = CsrMatrix.from_coo(n_omega, n_omega, rows, cols, vals)
-    a_og = CsrMatrix.from_coo(n_omega, n_gamma, cp_rows, cp_cols, cp_vals)
-    a_go = transpose(a_og)
-    a_gg = CsrMatrix.from_coo(
-        n_gamma, n_gamma, np.arange(n_gamma), np.arange(n_gamma), gamma_diag
+    a_oo = csr_from_triplets((n_omega, n_omega), rows, cols, vals)
+    a_og = csr_from_triplets((n_omega, n_gamma), cp_rows, cp_cols, cp_vals)
+    a_go = canonical(a_og.T.tocsr())
+    a_gg = csr_from_triplets(
+        (n_gamma, n_gamma), np.arange(n_gamma), np.arange(n_gamma), gamma_diag
     )
     return BlockSystem(a_oo, a_og, a_go, a_gg, rhs_omega, np.zeros(n_gamma), part)
 

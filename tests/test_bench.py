@@ -82,17 +82,17 @@ def test_tuple_failure_is_recorded_and_sweep_continues(monkeypatch):
     result = run_sweep(
         small_spec(mesh_sizes=(64,), schur_mode="exact",
                    inner_omega="direct", inner_gamma="direct",
-                   precond_kinds=("bl", "none", "bu"),
+                   precond_kinds=("ml", "none", "bu"),
                    solver=SolveConfig(rel_tol=1e-6, max_iters=30))
     )
     assert len(setups) == 1
     assert len(result.rows) == 3
-    bl, none, bu = result.rows
-    for row in (bl, bu):
+    ml, none, bu = result.rows
+    for row in (ml, bu):
         assert row.error.startswith("ValueError: ") and "exact" in row.error
         assert not row.converged
         assert row.setup_seconds == 0.0
-    assert bu.error == bl.error
+    assert bu.error == ml.error
     assert none.error == ""  # the sweep went on past the failure
     assert none.iterations == 30  # ran out of budget, recorded honestly
 
@@ -104,15 +104,15 @@ def test_non_finite_preconditioner_output_is_recorded_in_the_row(monkeypatch):
         return prec
 
     monkeypatch.setattr(mdsolve.bench, "build_preconditioner", nan_setup)
-    bl, none = run_sweep(small_spec(precond_kinds=("bl", "none"))).rows
-    assert bl.error == "FloatingPointError: gmres: Arnoldi vector is not finite at iteration 1"
-    assert not bl.converged
+    ml, none = run_sweep(small_spec(precond_kinds=("ml", "none"))).rows
+    assert ml.error == "FloatingPointError: gmres: Arnoldi vector is not finite at iteration 1"
+    assert not ml.converged
     assert none.error == "" and none.converged
 
 
 def test_setup_is_shared_across_kinds_of_each_system(monkeypatch):
     setups = count_calls(monkeypatch, "build_preconditioner", build_preconditioner)
-    kinds = ("ml", "bl", "bu", "bd", "none")
+    kinds = ("ml", "bu", "bd", "none")
     spec = small_spec(geometry="random_2d", mesh_sizes=(8,), seed=3,
                       k_parallel_values=(1e-4, 1e4), precond_kinds=kinds)
     result = run_sweep(spec)
@@ -148,8 +148,8 @@ def test_imported_geometry_rejects_parameters_it_ignores(tmp_path):
 
 def test_all_preconditioner_kinds_run():
     result = run_sweep(small_spec(mesh_sizes=(8,),
-                                  precond_kinds=("ml", "bl", "bu", "bd", "none")))
-    assert len(result.rows) == 5
+                                  precond_kinds=("ml", "bu", "bd", "none")))
+    assert len(result.rows) == 4
     assert all(r.converged for r in result.rows)
     by_kind = {r.kind: r.iterations for r in result.rows}
     assert by_kind["none"] >= max(by_kind["ml"], by_kind["bd"])
@@ -166,6 +166,8 @@ def test_spec_validation():
         small_spec(geometry="imported")
     with pytest.raises(ValueError, match="kind 'xl'"):
         small_spec(precond_kinds=("ml", "xl"))
+    with pytest.raises(ValueError, match="kind 'bl'"):  # a CLI alias only
+        small_spec(precond_kinds=("bl",))
 
 
 def test_emit_empty_table_has_header_only():

@@ -106,3 +106,34 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
 def test_generate_rejects_imported_geometry(capsys):
     assert main(["generate", "--geometry", "imported"]) == 2
     assert "geometry 'imported' has no grid" in capsys.readouterr().err
+
+
+def test_explicit_flag_equal_to_the_default_beats_the_config(capsys, tmp_path):
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text("tol = 1e-2\nmax_iters = 3\n")
+    history = tmp_path / "hist.csv"
+    code = main(["--config", str(cfg), "solve", "--geometry", "cross_2d", "--n", "8",
+                 "--precond", "none", "--tol", "1e-6", "--max-iters", "500",
+                 "--history-csv", str(history)])
+    assert code == 0
+    rows = history.read_text().splitlines()[1:]
+    assert len(rows) > 4 and float(rows[-1].split(",")[1]) <= 1e-6
+    # the same config without the flags does apply
+    assert main(["--config", str(cfg), "solve", "--geometry", "cross_2d", "--n", "8",
+                 "--precond", "none"]) == 1
+    assert "did NOT converge in 3 iterations" in capsys.readouterr().out
+
+
+def test_precond_bl_is_an_alias_for_ml(capsys, tmp_path):
+    runs = []
+    for kind in ("bl", "ml"):
+        assert main(["sweep", "--geometry", "cross_2d", "--n", "8", "--precond", kind,
+                     "--format", "csv"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    header, bl, ml = runs[0][0].split(","), runs[0][1].split(","), runs[1][1].split(",")
+    kind, iterations = header.index("kind"), header.index("iterations")
+    assert bl[kind] == ml[kind] == "ml"
+    assert bl[iterations] == ml[iterations]
+    cfg = tmp_path / "bl.cfg"
+    cfg.write_text("precond = bl\n")
+    assert main(["--config", str(cfg), "solve", "--geometry", "cross_2d", "--n", "4"]) == 0

@@ -1,28 +1,29 @@
 import functools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poisson1d, random_spd_dense
+from conftest import eye, poisson1d, random_spd_dense
 from mdsolve import krylov
 from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.grids import build_cross_2d
-from mdsolve.krylov import SolveConfig, SolveReport, _solve_upper, as_operator, cg_reference, gmres
+from mdsolve.krylov import SolveConfig, SolveReport, _solve_upper, as_operator, gmres
 from mdsolve.precond import build_preconditioner
-from mdsolve.sparse import CsrMatrix, DenseMatrix, dense_lu_solve
+from mdsolve.sparse import canonical, dense_lu_solve
 
 
 def test_identity_converges_in_one_iteration():
     b = np.array([1.0, -2.0, 0.5])
-    report = gmres(CsrMatrix.identity(3), b)
+    report = gmres(eye(3), b)
     assert report.converged and report.iterations == 1
     assert np.abs(report.solution - b).max() < 1e-14
 
 
 def test_zero_rhs_returns_zero_without_iterating():
-    report = gmres(CsrMatrix.identity(4), np.zeros(4))
+    report = gmres(eye(4), np.zeros(4))
     assert report.converged and report.iterations == 0
     assert not report.solution.any()
     assert report.true_residual == 0.0
@@ -32,7 +33,7 @@ def test_exact_lower_preconditioner_needs_at_most_two_iterations():
     sys_ = assemble(build_cross_2d(4), PhysicalParams(k_parallel=1e3, kappa=1e-2))
     a = monolithic(sys_)
     prec = build_preconditioner(
-        sys_, kind="bl", schur_mode="exact", inner_omega="direct", inner_gamma="direct"
+        sys_, kind="ml", schur_mode="exact", inner_omega="direct", inner_gamma="direct"
     )
     rng = np.random.default_rng(0)
     for trial in range(3):
@@ -47,8 +48,8 @@ def test_matches_dense_solver_on_spd_systems():
     rng = np.random.default_rng(1)
     a_dense = random_spd_dense(rng, 30)
     b = rng.standard_normal(30)
-    report = gmres(CsrMatrix.from_dense(a_dense), b, cfg=SolveConfig(rel_tol=1e-12))
-    x_ref = dense_lu_solve(DenseMatrix(a_dense), b)
+    report = gmres(canonical(a_dense), b, cfg=SolveConfig(rel_tol=1e-12))
+    x_ref = dense_lu_solve(a_dense, b)
     assert np.abs(report.solution - x_ref).max() < 1e-8
 
 
@@ -56,7 +57,7 @@ def test_full_gmres_history_is_monotone():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((40, 40)) + 40 * np.eye(40)
     b = rng.standard_normal(40)
-    report = gmres(CsrMatrix.from_dense(a), b, cfg=SolveConfig(rel_tol=1e-10))
+    report = gmres(canonical(a), b, cfg=SolveConfig(rel_tol=1e-10))
     hist = report.residual_history
     assert hist[0] == 1.0
     assert np.all(np.diff(hist) <= 1e-14)
@@ -78,7 +79,7 @@ def test_non_convergence_is_flagged_with_history():
     rng = np.random.default_rng(3)
     a = random_spd_dense(rng, 50)
     b = rng.standard_normal(50)
-    report = gmres(CsrMatrix.from_dense(a), b, cfg=SolveConfig(rel_tol=1e-14, max_iters=3))
+    report = gmres(canonical(a), b, cfg=SolveConfig(rel_tol=1e-14, max_iters=3))
     assert not report.converged
     assert report.iterations == 3
     assert len(report.residual_history) == 4
@@ -88,9 +89,9 @@ def test_restarted_gmres_still_converges():
     rng = np.random.default_rng(4)
     a = random_spd_dense(rng, 40)
     b = rng.standard_normal(40)
-    full = gmres(CsrMatrix.from_dense(a), b, cfg=SolveConfig(rel_tol=1e-8))
+    full = gmres(canonical(a), b, cfg=SolveConfig(rel_tol=1e-8))
     restarted = gmres(
-        CsrMatrix.from_dense(a), b, cfg=SolveConfig(rel_tol=1e-8, restart=10, max_iters=400)
+        canonical(a), b, cfg=SolveConfig(rel_tol=1e-8, restart=10, max_iters=400)
     )
     assert restarted.converged
     assert restarted.true_residual <= 1e-7
@@ -103,11 +104,11 @@ def test_operator_duck_typing_and_validation():
     report = gmres(matvec, b, cfg=SolveConfig(rel_tol=1e-12))
     assert np.allclose(report.solution, 0.5)
     with pytest.raises(ValueError):
-        gmres(CsrMatrix.identity(4), b)
+        gmres(eye(4), b)
     with pytest.raises(TypeError):
         gmres(object(), b)
     with pytest.raises(ValueError):
-        gmres(CsrMatrix.identity(3), np.array([1.0, np.nan, 0.0]))
+        gmres(eye(3), np.array([1.0, np.nan, 0.0]))
 
 
 def test_solve_config_validation():
@@ -123,20 +124,70 @@ def test_record_history_flag():
     rng = np.random.default_rng(5)
     a = random_spd_dense(rng, 20)
     b = rng.standard_normal(20)
-    report = gmres(CsrMatrix.from_dense(a), b, cfg=SolveConfig(record_history=False))
+    report = gmres(canonical(a), b, cfg=SolveConfig(record_history=False))
     assert len(report.residual_history) == 1
 
 
 # -- conjugate gradient baseline ------------------------------------------------
 
 
+def cg_reference(a, b: np.ndarray, cfg: SolveConfig | None = None) -> SolveReport:
+    """Unpreconditioned conjugate gradients, the oracle for iteration count
+    comparisons. Expects a symmetric positive definite operator."""
+    cfg = cfg or SolveConfig()
+    b = np.asarray(b, dtype=np.float64)
+    n = len(b)
+    apply_a = as_operator(a, n)
+    t0 = time.perf_counter()
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return SolveReport(
+            converged=True,
+            iterations=0,
+            residual_history=np.array([0.0]),
+            solution=np.zeros(n),
+            true_residual=0.0,
+            solve_seconds=time.perf_counter() - t0,
+        )
+    x = np.zeros(n)
+    r = b.copy()
+    p = r.copy()
+    rr = r @ r
+    history = [1.0]
+    converged = False
+    iterations = 0
+    for _ in range(cfg.max_iters):
+        ap = apply_a(p)
+        alpha = rr / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        iterations += 1
+        rel = np.linalg.norm(r) / b_norm
+        history.append(rel)
+        if rel <= cfg.rel_tol:
+            converged = True
+            break
+        rr_new = r @ r
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    true_res = np.linalg.norm(b - apply_a(x)) / b_norm
+    return SolveReport(
+        converged=converged,
+        iterations=iterations,
+        residual_history=np.asarray(history if cfg.record_history else history[-1:]),
+        solution=x,
+        true_residual=float(true_res),
+        solve_seconds=time.perf_counter() - t0,
+    )
+
+
 def test_cg_identity_one_iteration():
-    report = cg_reference(CsrMatrix.identity(5), np.ones(5))
+    report = cg_reference(eye(5), np.ones(5))
     assert report.converged and report.iterations == 1
 
 
 def test_cg_zero_rhs():
-    report = cg_reference(CsrMatrix.identity(5), np.zeros(5))
+    report = cg_reference(eye(5), np.zeros(5))
     assert report.converged and report.iterations == 0
 
 
@@ -151,7 +202,7 @@ def test_cg_iterations_grow_with_problem_size():
 
 def test_cg_agrees_with_gmres_on_spd_systems():
     rng = np.random.default_rng(6)
-    a = CsrMatrix.from_dense(random_spd_dense(rng, 25))
+    a = canonical(random_spd_dense(rng, 25))
     b = rng.standard_normal(25)
     cfg = SolveConfig(rel_tol=1e-10)
     x_cg = cg_reference(a, b, cfg).solution
@@ -182,7 +233,7 @@ def test_non_finite_error_names_the_iteration_across_restarts():
         return v * (np.nan if len(calls) == 4 else 1.0)
 
     rng = np.random.default_rng(7)
-    a = CsrMatrix.from_dense(random_spd_dense(rng, 12))
+    a = canonical(random_spd_dense(rng, 12))
     with pytest.raises(FloatingPointError, match=r"not finite at iteration 4$"):
         gmres(a, rng.standard_normal(12), prec, SolveConfig(rel_tol=1e-14, restart=3))
 
@@ -293,18 +344,18 @@ def gmres_cases(draw):
     if shape == "block":
         a, block, b = _block_case(draw(st.sampled_from(["ml", "bu", "bd"])),
                                   *draw(st.sampled_from([(1.0, 1.0), (1e4, 1e-4), (1e-4, 1e4)])))
-        n = a.nrows
+        n = a.shape[0]
         if draw(st.booleans()):
             b = b + rng.standard_normal(n)
         preconditioners.append(block)
     else:
         n = draw(st.integers(1, 60))
         if shape == "spd":
-            a = CsrMatrix.from_dense(random_spd_dense(rng, n))
+            a = canonical(random_spd_dense(rng, n))
         elif shape == "nonsymmetric":
-            a = CsrMatrix.from_dense(rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n))
+            a = canonical(rng.standard_normal((n, n)) + 2 * np.sqrt(n) * np.eye(n))
         else:  # at most three distinct eigenvalues: a happy breakdown within three steps
-            a = CsrMatrix.from_dense(np.diag(rng.choice([1.0, 2.0, 3.0], size=n)))
+            a = canonical(np.diag(rng.choice([1.0, 2.0, 3.0], size=n)))
         b = rng.standard_normal(n)
     d = rng.uniform(0.5, 2.0, size=n)
     preconditioners += [None, lambda v: v / d]

@@ -1,26 +1,38 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_csr
+from conftest import eye, random_csr
 from mdsolve.sparse import (
     CsrMatrix,
-    DenseMatrix,
     SingularMatrixError,
+    canonical,
+    check_canonical,
     csr_add,
+    csr_equal,
+    csr_from_triplets,
     dense_lu,
     dense_lu_solve,
-    extract_diagonal,
     read_matrix_market,
     read_vector_market,
-    spmv,
-    transpose,
     triple_product_diag_scaled,
     write_matrix_market,
     write_vector_market,
 )
+
+
+def dense(rows):
+    return canonical(np.asarray(rows, dtype=np.float64))
+
+
+def raw_csr(shape, row_ptr, col_idx, values):
+    """A CSR array holding the given arrays as they are, unchecked."""
+    m = sp.csr_array(shape)
+    m.indptr, m.indices, m.data = np.asarray(row_ptr), np.asarray(col_idx), np.asarray(values)
+    return m
 
 
 # -- construction and invariants --------------------------------------------
@@ -28,11 +40,15 @@ from mdsolve.sparse import (
 
 def test_construction_canonicalizes_duplicates_and_order():
     # row 0 carries (0,2)=1, (0,0)=5, (0,2)=4 unsorted with a duplicate
-    m = CsrMatrix(2, 3, [0, 3, 4], [2, 0, 2, 1], [1.0, 5.0, 4.0, 2.0])
-    assert m.row_ptr.tolist() == [0, 2, 3]
-    assert m.col_idx.tolist() == [0, 2, 1]
-    assert m.values.tolist() == [5.0, 5.0, 2.0]
-    m.validate()
+    m = csr_from_triplets((2, 3), [0, 0, 0, 1], [2, 0, 2, 1], [1.0, 5.0, 4.0, 2.0])
+    assert isinstance(m, CsrMatrix) and m.has_canonical_format
+    assert m.indptr.tolist() == [0, 2, 3]
+    assert m.indices.tolist() == [0, 2, 1]
+    assert m.data.tolist() == [5.0, 5.0, 2.0]
+    check_canonical(m)
+    # the same arrays in CSR form, canonicalised in place
+    c = canonical(sp.csr_array(([1.0, 5.0, 4.0, 2.0], [2, 0, 2, 1], [0, 3, 4]), shape=(2, 3)))
+    assert csr_equal(c, m)
 
 
 @pytest.mark.parametrize(
@@ -47,13 +63,34 @@ def test_construction_canonicalizes_duplicates_and_order():
 )
 def test_construction_rejects_invalid_structure(kwargs):
     with pytest.raises(ValueError):
-        CsrMatrix(2, 2, **kwargs)
+        check_canonical(raw_csr((2, 2), **kwargs))
+
+
+@pytest.mark.parametrize("col_idx", [[1, 0], [1, 1]], ids=["unsorted", "duplicate"])
+def test_check_canonical_rejects_unsorted_and_duplicate_columns(col_idx):
+    with pytest.raises(ValueError, match="^row 1 has"):
+        check_canonical(raw_csr((3, 2), [0, 0, 2, 2], col_idx, [1.0, 1.0]))
+    check_canonical(raw_csr((3, 2), [0, 1, 1, 2], col_idx, [1.0, 1.0]))  # across rows
+
+
+def test_triplets_outside_the_shape_are_rejected():
+    with pytest.raises(ValueError):
+        csr_from_triplets((2, 2), [0], [2], [1.0])
 
 
 def test_matrices_are_immutable():
-    m = CsrMatrix.identity(3)
-    with pytest.raises(ValueError):
-        m.values[0] = 7.0
+    m = eye(3)
+    for arr in (m.data, m.indices, m.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+
+
+def test_scipy_leaves_frozen_arrays_alone():
+    m = random_csr(np.random.default_rng(2), 6, 6, 0.5)
+    m.sum_duplicates()  # a no-op: the canonical flags are set
+    m.sort_indices()
+    assert csr_equal(canonical(-(-m)), m)
+    assert m.to_scipy() is m
 
 
 @settings(max_examples=50, deadline=None)
@@ -61,48 +98,48 @@ def test_matrices_are_immutable():
 def test_random_construction_is_canonical(seed):
     rng = np.random.default_rng(seed)
     m = random_csr(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)), 0.5)
-    m.validate()
+    check_canonical(m)
 
 
-# -- spmv --------------------------------------------------------------------
+# -- products through scipy's @ -------------------------------------------------
 
 
 def test_spmv_identity():
-    assert spmv(CsrMatrix.identity(2), np.array([3.0, -1.0])).tolist() == [3.0, -1.0]
+    assert (eye(2) @ np.array([3.0, -1.0])).tolist() == [3.0, -1.0]
 
 
 def test_spmv_diagonal_with_single_stored_entry():
-    a = CsrMatrix(2, 2, [0, 1, 1], [0], [2.0])
-    assert spmv(a, np.array([1.0, 5.0])).tolist() == [2.0, 0.0]
+    a = csr_from_triplets((2, 2), [0], [0], [2.0])
+    assert (a @ np.array([1.0, 5.0])).tolist() == [2.0, 0.0]
 
 
 def test_spmv_matches_dense_oracle():
     rng = np.random.default_rng(5)
     a = random_csr(rng, 5, 5, 0.4)
     x = rng.standard_normal(5)
-    dense = a.to_dense() @ x  # brute-force oracle
-    assert np.abs(spmv(a, x) - dense).max() < 1e-14
+    oracle = a.toarray() @ x  # brute-force oracle
+    assert np.abs(a @ x - oracle).max() < 1e-14
 
 
 def test_spmv_dimension_mismatch():
     with pytest.raises(ValueError):
-        spmv(CsrMatrix.identity(3), np.zeros(4))
+        eye(3) @ np.zeros(4)
 
 
 # -- transpose ---------------------------------------------------------------
 
 
 def test_transpose_trivial_cases():
-    one = CsrMatrix.from_dense([[5.0]])
-    assert transpose(one) == one
-    nil = transpose(CsrMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]]))
-    assert nil.to_dense().tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    one = dense([[5.0]])
+    assert csr_equal(canonical(one.T.tocsr()), one)
+    nil = canonical(dense([[0.0, 1.0], [0.0, 0.0]]).T.tocsr())
+    assert nil.toarray().tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 def test_transpose_entries_match_dense():
     rng = np.random.default_rng(8)
     a = random_csr(rng, 8, 5, 0.35)
-    assert np.array_equal(transpose(a).to_dense(), a.to_dense().T)
+    assert np.array_equal(a.T.toarray(), a.toarray().T)
 
 
 @settings(max_examples=50, deadline=None)
@@ -110,41 +147,34 @@ def test_transpose_entries_match_dense():
 def test_transpose_is_an_involution(seed):
     rng = np.random.default_rng(seed)
     a = random_csr(rng, int(rng.integers(1, 10)), int(rng.integers(1, 10)), 0.5)
-    once = transpose(a).validate()
-    assert transpose(once) == a
+    once = check_canonical(canonical(a.T.tocsr()))
+    assert csr_equal(canonical(once.T.tocsr()), a)
 
 
-# -- extract_diagonal --------------------------------------------------------
+# -- diagonal ----------------------------------------------------------------
 
 
 def test_diagonal_of_identity():
-    assert extract_diagonal(CsrMatrix.identity(3)).tolist() == [1.0, 1.0, 1.0]
+    assert eye(3).diagonal().tolist() == [1.0, 1.0, 1.0]
 
 
 def test_diagonal_absent_entries_are_zero():
-    a = CsrMatrix.from_dense([[0.0, 2.0], [3.0, 0.0]])
-    assert extract_diagonal(a).tolist() == [0.0, 0.0]
+    assert dense([[0.0, 2.0], [3.0, 0.0]]).diagonal().tolist() == [0.0, 0.0]
 
 
 def test_diagonal_matches_dense_oracle():
     rng = np.random.default_rng(6)
     a = random_csr(rng, 6, 6, 0.5)
-    assert np.array_equal(extract_diagonal(a), np.diag(a.to_dense()))
-
-
-def test_diagonal_requires_square():
-    with pytest.raises(ValueError):
-        extract_diagonal(CsrMatrix.from_dense(np.ones((2, 3))))
+    assert np.array_equal(a.diagonal(), np.diag(a.toarray()))
 
 
 # -- triple_product_diag_scaled ----------------------------------------------
 
 
 def test_triple_product_hand_example():
-    b = CsrMatrix.from_dense([[1.0], [1.0]])
-    c = transpose(b)
-    out = triple_product_diag_scaled(b, np.array([2.0]), c)
-    assert out.to_dense().tolist() == [[2.0, 2.0], [2.0, 2.0]]
+    b = dense([[1.0], [1.0]])
+    out = triple_product_diag_scaled(b, np.array([2.0]), b.T)
+    assert out.toarray().tolist() == [[2.0, 2.0], [2.0, 2.0]]
 
 
 def test_triple_product_zero_scaling_gives_zero_matrix():
@@ -152,7 +182,7 @@ def test_triple_product_zero_scaling_gives_zero_matrix():
     b = random_csr(rng, 4, 3, 0.6)
     c = random_csr(rng, 3, 4, 0.6)
     out = triple_product_diag_scaled(b, np.zeros(3), c)
-    assert not out.to_dense().any()
+    assert not out.toarray().any()
 
 
 def test_triple_product_matches_dense_oracle():
@@ -160,13 +190,14 @@ def test_triple_product_matches_dense_oracle():
     b = random_csr(rng, 10, 4, 0.5)
     c = random_csr(rng, 4, 10, 0.5)
     dinv = rng.standard_normal(4)
-    dense = b.to_dense() @ np.diag(dinv) @ c.to_dense()
-    out = triple_product_diag_scaled(b, dinv, c).validate()
-    assert np.abs(out.to_dense() - dense).max() < 1e-13
+    oracle = b.toarray() @ np.diag(dinv) @ c.toarray()
+    out = check_canonical(triple_product_diag_scaled(b, dinv, c))
+    assert out.has_canonical_format and not out.data.flags.writeable
+    assert np.abs(out.toarray() - oracle).max() < 1e-13
 
 
 def test_triple_product_rejects_bad_inputs():
-    b = CsrMatrix.identity(3)
+    b = eye(3)
     with pytest.raises(ValueError):
         triple_product_diag_scaled(b, np.ones(2), b)
     with pytest.raises(ValueError):
@@ -177,30 +208,31 @@ def test_triple_product_rejects_bad_inputs():
 
 
 def test_add_cancellation_keeps_pattern():
-    a = CsrMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    a = dense([[1.0, 2.0], [0.0, 3.0]])
     z = csr_add(a, a, -1.0)
     assert z.nnz == a.nnz  # zeros stay stored
-    assert not z.values.any()
-    assert np.array_equal(z.col_idx, a.col_idx)
+    assert not z.data.any()
+    assert np.array_equal(z.indices, a.indices)
+    assert (a - a).nnz == 0  # where scipy's own subtraction prunes them
 
 
 def test_add_identity_doubles():
-    two = csr_add(CsrMatrix.identity(4), CsrMatrix.identity(4), 1.0)
-    assert np.array_equal(two.to_dense(), 2.0 * np.eye(4))
+    two = csr_add(eye(4), eye(4), 1.0)
+    assert np.array_equal(two.toarray(), 2.0 * np.eye(4))
 
 
 def test_add_matches_dense_oracle():
     rng = np.random.default_rng(11)
     a = random_csr(rng, 7, 9, 0.4)
     b = random_csr(rng, 7, 9, 0.4)
-    dense = a.to_dense() - 2.5 * b.to_dense()
-    out = csr_add(a, b, -2.5).validate()
-    assert np.abs(out.to_dense() - dense).max() < 1e-13
+    oracle = a.toarray() - 2.5 * b.toarray()
+    out = check_canonical(csr_add(a, b, -2.5))
+    assert np.abs(out.toarray() - oracle).max() < 1e-13
 
 
 def test_add_shape_mismatch():
     with pytest.raises(ValueError):
-        csr_add(CsrMatrix.identity(2), CsrMatrix.identity(3))
+        csr_add(eye(2), eye(3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,10 +244,10 @@ def test_kernels_agree_with_dense_up_to_50_rows(seed):
     a = random_csr(rng, n, m, 0.2)
     b = random_csr(rng, n, m, 0.2)
     x = rng.standard_normal(m)
-    scale = max(np.abs(a.to_dense()).max(), np.abs(b.to_dense()).max(), 1.0)
-    assert np.abs(spmv(a, x) - a.to_dense() @ x).max() < 1e-12 * scale * m
+    scale = max(np.abs(a.toarray()).max(), np.abs(b.toarray()).max(), 1.0)
+    assert np.abs(a @ x - a.toarray() @ x).max() < 1e-12 * scale * m
     assert (
-        np.abs(csr_add(a, b, 0.5).to_dense() - (a.to_dense() + 0.5 * b.to_dense())).max()
+        np.abs(csr_add(a, b, 0.5).toarray() - (a.toarray() + 0.5 * b.toarray())).max()
         < 1e-12 * scale
     )
 
@@ -224,8 +256,8 @@ def test_kernels_agree_with_dense_up_to_50_rows(seed):
 
 
 def test_lu_identity_and_diagonal():
-    assert dense_lu_solve(DenseMatrix(np.eye(2)), np.array([4.0, 2.0])).tolist() == [4.0, 2.0]
-    d = DenseMatrix([[2.0, 0.0], [0.0, 4.0]])
+    assert dense_lu_solve(np.eye(2), np.array([4.0, 2.0])).tolist() == [4.0, 2.0]
+    d = np.array([[2.0, 0.0], [0.0, 4.0]])
     assert dense_lu_solve(d, np.array([2.0, 4.0])).tolist() == [1.0, 1.0]
 
 
@@ -233,7 +265,7 @@ def test_lu_residual_on_seeded_system():
     rng = np.random.default_rng(20)
     a = rng.standard_normal((20, 20))
     b = rng.standard_normal(20)
-    x = dense_lu_solve(DenseMatrix(a), b)
+    x = dense_lu_solve(a, b)
     anorm = np.abs(a).sum(axis=1).max()
     bound = 1e-10 * (anorm * np.abs(x).max() + np.abs(b).max())
     assert np.abs(a @ x - b).max() <= bound
@@ -241,10 +273,10 @@ def test_lu_residual_on_seeded_system():
 
 def test_lu_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        dense_lu_solve(DenseMatrix(np.zeros((3, 3))), np.zeros(3))
+        dense_lu_solve(np.zeros((3, 3)), np.zeros(3))
     rank_deficient = np.ones((3, 3))
     with pytest.raises(SingularMatrixError):
-        dense_lu_solve(DenseMatrix(rank_deficient), np.ones(3))
+        dense_lu_solve(rank_deficient, np.ones(3))
 
 
 def test_dense_lu_factors_solve_and_singular_message():
@@ -262,18 +294,18 @@ def test_dense_lu_callers_keep_their_messages():
     from mdsolve.precond import _DirectDense
 
     with pytest.raises(SingularMatrixError, match="^dense_lu_solve: matrix is singular to working precision$"):
-        dense_lu_solve(DenseMatrix(np.zeros((2, 2))), np.zeros(2))
+        dense_lu_solve(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(SingularMatrixError, match="^amg_setup: coarsest-level operator is singular$"):
-        amg_setup(CsrMatrix.from_dense([[1.0, -1.0], [-1.0, 1.0]]))
+        amg_setup(dense([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(SingularMatrixError, match="^ctx: matrix is singular to working precision$"):
         _DirectDense(np.zeros((2, 2)), "ctx")
 
 
 def test_lu_shape_errors():
     with pytest.raises(ValueError):
-        dense_lu_solve(DenseMatrix(np.ones((2, 3))), np.ones(2))
+        dense_lu_solve(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
-        dense_lu_solve(DenseMatrix(np.eye(2)), np.ones(3))
+        dense_lu_solve(np.eye(2), np.ones(3))
 
 
 # -- Matrix Market -----------------------------------------------------------
@@ -284,7 +316,12 @@ def test_matrix_market_roundtrip_is_bit_exact(tmp_path):
     a = random_csr(rng, 9, 7, 0.3)
     path = tmp_path / "a.mtx"
     write_matrix_market(path, a)
-    assert read_matrix_market(path) == a
+    back = read_matrix_market(path)
+    assert isinstance(back, CsrMatrix) and not back.data.flags.writeable
+    for got, want in ((back.indptr, a.indptr), (back.indices, a.indices)):
+        assert got.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
+    assert back.data.tobytes() == a.data.tobytes()
+    assert csr_equal(back, a)
 
 
 def test_vector_market_roundtrip(tmp_path):
@@ -298,14 +335,14 @@ def test_symmetric_encoding_matches_general(tmp_path):
     # same matrix written twice: lower-triangle symmetric vs full general
     rng = np.random.default_rng(9)
     a = random_csr(rng, 6, 6, 0.4)
-    full = csr_add(a, transpose(a))
+    full = csr_add(a, a.T.tocsr())
     p_sym = tmp_path / "sym.mtx"
     p_gen = tmp_path / "gen.mtx"
     write_matrix_market(p_sym, full, symmetry="symmetric")
     write_matrix_market(p_gen, full, symmetry="general")
     assert "symmetric" in p_sym.read_text().splitlines()[0]
     x = rng.standard_normal(6)
-    assert np.array_equal(spmv(read_matrix_market(p_sym), x), spmv(read_matrix_market(p_gen), x))
+    assert np.array_equal(read_matrix_market(p_sym) @ x, read_matrix_market(p_gen) @ x)
 
 
 def test_reads_one_based_indices(tmp_path):
@@ -321,4 +358,4 @@ def test_reads_one_based_indices(tmp_path):
     path = tmp_path / "hand.mtx"
     path.write_text(text)
     m = read_matrix_market(path)
-    assert m.to_dense().tolist() == [[3.5, 0.0], [-1.0, 0.0]]
+    assert m.toarray().tolist() == [[3.5, 0.0], [-1.0, 0.0]]

@@ -5,6 +5,7 @@ import pytest
 
 from mdsolve.assembly import PhysicalParams, assemble
 from mdsolve.grids import build_cross_2d, build_random_network_2d
+from mdsolve.sparse import csr_equal
 from mdsolve.sysio import SIDECAR_NAME, export_system, import_system
 
 
@@ -22,10 +23,10 @@ def test_roundtrip_is_entrywise_identical(tmp_path, grid, params):
     original = assemble(grid, params)
     export_system(original, tmp_path)
     back = import_system(tmp_path)
-    assert back.a_omega_omega == original.a_omega_omega
-    assert back.a_omega_gamma == original.a_omega_gamma
-    assert back.a_gamma_omega == original.a_gamma_omega
-    assert back.a_gamma_gamma == original.a_gamma_gamma
+    assert csr_equal(back.a_omega_omega, original.a_omega_omega)
+    assert csr_equal(back.a_omega_gamma, original.a_omega_gamma)
+    assert csr_equal(back.a_gamma_omega, original.a_gamma_omega)
+    assert csr_equal(back.a_gamma_gamma, original.a_gamma_gamma)
     assert np.array_equal(back.rhs_omega, original.rhs_omega)
     assert np.array_equal(back.rhs_gamma, original.rhs_gamma)
     assert back.partition == original.partition
