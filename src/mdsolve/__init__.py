@@ -14,7 +14,6 @@ from .sparse import (
     csr_add,
     csr_equal,
     csr_from_triplets,
-    dense_lu_solve,
     read_matrix_market,
     triple_product_diag_scaled,
     write_matrix_market,
@@ -85,7 +84,6 @@ __all__ = [
     "csr_add",
     "csr_equal",
     "csr_from_triplets",
-    "dense_lu_solve",
     "emit_table",
     "exact_schur",
     "export_system",

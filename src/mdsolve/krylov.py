@@ -104,7 +104,9 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
     Each cycle of ``steps`` iterations (``max_iters`` for full GMRES, else
     ``restart``) reserves ``(2*steps+1)*n*8`` bytes of basis, uninitialised:
     only the rows the iteration writes are touched, and an unwritten row is
-    never read.
+    never read. The Hessenberg matrix grows by one column per step taken, and
+    its ``k x k`` triangle is built once per cycle for the least-squares
+    solve.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -141,37 +143,36 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
         steps = min(cycle, cfg.max_iters - total_iters)
         v = np.empty((steps + 1, n))
         z = np.empty((steps, n))
-        h = np.zeros((steps + 1, steps))
-        cs = np.zeros(steps)
-        sn = np.zeros(steps)
-        g = np.zeros(steps + 1)
-        g[0] = beta
+        cols = []  # Hessenberg columns, rotated: column k keeps its k + 1 upper entries
+        cs, sn = [], []
+        g = [beta]
         v[0] = r / beta
         k_done = 0
         for k in range(steps):
             z[k] = apply_m(v[k])
             w = apply_a(z[k])
+            h = np.empty(k + 2)
             for i in range(k + 1):  # modified Gram-Schmidt
-                h[i, k] = v[i] @ w
-                w -= h[i, k] * v[i]
-            h[k + 1, k] = np.linalg.norm(w)
-            if not np.isfinite(h[k + 1, k]):
+                h[i] = v[i] @ w
+                w -= h[i] * v[i]
+            h[k + 1] = np.linalg.norm(w)
+            if not np.isfinite(h[k + 1]):
                 raise FloatingPointError(
                     f"gmres: Arnoldi vector is not finite at iteration {total_iters + 1}"
                 )
-            breakdown = h[k + 1, k] <= 1e-14 * max(beta, np.abs(h[: k + 1, k]).max())
+            breakdown = h[k + 1] <= 1e-14 * max(beta, np.abs(h[: k + 1]).max())
             if not breakdown:
-                v[k + 1] = w / h[k + 1, k]
+                v[k + 1] = w / h[k + 1]
             for i in range(k):  # previously accumulated Givens rotations
-                hi = cs[i] * h[i, k] + sn[i] * h[i + 1, k]
-                h[i + 1, k] = -sn[i] * h[i, k] + cs[i] * h[i + 1, k]
-                h[i, k] = hi
-            denom = np.hypot(h[k, k], h[k + 1, k])
-            cs[k] = h[k, k] / denom
-            sn[k] = h[k + 1, k] / denom
-            h[k, k] = denom
-            h[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
+                hi = cs[i] * h[i] + sn[i] * h[i + 1]
+                h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+                h[i] = hi
+            denom = np.hypot(h[k], h[k + 1])
+            cs.append(h[k] / denom)
+            sn.append(h[k + 1] / denom)
+            h[k] = denom
+            cols.append(h[: k + 1])
+            g.append(-sn[k] * g[k])
             g[k] = cs[k] * g[k]
             k_done = k + 1
             total_iters += 1
@@ -181,7 +182,10 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
                 converged = rel <= cfg.rel_tol or breakdown
                 break
         if k_done:
-            y = _solve_upper(h[:k_done, :k_done], g[:k_done])
+            upper = np.zeros((k_done, k_done))
+            for j, col in enumerate(cols):
+                upper[: j + 1, j] = col
+            y = _solve_upper(upper, np.array(g[:k_done]))
             x = x + z[:k_done].T @ y
 
     true_res = np.linalg.norm(b - apply_a(x)) / b_norm

@@ -29,7 +29,6 @@ __all__ = [
     "triple_product_diag_scaled",
     "csr_add",
     "dense_lu",
-    "dense_lu_solve",
     "read_matrix_market",
     "write_matrix_market",
     "read_vector_market",
@@ -180,26 +179,6 @@ def dense_lu(a: np.ndarray, message: str):
     if a.size and np.min(np.abs(np.diag(lu))) <= 1e-14 * anorm:
         raise SingularMatrixError(message)
     return lu, piv
-
-
-def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for a square ndarray A by LU with partial pivoting.
-
-    Raises
-    ------
-    SingularMatrixError
-        If a pivot falls below 1e-14 times the infinity norm of A.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"dense_lu_solve: matrix has shape {a.shape}, not square")
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or len(b) != len(a):
-        raise ValueError("dense_lu_solve: right-hand side length mismatch")
-    if len(a) == 0:
-        return np.zeros(0)
-    lu = dense_lu(a, "dense_lu_solve: matrix is singular to working precision")
-    return scipy.linalg.lu_solve(lu, b)
 
 
 # -- Matrix Market exchange ------------------------------------------------

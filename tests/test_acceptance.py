@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from conftest import poisson2d
+from test_sparse import dense_lu_solve
 from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.bench import SweepSpec, run_sweep
 from mdsolve.grids import (
@@ -24,7 +25,7 @@ from mdsolve.precond import (
     exact_schur,
     factorization_factors,
 )
-from mdsolve.sparse import canonical, csr_equal, dense_lu_solve
+from mdsolve.sparse import canonical, csr_equal
 from mdsolve.sysio import export_system, import_system
 from mdsolve.amg import amg_setup, v_cycle
 

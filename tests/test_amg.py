@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,8 @@ from mdsolve.amg import (
     v_cycle,
 )
 from mdsolve.precond import approx_schur
-from mdsolve.sparse import CsrMatrix, canonical
+from mdsolve.sparse import CsrMatrix, canonical, csr_equal
+from mdsolve.sysio import import_system
 
 
 # -- setup structure -----------------------------------------------------------
@@ -95,6 +98,78 @@ def test_zero_diagonal_is_rejected():
 def test_non_square_is_rejected():
     with pytest.raises(ValueError, match="square"):
         amg_setup(canonical(np.ones((2, 3))))
+
+
+def test_non_symmetric_is_rejected():
+    a = poisson1d(8).toarray()
+    a[2, 3] = -1.5
+    with pytest.raises(ValueError, match="^amg_setup: operator is not symmetric$"):
+        amg_setup(canonical(a))
+    with pytest.raises(ValueError, match="^amg_setup: operator is not symmetric$"):
+        amg_setup(canonical(-a))  # checked before the negation
+
+
+def test_explicit_zeros_count_as_zeros_in_the_symmetry_check():
+    a = poisson1d(8)
+    rows = np.repeat(np.arange(8), np.diff(a.indptr))
+    # an explicit zero at (0, 5) without a (5, 0) entry
+    zero_one_side = sp.csr_array(
+        (np.r_[a.data, 0.0], (np.r_[rows, 0], np.r_[a.indices, 5])), shape=a.shape
+    )
+    b = canonical(zero_one_side)
+    assert b.nnz == a.nnz + 1
+    assert [lev.n for lev in amg_setup(b).levels] == [lev.n for lev in amg_setup(a).levels]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_levels": 0},
+        {"max_levels": -1},
+        {"max_coarse_size": 0},
+        {"max_coarse_size": -5},
+        {"power_iterations": -1},
+        {"strength_threshold": -0.1},
+        {"strength_threshold": float("nan")},
+        {"strength_threshold": float("inf")},
+        {"omega_factor": -1.0},
+        {"omega_factor": float("nan")},
+        {"omega_factor": float("inf")},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_params_that_break_setup_are_rejected(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        AmgParams(**kwargs)
+
+
+def test_zero_threshold_weight_and_power_iterations_stay_legal():
+    params = AmgParams(strength_threshold=0.0, omega_factor=0.0, power_iterations=0)
+    h = amg_setup(poisson2d(16, 16), params)
+    assert [lev.n for lev in h.levels] == [256, 48]
+    assert np.all(np.isfinite(apply_preconditioner_vcycle(h, np.ones(256))))
+
+
+# -- symmetry of every operator the package passes to amg_setup ------------------
+
+def _assert_symmetric(a, name):
+    assert csr_equal(a, a.T.tocsr()), name
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(Path(__file__).parent / "data" / "systems")))
+def test_fixture_schur_and_interface_blocks_are_exactly_symmetric(name):
+    system = import_system(Path(__file__).parent / "data" / "systems" / name)
+    _assert_symmetric(approx_schur(system), name)
+    _assert_symmetric(system.a_gamma_gamma, name)
+
+
+def test_generated_schur_and_interface_blocks_are_exactly_symmetric():
+    for name, grid in _test_geometries().items():
+        for k_par, kappa in itertools.product((1e-4, 1.0, 1e4), repeat=2):
+            system = assemble(grid, PhysicalParams(k_parallel=k_par, kappa=kappa))
+            _assert_symmetric(approx_schur(system), (name, k_par, kappa))
+            _assert_symmetric(system.a_gamma_gamma, (name, k_par, kappa))
 
 
 # -- cycles --------------------------------------------------------------------
@@ -432,7 +507,7 @@ def _reference_cycle(levels, depth, b, x):
     resid = b - a @ x
     correction = _reference_cycle(levels, depth + 1, lev.p.T @ resid, None)
     x = x + lev.p @ correction
-    return x + lev._upper.solve(b - a @ x)
+    return x + lev._lower.solve(b - a @ x, trans="T")
 
 
 def _reference_v_cycle(h, b, x0):
@@ -440,6 +515,17 @@ def _reference_v_cycle(h, b, x0):
         return b / h.diagonal
     x = x0 if x0 is not None and np.any(x0) else None
     return _reference_cycle(h.levels, 0, -b if h.negated else b, x)
+
+
+def _test_geometries():
+    return {
+        "cross_2d": build_cross_2d(16),
+        "random_2d": build_random_network_2d(16, 6, seed=3),
+        "network_2d": build_network_2d(
+            8, [Segment(0, 4, 0, 8), Segment(1, 4, 4, 8), Segment(1, 6, 1, 6), Segment(0, 2, 1, 5)]
+        ),
+        "regular_3d": build_regular_network_3d(8, 3),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -454,15 +540,7 @@ def hierarchies():
         "poisson2d_64": poisson2d(64, 64),
         "negated_poisson2d_16": canonical(-poisson2d(16, 16)),
     }
-    geometries = {
-        "cross_2d": build_cross_2d(16),
-        "random_2d": build_random_network_2d(16, 6, seed=3),
-        "network_2d": build_network_2d(
-            8, [Segment(0, 4, 0, 8), Segment(1, 4, 4, 8), Segment(1, 6, 1, 6), Segment(0, 2, 1, 5)]
-        ),
-        "regular_3d": build_regular_network_3d(8, 3),
-    }
-    for name, grid in geometries.items():
+    for name, grid in _test_geometries().items():
         for k_par, kappa in ((1.0, 1.0), (1e4, 1e-4), (1e-4, 1e4)):
             system = assemble(grid, PhysicalParams(k_parallel=k_par, kappa=kappa))
             operators[f"{name}_{k_par:g}_{kappa:g}_schur"] = approx_schur(system)
@@ -488,6 +566,43 @@ def test_v_cycle_matches_the_reference_byte_for_byte(hierarchies):
     assert max(len(h.levels) for h in hierarchies.values()) >= 4
 
 
+def _two_factor_cycle(levels, depth, b, x, uppers):
+    """The cycle as it was with a second SuperLU factor, of ``triu(A)``, for
+    the backward sweep, kept as the oracle of the symmetric smoother."""
+    lev = levels[depth]
+    if lev.is_coarsest:
+        return scipy.linalg.lu_solve(lev._coarse_lu, b)
+    a = lev.a
+    if x is None:
+        x = lev._lower.solve(b)
+    else:
+        x = x + lev._lower.solve(b - a @ x)
+    resid = b - a @ x
+    correction = _two_factor_cycle(levels, depth + 1, lev.p.T @ resid, None, uppers)
+    x = x + lev.p @ correction
+    return x + uppers[depth].solve(b - a @ x)
+
+
+def test_v_cycle_is_within_rounding_of_the_two_factor_cycle(hierarchies):
+    rng = np.random.default_rng(12)
+    compared = 0
+    for name, h in hierarchies.items():
+        if h.diagonal is not None:
+            continue
+        uppers = [
+            spla.splu(sp.triu(lev.a, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            for lev in h.levels[:-1]
+        ]
+        b = rng.standard_normal(h.n)
+        for x0 in (None, rng.standard_normal(h.n)):
+            x = x0 if x0 is not None and np.any(x0) else None
+            ref = _two_factor_cycle(h.levels, 0, -b if h.negated else b, x, uppers)
+            got = v_cycle(h, b, x0)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+            compared += len(uppers) > 0
+    assert compared >= 20  # multilevel hierarchies, negated ones among them
+
+
 def test_restriction_is_a_view_of_the_prolongator(hierarchies):
     for h in hierarchies.values():
         for lev in h.levels[:-1]:
@@ -500,9 +615,14 @@ def test_restriction_is_a_view_of_the_prolongator(hierarchies):
 
 
 def test_each_level_stores_its_operator_and_prolongator_once(hierarchies):
-    """A level's sparse fields are A, P and views of them: no second copy."""
+    """A level's sparse fields are A, P and views of them: no second copy.
+    Each level above the coarsest holds one triangular factor, of
+    ``tril(A)``, for both smoothing sweeps."""
     for name, h in hierarchies.items():
         for lev in h.levels:
+            factors = [f.name for f in dataclasses.fields(lev)
+                       if isinstance(getattr(lev, f.name), spla.SuperLU)]
+            assert factors == ([] if lev.is_coarsest else ["_lower"]), name
             assert isinstance(lev.a, CsrMatrix) and lev.a.has_canonical_format, name
             owned = [m for m in (lev.a, lev.p) if m is not None]
             owned = [arr for m in owned for arr in (m.data, m.indices, m.indptr)]

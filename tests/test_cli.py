@@ -1,6 +1,11 @@
 import json
 
+import numpy as np
+
+from mdsolve import PhysicalParams, assemble, build_cross_2d
 from mdsolve.cli import main
+from mdsolve.sparse import canonical, read_matrix_market, write_matrix_market
+from mdsolve.sysio import export_system, import_system
 
 
 def test_generate_text_and_json(capsys):
@@ -66,6 +71,20 @@ def test_amg_stats(capsys):
     assert "approximate Schur complement" in out
     assert "interface block" in out
     assert "level 0" in out
+
+
+def test_amg_stats_rejects_an_imported_non_symmetric_block(tmp_path, capsys):
+    target = tmp_path / "system"
+    export_system(assemble(build_cross_2d(4), PhysicalParams()), target)
+    path = target / "a_omega_omega.mtx"
+    a = read_matrix_market(path).toarray()
+    i, j = np.argwhere((a != 0) & ~np.eye(len(a), dtype=bool))[0]
+    a[i, j] *= 2.0
+    write_matrix_market(path, canonical(a))
+    import_system(target)  # a valid block system, only not symmetric
+    capsys.readouterr()
+    assert main(["amg-stats", "--geometry", "imported", "--import", str(target)]) == 2
+    assert capsys.readouterr().err == "error: amg_setup: operator is not symmetric\n"
 
 
 def test_config_file_provides_defaults(capsys, tmp_path):

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import eye, poisson1d, random_spd_dense
+from test_sparse import dense_lu_solve
 from mdsolve import krylov
 from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.grids import build_cross_2d
 from mdsolve.krylov import SolveConfig, SolveReport, _solve_upper, as_operator, gmres
 from mdsolve.precond import build_preconditioner
-from mdsolve.sparse import canonical, dense_lu_solve
+from mdsolve.sparse import canonical
 
 
 def test_identity_converges_in_one_iteration():

@@ -15,7 +15,6 @@ from mdsolve.sparse import (
     csr_equal,
     csr_from_triplets,
     dense_lu,
-    dense_lu_solve,
     read_matrix_market,
     read_vector_market,
     triple_product_diag_scaled,
@@ -253,6 +252,27 @@ def test_kernels_agree_with_dense_up_to_50_rows(seed):
 
 
 # -- dense_lu_solve ----------------------------------------------------------
+
+
+def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for a square ndarray A by LU with partial pivoting: the
+    dense oracle of the solver tests, built on :func:`dense_lu`.
+
+    Raises
+    ------
+    SingularMatrixError
+        If a pivot falls below 1e-14 times the infinity norm of A.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"dense_lu_solve: matrix has shape {a.shape}, not square")
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1 or len(b) != len(a):
+        raise ValueError("dense_lu_solve: right-hand side length mismatch")
+    if len(a) == 0:
+        return np.zeros(0)
+    lu = dense_lu(a, "dense_lu_solve: matrix is singular to working precision")
+    return scipy.linalg.lu_solve(lu, b)
 
 
 def test_lu_identity_and_diagonal():
