@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import PhysicalParams, assemble, monolithic
-from .amg import AmgParams
 from .grids import build_cross_2d, build_random_network_2d, build_regular_network_3d
 from .krylov import SolveConfig, gmres
 from .precond import KINDS, build_preconditioner
 from .sysio import import_system
 
 __all__ = [
-    "GEOMETRIES", "SweepSpec", "SweepRow", "SweepResult", "build_grid", "run_sweep",
-    "emit_table",
+    "GEOMETRIES", "SweepSpec", "SweepRow", "SweepResult", "build_grid", "sweep_systems",
+    "run_sweep", "emit_table",
 ]
 
 GEOMETRIES = ("cross_2d", "random_2d", "regular_3d", "imported")
@@ -58,7 +57,6 @@ class SweepSpec:
     seed: int = 0
     import_path: str | None = None
     solver: SolveConfig = field(default_factory=SolveConfig)
-    amg_params: AmgParams = field(default_factory=AmgParams)
 
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
@@ -75,7 +73,7 @@ class SweepSpec:
             raise ValueError(f"unknown preconditioner kind {unknown[0]!r} in precond_kinds")
         if self.geometry == "imported":
             if not self.import_path:
-                raise ValueError("geometry 'imported' needs import_path")
+                raise ValueError("geometry 'imported' has no grid and needs import_path")
             for name in ("mesh_sizes", "k_parallel_values", "kappa_values"):
                 if len(getattr(self, name)) > 1:
                     raise ValueError(
@@ -91,7 +89,9 @@ class SweepRow:
     ``setup_seconds`` is the preconditioner set-up time on the row that built
     it and 0.0 on rows that reused it: set-up is shared across the kinds of
     one ``(n, K_par, kappa)`` system. ``error`` holds the exception text of a
-    failed set-up or solve, and is empty otherwise.
+    failed set-up or solve, and is empty otherwise. ``history`` is the
+    solve's residual history (empty when it did not run); it is not a table
+    column.
     """
 
     geometry: str
@@ -107,6 +107,7 @@ class SweepRow:
     n_omega: int
     n_gamma: int
     error: str = ""
+    history: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     FIELDS = (
         "geometry", "n", "k_parallel", "kappa", "kind", "iterations",
@@ -124,8 +125,7 @@ class SweepResult:
     rows: list
 
 
-def build_grid(geometry: str, n: int, num_fractures: int = 4, num_planes: int = 3,
-               seed: int = 0):
+def build_grid(geometry: str, n: int, num_fractures: int, num_planes: int, seed: int):
     """The grid of a grid-backed geometry at mesh size ``n``.
 
     ``num_fractures`` and ``seed`` apply to ``random_2d``, ``num_planes`` to
@@ -140,76 +140,81 @@ def build_grid(geometry: str, n: int, num_fractures: int = 4, num_planes: int = 
     raise ValueError(f"geometry {geometry!r} has no grid; use --import with solve/sweep")
 
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def sweep_systems(spec: SweepSpec):
+    """Yield ``(n, k_parallel, kappa, system)`` for each system of the sweep.
 
-
-def run_sweep(spec: SweepSpec, progress=None) -> SweepResult:
-    """Execute the sweep; deterministic for identical specs and seeds.
-
-    The preconditioner set-up (Schur complement and inner solves) is built
-    once for each ``(n, K_par, kappa)`` system, at its first kind other than
-    ``none``; every kind of that system solves with a view of it
-    (:meth:`~mdsolve.precond.BlockPreconditioner.with_kind`). If that set-up
-    raises, every preconditioned row of the system records the error and
-    ``none`` rows still solve. An imported system is read once per sweep.
-
-    ``progress`` may be a callable taking the finished :class:`SweepRow`.
+    The order is the sweep's: mesh size first, then K_par, then kappa. Each
+    grid is built once per mesh size, and an imported system is read once
+    (its spec holds a single tuple).
     """
-    rows = []
+    if spec.geometry == "imported":
+        yield (spec.mesh_sizes[0], spec.k_parallel_values[0], spec.kappa_values[0],
+               import_system(spec.import_path))
+        return
     grids = {}
-    imported = import_system(spec.import_path) if spec.geometry == "imported" else None
     for n in spec.mesh_sizes:
-        if imported is None and n not in grids:
+        if n not in grids:
             grids[n] = build_grid(spec.geometry, n, spec.num_fractures, spec.num_planes,
                                   spec.seed)
         for k_par in spec.k_parallel_values:
             for kappa in spec.kappa_values:
-                if imported is not None:
-                    system = imported
-                else:
-                    params = PhysicalParams(
-                        matrix_permeability=spec.matrix_permeability,
-                        k_parallel=k_par,
-                        kappa=kappa,
+                params = PhysicalParams(
+                    matrix_permeability=spec.matrix_permeability,
+                    k_parallel=k_par,
+                    kappa=kappa,
+                )
+                yield n, k_par, kappa, assemble(grids[n], params)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Execute the sweep; deterministic for identical specs and seeds.
+
+    The preconditioner set-up (Schur complement and inner solves) is built
+    once for each ``(n, K_par, kappa)`` system of :func:`sweep_systems`, at
+    its first kind other than ``none``; every kind of that system solves with
+    a view of it (:meth:`~mdsolve.precond.BlockPreconditioner.with_kind`). If
+    that set-up raises, every preconditioned row of the system records the
+    error and ``none`` rows still solve.
+    """
+    rows = []
+    for n, k_par, kappa, system in sweep_systems(spec):
+        operator = monolithic(system)
+        shared = None  # this system's preconditioner, or its set-up error text
+        for kind in spec.precond_kinds:
+            row = SweepRow(
+                geometry=spec.geometry, n=n, k_parallel=k_par, kappa=kappa,
+                kind=kind, iterations=0, converged=False, residual=np.nan,
+                setup_seconds=0.0, solve_seconds=0.0,
+                n_omega=system.n_omega, n_gamma=system.n_gamma,
+            )
+            if kind != "none" and shared is None:
+                t0 = time.perf_counter()
+                try:
+                    shared = build_preconditioner(
+                        system, kind=kind, schur_mode=spec.schur_mode,
+                        inner_omega=spec.inner_omega, inner_gamma=spec.inner_gamma,
                     )
-                    system = assemble(grids[n], params)
-                operator = monolithic(system)
-                shared = None  # this system's preconditioner, or its set-up error text
-                for kind in spec.precond_kinds:
-                    row = SweepRow(
-                        geometry=spec.geometry, n=n, k_parallel=k_par, kappa=kappa,
-                        kind=kind, iterations=0, converged=False, residual=np.nan,
-                        setup_seconds=0.0, solve_seconds=0.0,
-                        n_omega=system.n_omega, n_gamma=system.n_gamma,
-                    )
-                    if kind != "none" and shared is None:
-                        t0 = time.perf_counter()
-                        try:
-                            shared = build_preconditioner(
-                                system, kind=kind, schur_mode=spec.schur_mode,
-                                inner_omega=spec.inner_omega,
-                                inner_gamma=spec.inner_gamma,
-                                amg_params=spec.amg_params,
-                            )
-                            row.setup_seconds = time.perf_counter() - t0
-                        except Exception as exc:  # fails every preconditioned kind alike
-                            shared = _error_text(exc)
-                    if kind != "none" and isinstance(shared, str):
-                        row.error = shared
-                    else:
-                        try:
-                            prec = None if kind == "none" else shared.with_kind(kind)
-                            report = gmres(operator, system.rhs, prec, spec.solver)
-                            row.iterations = report.iterations
-                            row.converged = report.converged
-                            row.residual = report.true_residual
-                            row.solve_seconds = report.solve_seconds
-                        except Exception as exc:  # keep sweeping, record the failure
-                            row.error = _error_text(exc)
-                    rows.append(row)
-                    if progress is not None:
-                        progress(row)
+                    row.setup_seconds = time.perf_counter() - t0
+                except Exception as exc:  # fails every preconditioned kind alike
+                    shared = _error_text(exc)
+            if kind != "none" and isinstance(shared, str):
+                row.error = shared
+            else:
+                try:
+                    prec = None if kind == "none" else shared.with_kind(kind)
+                    report = gmres(operator, system.rhs, prec, spec.solver)
+                    row.iterations = report.iterations
+                    row.converged = report.converged
+                    row.residual = report.true_residual
+                    row.solve_seconds = report.solve_seconds
+                    row.history = report.residual_history
+                except Exception as exc:  # keep sweeping, record the failure
+                    row.error = _error_text(exc)
+            rows.append(row)
     return SweepResult(spec=spec, rows=rows)
 
 

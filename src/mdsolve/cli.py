@@ -6,7 +6,10 @@ Subcommands cover each pipeline stage: ``generate`` (grid summaries),
 (hierarchy dumps). Flags can be preloaded from a plain-text
 config file of ``key = value`` lines, where keys are the long flag names
 with dashes or underscores and list-valued flags take comma-separated
-values; explicit command-line flags win.
+values; explicit command-line flags win. The flags of every subcommand that
+builds a grid or a system become one :class:`~mdsolve.bench.SweepSpec`, so a
+flag given nowhere keeps the ``SweepSpec`` or ``SolveConfig`` default, and
+``solve`` is a one-row :func:`~mdsolve.bench.run_sweep`.
 """
 
 from __future__ import annotations
@@ -16,34 +19,31 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .assembly import PhysicalParams, assemble, monolithic
 from .amg import amg_setup
-from .bench import GEOMETRIES, SweepSpec, build_grid, emit_table, run_sweep
-from .krylov import SolveConfig, gmres
-from .precond import KINDS, approx_schur, build_preconditioner
+from .bench import GEOMETRIES, SweepSpec, build_grid, emit_table, run_sweep, sweep_systems
+from .krylov import SolveConfig
+from .precond import KINDS, approx_schur
 from .sysio import export_system, import_system
 
-# every flag defaults to None so "was it given explicitly" is visible; scalar
-# flags still unset after the config file is read take these defaults
+# every flag defaults to None so "was it given explicitly" is visible; these
+# cast the values of a config file
 LIST_KEYS = {"n": int, "kpar": float, "kappa": float, "precond": str}
-SCALAR_DEFAULTS = {
-    "geometry": ("cross_2d", str),
-    "num_fractures": (4, int),
-    "num_planes": (3, int),
-    "seed": (0, int),
-    "import_path": (None, str),
-    "matrix_perm": (1.0, float),
-    "schur": ("diag", str),
-    "inner_omega": ("amg", str),
-    "inner_gamma": ("amg", str),
-    "tol": (1e-6, float),
-    "max_iters": (500, int),
-    "restart": (None, int),
-    "format": ("aligned-text", str),
-    "out": (None, str),
+SCALAR_KEYS = {
+    "geometry": str, "num_fractures": int, "num_planes": int, "seed": int,
+    "import_path": str, "matrix_perm": float, "schur": str, "inner_omega": str,
+    "inner_gamma": str, "tol": float, "max_iters": int, "restart": int,
+    "format": str, "out": str,
 }
+# flag -> SweepSpec or SolveConfig field; run defaults live there alone
+SPEC_FIELDS = {
+    "geometry": "geometry", "n": "mesh_sizes", "kpar": "k_parallel_values",
+    "kappa": "kappa_values", "precond": "precond_kinds", "schur": "schur_mode",
+    "inner_omega": "inner_omega", "inner_gamma": "inner_gamma",
+    "matrix_perm": "matrix_permeability", "num_fractures": "num_fractures",
+    "num_planes": "num_planes", "seed": "seed", "import_path": "import_path",
+}
+SOLVER_FIELDS = {"tol": "rel_tol", "max_iters": "max_iters", "restart": "restart"}
+OUTPUT_DEFAULTS = {"format": "aligned-text"}
 KIND_ALIASES = {"bl": "ml"}  # so scripts and config files naming "bl" still run
 
 
@@ -68,7 +68,7 @@ def _apply_config(args, config: dict):
     can serve several subcommands; keys no subcommand knows are rejected.
     """
     for key, value in config.items():
-        if key not in LIST_KEYS and key not in SCALAR_DEFAULTS:
+        if key not in LIST_KEYS and key not in SCALAR_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         if not hasattr(args, key) or getattr(args, key) is not None:
             continue  # the subcommand has no such flag, or it was given
@@ -76,13 +76,13 @@ def _apply_config(args, config: dict):
             cast = LIST_KEYS[key]
             setattr(args, key, [cast(p.strip()) for p in value.split(",") if p.strip()])
         else:
-            setattr(args, key, SCALAR_DEFAULTS[key][1](value))
+            setattr(args, key, SCALAR_KEYS[key](value))
     return args
 
 
 def _fill_defaults(args):
-    """Give unset scalar flags their defaults and resolve kind aliases."""
-    for key, (default, _) in SCALAR_DEFAULTS.items():
+    """Give unset output flags their defaults and resolve kind aliases."""
+    for key, default in OUTPUT_DEFAULTS.items():
         if getattr(args, key, default) is None:
             setattr(args, key, default)
     if getattr(args, "precond", None):
@@ -167,25 +167,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _single_n(args) -> int:
-    ns = args.n or [16]
-    if len(ns) != 1:
-        raise ValueError("this subcommand takes exactly one --n")
-    return ns[0]
+def _spec(args) -> SweepSpec:
+    """The run the flags describe; flags given nowhere keep the defaults.
+
+    Every subcommand but ``sweep`` runs one system, so it takes at most one
+    value of each list flag.
+    """
+    given = {key: value for key, value in vars(args).items() if value not in (None, [])}
+    if args.command != "sweep":
+        for key in LIST_KEYS:
+            if len(given.get(key, ())) > 1:
+                raise ValueError(f"this subcommand takes exactly one --{key}")
+    fields = {field: tuple(given[key]) if key in LIST_KEYS else given[key]
+              for key, field in SPEC_FIELDS.items() if key in given}
+    solver = {field: given[key] for key, field in SOLVER_FIELDS.items() if key in given}
+    return SweepSpec(**fields, solver=SolveConfig(**solver))
 
 
-def _build_system(args, n):
-    if args.geometry == "imported":
-        if not args.import_path:
-            raise ValueError("geometry 'imported' needs --import")
-        return import_system(args.import_path)
-    grid = build_grid(args.geometry, n, args.num_fractures, args.num_planes, args.seed)
-    params = PhysicalParams(
-        matrix_permeability=args.matrix_perm,
-        k_parallel=(args.kpar or [1.0])[0],
-        kappa=(args.kappa or [1.0])[0],
-    )
-    return assemble(grid, params)
+def _single_system(args):
+    _, _, _, system = next(sweep_systems(_spec(args)))
+    return system
 
 
 def main(argv=None) -> int:
@@ -204,13 +205,14 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "generate":
-        grid = build_grid(args.geometry, _single_n(args), args.num_fractures,
-                          args.num_planes, args.seed)
+        spec = _spec(args)
+        grid = build_grid(spec.geometry, spec.mesh_sizes[0], spec.num_fractures,
+                          spec.num_planes, spec.seed)
         print(json.dumps(grid.summary(), indent=2) if args.json else grid.describe())
         return 0
 
     if cmd == "assemble":
-        system = _build_system(args, _single_n(args))
+        system = _single_system(args)
         print(f"n_omega = {system.n_omega}, n_gamma = {system.n_gamma}")
         for name in ("a_omega_omega", "a_omega_gamma", "a_gamma_omega", "a_gamma_gamma"):
             block = getattr(system, name)
@@ -221,47 +223,23 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "solve":
-        system = _build_system(args, _single_n(args))
-        operator = monolithic(system)
-        kind = (args.precond or ["ml"])[0]
-        cfg = SolveConfig(rel_tol=args.tol, max_iters=args.max_iters, restart=args.restart)
-        prec = None
-        if kind != "none":
-            prec = build_preconditioner(
-                system, kind=kind, schur_mode=args.schur,
-                inner_omega=args.inner_omega, inner_gamma=args.inner_gamma,
-            )
-        report = gmres(operator, system.rhs, prec, cfg)
-        status = "converged" if report.converged else "did NOT converge"
-        print(f"{status} in {report.iterations} iterations "
-              f"(true relative residual {report.true_residual:.3e}, "
-              f"solve {report.solve_seconds:.3f}s)")
+        (row,) = run_sweep(_spec(args)).rows
+        if row.error:
+            print(f"error: {row.error}", file=sys.stderr)
+            return 2
+        status = "converged" if row.converged else "did NOT converge"
+        print(f"{status} in {row.iterations} iterations "
+              f"(true relative residual {row.residual:.3e}, "
+              f"solve {row.solve_seconds:.3f}s)")
         if args.history_csv:
             lines = ["iteration,relative_residual"]
-            lines += [f"{i},{float(r)!r}" for i, r in enumerate(report.residual_history)]
+            lines += [f"{i},{float(r)!r}" for i, r in enumerate(row.history)]
             Path(args.history_csv).write_text("\n".join(lines) + "\n")
             print(f"history written to {args.history_csv}")
-        return 0 if report.converged else 1
+        return 0 if row.converged else 1
 
     if cmd == "sweep":
-        spec = SweepSpec(
-            geometry=args.geometry,
-            mesh_sizes=tuple(args.n or [16]),
-            k_parallel_values=tuple(args.kpar or [1.0]),
-            kappa_values=tuple(args.kappa or [1.0]),
-            precond_kinds=tuple(args.precond or ["ml"]),
-            schur_mode=args.schur,
-            inner_omega=args.inner_omega,
-            inner_gamma=args.inner_gamma,
-            matrix_permeability=args.matrix_perm,
-            num_fractures=args.num_fractures,
-            num_planes=args.num_planes,
-            seed=args.seed,
-            import_path=args.import_path,
-            solver=SolveConfig(rel_tol=args.tol, max_iters=args.max_iters,
-                               restart=args.restart),
-        )
-        result = run_sweep(spec)
+        result = run_sweep(_spec(args))
         table = emit_table(result, args.format)
         if args.out:
             Path(args.out).write_text(table)
@@ -272,8 +250,7 @@ def _dispatch(args) -> int:
         return 1 if failures else 0
 
     if cmd == "export":
-        system = _build_system(args, _single_n(args))
-        export_system(system, args.out)
+        export_system(_single_system(args), args.out)
         print(f"exported to {args.out}")
         return 0
 
@@ -283,7 +260,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "amg-stats":
-        system = _build_system(args, _single_n(args))
+        system = _single_system(args)
         schur = approx_schur(system)
         print("hierarchy for the approximate Schur complement:")
         print(amg_setup(schur).describe())

@@ -130,18 +130,6 @@ class DofPartition:
     def n_total(self) -> int:
         return self.n_omega + self.n_gamma
 
-    def omega_range(self, subdomain_id: int):
-        for sid, start, stop in self.omega_ranges:
-            if sid == subdomain_id:
-                return start, stop
-        raise KeyError(f"no omega range for subdomain {subdomain_id}")
-
-    def gamma_range(self, interface_id: int):
-        for iid, start, stop in self.gamma_ranges:
-            if iid == interface_id:
-                return start, stop
-        raise KeyError(f"no gamma range for interface {interface_id}")
-
     def validate(self):
         cursor = 0
         for _, start, stop in list(self.omega_ranges) + list(self.gamma_ranges):

@@ -19,7 +19,6 @@ exist to validate the approximate path, not to solve anything large.
 from __future__ import annotations
 
 import copy
-import time
 
 import numpy as np
 import scipy.linalg
@@ -152,20 +151,15 @@ class BlockPreconditioner:
     safe.
     """
 
-    def __init__(self, kind, schur_mode, inner_omega, inner_gamma, n_omega, n_gamma,
-                 q_omega, q_gamma, a_gamma_omega, a_omega_gamma, setup_seconds,
-                 schur_matrix=None):
+    def __init__(self, kind, n_omega, n_gamma, q_omega, q_gamma, a_gamma_omega,
+                 a_omega_gamma, schur_matrix=None):
         self.kind = kind
-        self.schur_mode = schur_mode
-        self.inner_omega = inner_omega
-        self.inner_gamma = inner_gamma
         self.n_omega = n_omega
         self.n_gamma = n_gamma
         self._q_omega = q_omega
         self._q_gamma = q_gamma
         self._a_gamma_omega = a_gamma_omega
         self._a_omega_gamma = a_omega_gamma
-        self.setup_seconds = setup_seconds
         self.schur_matrix = schur_matrix
 
     @property
@@ -264,7 +258,6 @@ def build_preconditioner(
                 f"schur_mode='exact' limited to {oracle_cap} dofs, system has {system.n_total}"
             )
 
-    t0 = time.perf_counter()
     if schur_mode == "exact":
         schur = exact_schur(system, oracle_cap)
         q_omega = _DirectDense(schur, "build_preconditioner: Schur block")
@@ -285,18 +278,13 @@ def build_preconditioner(
             q_gamma = _DirectSparse(system.a_gamma_gamma)
         else:
             q_gamma = _AmgSolve(system.a_gamma_gamma, amg_params)
-    setup_seconds = time.perf_counter() - t0
     return BlockPreconditioner(
         kind=kind,
-        schur_mode=schur_mode,
-        inner_omega=inner_omega,
-        inner_gamma=inner_gamma,
         n_omega=system.n_omega,
         n_gamma=system.n_gamma,
         q_omega=q_omega,
         q_gamma=q_gamma,
         a_gamma_omega=system.a_gamma_omega,
         a_omega_gamma=system.a_omega_gamma,
-        setup_seconds=setup_seconds,
         schur_matrix=schur,
     )

@@ -3,10 +3,10 @@
 A system is stored as a directory of four coordinate Matrix Market files,
 two array-format right-hand side files, and a JSON sidecar recording the DOF
 partition. The writer emits full-precision values, so an export/import round
-trip reproduces every block bit for bit. Import validates the sidecar
-against the matrices and the exact-transpose contract between the two
-coupling blocks, so externally generated systems are checked before any
-solve touches them.
+trip reproduces every block bit for bit. Import rejects NaN and inf
+values and validates the sidecar against the matrices and the
+exact-transpose contract between the two coupling blocks, so externally
+generated systems are checked before any solve touches them.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ def import_system(directory) -> BlockSystem:
     Raises
     ------
     ValueError
-        Naming the mismatch if the sidecar partition does not sum to the
-        matrix sizes, if block shapes disagree, or if the coupling blocks
-        are not exact transposes of each other.
+        Naming the file of a block or right-hand side that holds a NaN or
+        inf, or naming the mismatch if the sidecar partition does not sum to
+        the matrix sizes, if block shapes disagree, or if the coupling
+        blocks are not exact transposes of each other.
     """
     directory = Path(directory)
     sidecar_path = directory / SIDECAR_NAME
@@ -89,6 +90,11 @@ def import_system(directory) -> BlockSystem:
               ("a_omega_omega", "a_omega_gamma", "a_gamma_omega", "a_gamma_gamma")}
     rhs_omega = read_vector_market(directory / files["rhs_omega"])
     rhs_gamma = read_vector_market(directory / files["rhs_gamma"])
+    values = {key: block.data for key, block in blocks.items()}
+    values.update(rhs_omega=rhs_omega, rhs_gamma=rhs_gamma)
+    for key, v in values.items():
+        if not np.isfinite(v).all():
+            raise ValueError(f"{directory / files[key]} holds a non-finite value (nan or inf)")
 
     n_omega = int(meta["n_omega"])
     n_gamma = int(meta["n_gamma"])

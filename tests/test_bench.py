@@ -129,6 +129,21 @@ def test_setup_is_shared_across_kinds_of_each_system(monkeypatch):
         )
 
 
+def test_sweep_calls_each_patched_stage_through_the_bench_module(monkeypatch):
+    # perfbench replaces these five names in mdsolve.bench to trace and to
+    # add its random sources; a path around any of them would go unmeasured
+    builds = count_calls(monkeypatch, "build_random_network_2d", build_random_network_2d)
+    assembles = count_calls(monkeypatch, "assemble", assemble)
+    operators = count_calls(monkeypatch, "monolithic", monolithic)
+    setups = count_calls(monkeypatch, "build_preconditioner", build_preconditioner)
+    solves = count_calls(monkeypatch, "gmres", gmres)
+    result = run_sweep(small_spec(geometry="random_2d", mesh_sizes=(8, 16), seed=3,
+                                  k_parallel_values=(1e-4, 1e4), precond_kinds=("ml", "bu")))
+    assert (len(builds), len(assembles), len(operators), len(setups), len(solves)) == (
+        2, 4, 4, 4, 8)
+    assert len(result.rows) == 8 and all(r.converged for r in result.rows)
+
+
 def test_imported_system_is_read_once_per_sweep(monkeypatch, tmp_path):
     export_system(assemble(build_cross_2d(4), PhysicalParams()), tmp_path)
     reads = count_calls(monkeypatch, "import_system", import_system)

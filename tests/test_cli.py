@@ -1,8 +1,14 @@
 import json
 
 import numpy as np
+import pytest
+import scipy.io
 
-from mdsolve import PhysicalParams, assemble, build_cross_2d
+import mdsolve.bench
+from mdsolve import (
+    PhysicalParams, SolveConfig, SweepSpec, assemble, build_cross_2d, build_preconditioner,
+    gmres, monolithic, run_sweep,
+)
 from mdsolve.cli import main
 from mdsolve.sparse import canonical, read_matrix_market, write_matrix_market
 from mdsolve.sysio import export_system, import_system
@@ -156,3 +162,98 @@ def test_precond_bl_is_an_alias_for_ml(capsys, tmp_path):
     cfg = tmp_path / "bl.cfg"
     cfg.write_text("precond = bl\n")
     assert main(["--config", str(cfg), "solve", "--geometry", "cross_2d", "--n", "4"]) == 0
+
+
+def _history_csv(history) -> str:
+    lines = ["iteration,relative_residual"]
+    lines += [f"{i},{float(r)!r}" for i, r in enumerate(history)]
+    return "\n".join(lines) + "\n"
+
+
+REPEATED_LIST_FLAGS = [
+    pytest.param(command, flag, values, id=f"{command}-{flag}")
+    for command in ("solve", "assemble", "export", "amg-stats")
+    for flag, values in (("kpar", ("1e-4", "1e4")), ("kappa", ("1", "1e-4")),
+                         ("precond", ("bd", "ml")))
+    if flag != "precond" or command == "solve"  # only solve takes --precond
+]
+
+
+@pytest.mark.parametrize("command,flag,values", REPEATED_LIST_FLAGS)
+@pytest.mark.parametrize("source", ["argv", "config"])
+def test_single_system_subcommands_reject_repeated_list_flags(
+        capsys, tmp_path, command, flag, values, source):
+    argv = [command, "--geometry", "cross_2d", "--n", "4"]
+    if command == "export":
+        argv += ["--out", str(tmp_path / "system")]
+    if source == "argv":
+        for value in values:
+            argv += [f"--{flag}", value]
+    else:
+        cfg = tmp_path / "list.cfg"
+        cfg.write_text(f"{flag} = {', '.join(values)}\n")
+        argv = ["--config", str(cfg), *argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: this subcommand takes exactly one --{flag}\n"
+
+
+def test_solve_without_flags_is_the_default_sweep_row(capsys, tmp_path):
+    history = tmp_path / "hist.csv"
+    assert main(["solve", "--history-csv", str(history)]) == 0
+    (row,) = run_sweep(SweepSpec()).rows
+    assert capsys.readouterr().out.startswith(
+        f"converged in {row.iterations} iterations "
+        f"(true relative residual {row.residual:.3e}, solve "
+    )
+    assert history.read_text() == _history_csv(row.history)
+
+
+def test_solve_history_matches_a_direct_gmres_call(tmp_path):
+    history = tmp_path / "hist.csv"
+    assert main(["solve", "--n", "8", "--kpar", "1e4", "--kappa", "1e-4",
+                 "--history-csv", str(history)]) == 0
+    s = assemble(build_cross_2d(8), PhysicalParams(k_parallel=1e4, kappa=1e-4))
+    report = gmres(monolithic(s), s.rhs, build_preconditioner(s), SolveConfig())
+    assert history.read_bytes() == _history_csv(report.residual_history).encode()
+
+
+def test_solve_setup_error_exits_two_with_the_row_error(capsys, tmp_path):
+    history = tmp_path / "hist.csv"
+    assert main(["solve", "--n", "4", "--schur", "exact",
+                 "--history-csv", str(history)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ValueError: schur_mode='exact' is an oracle "
+                   "and requires direct inner solves\n")
+    assert not history.exists()
+
+
+def test_solve_gmres_error_exits_two_not_one(capsys, monkeypatch):
+    def nan_setup(system, **kwargs):
+        prec = build_preconditioner(system, **kwargs)
+        prec.apply = lambda r: np.full_like(r, np.nan)
+        return prec
+
+    monkeypatch.setattr(mdsolve.bench, "build_preconditioner", nan_setup)
+    assert main(["solve", "--n", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: FloatingPointError: gmres: Arnoldi vector is not finite at iteration 1\n"
+    )
+
+
+def test_import_and_solve_reject_a_non_finite_block(capsys, tmp_path):
+    target = tmp_path / "system"
+    export_system(assemble(build_cross_2d(4), PhysicalParams()), target)
+    path = target / "a_omega_omega.mtx"
+    a = scipy.io.mmread(str(path)).tocoo()
+    a.data[0] = np.inf
+    scipy.io.mmwrite(str(path), a)
+    capsys.readouterr()
+    assert main(["import", str(target)]) == 2
+    assert main(["solve", "--geometry", "imported", "--import", str(target),
+                 "--precond", "none"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == 2 * f"error: {path} holds a non-finite value (nan or inf)\n"

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
 
 from mdsolve.assembly import PhysicalParams, assemble
 from mdsolve.grids import build_cross_2d, build_random_network_2d
-from mdsolve.sparse import csr_equal
+from mdsolve.sparse import csr_equal, read_vector_market, write_vector_market
 from mdsolve.sysio import SIDECAR_NAME, export_system, import_system
 
 
@@ -74,4 +75,22 @@ def test_wrong_format_tag(tmp_path):
     sidecar["format"] = "something-else"
     (tmp_path / SIDECAR_NAME).write_text(json.dumps(sidecar))
     with pytest.raises(ValueError, match="format"):
+        import_system(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["a_omega_omega", "a_omega_gamma", "a_gamma_omega",
+                                  "a_gamma_gamma", "rhs_omega", "rhs_gamma"])
+def test_non_finite_value_is_rejected_naming_the_file(tmp_path, name, bad):
+    export_system(assemble(build_cross_2d(4), PhysicalParams()), tmp_path)
+    path = tmp_path / f"{name}.mtx"
+    if name.startswith("rhs"):
+        v = read_vector_market(path)
+        v[0] = bad
+        write_vector_market(path, v)
+    else:
+        a = scipy.io.mmread(str(path)).tocoo()
+        a.data[0] = bad
+        scipy.io.mmwrite(str(path), a)
+    with pytest.raises(ValueError, match=rf"{name}\.mtx holds a non-finite value"):
         import_system(tmp_path)
