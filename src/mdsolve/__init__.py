@@ -10,7 +10,6 @@ from .sparse import (
     CsrMatrix,
     SingularMatrixError,
     canonical,
-    check_canonical,
     csr_add,
     csr_equal,
     csr_from_triplets,
@@ -32,7 +31,6 @@ from .grids import (
 from .assembly import BlockSystem, PhysicalParams, assemble, monolithic
 from .amg import (
     AmgHierarchy,
-    AmgParams,
     AmgSetupWarning,
     amg_setup,
     apply_preconditioner_vcycle,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmgHierarchy",
-    "AmgParams",
     "AmgSetupWarning",
     "BlockPreconditioner",
     "BlockSystem",
@@ -80,7 +77,6 @@ __all__ = [
     "build_random_network_2d",
     "build_regular_network_3d",
     "canonical",
-    "check_canonical",
     "csr_add",
     "csr_equal",
     "csr_from_triplets",

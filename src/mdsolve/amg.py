@@ -37,39 +37,22 @@ from scipy.linalg.lapack import dgetrs
 
 from .sparse import CsrMatrix, canonical, dense_lu
 
-__all__ = ["AmgParams", "AmgLevel", "AmgHierarchy", "AmgSetupWarning", "amg_setup",
-           "v_cycle", "apply_preconditioner_vcycle"]
+__all__ = ["AmgLevel", "AmgHierarchy", "AmgSetupWarning", "amg_setup", "v_cycle",
+           "apply_preconditioner_vcycle"]
+
+# Setup policy, chosen for scalar elliptic operators; read at call time.
+STRENGTH_THRESHOLD = 0.08
+MAX_COARSE_SIZE = 64
+MAX_LEVELS = 20
+POWER_ITERATIONS = 10  # for the estimate of rho(D^-1 A)
+OMEGA_FACTOR = 4.0 / 3.0  # prolongator smoothing weight is OMEGA_FACTOR / rho(D^-1 A)
 
 
 class AmgSetupWarning(UserWarning):
     """The hierarchy stopped with a coarsest level of at least
-    ``max_coarse_size`` rows: aggregation stalled or ``max_levels`` was
+    ``MAX_COARSE_SIZE`` rows: aggregation stalled or ``MAX_LEVELS`` was
     reached. The hierarchy is still usable, but its coarsest solve is a dense
     LU of that size."""
-
-
-@dataclass(frozen=True)
-class AmgParams:
-    """Setup parameters, defaults chosen for scalar elliptic operators."""
-
-    strength_threshold: float = 0.08
-    max_coarse_size: int = 64
-    max_levels: int = 20
-    power_iterations: int = 10
-    # prolongator smoothing weight is omega_factor / rho(D^-1 A)
-    omega_factor: float = 4.0 / 3.0
-
-    def __post_init__(self):
-        if self.max_levels < 1:
-            raise ValueError(f"max_levels must be at least 1, got {self.max_levels}")
-        if self.max_coarse_size < 1:
-            raise ValueError(f"max_coarse_size must be at least 1, got {self.max_coarse_size}")
-        if self.power_iterations < 0:
-            raise ValueError(f"power_iterations must be non-negative, got {self.power_iterations}")
-        for name in ("strength_threshold", "omega_factor"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass
@@ -111,7 +94,6 @@ class AmgHierarchy:
     an exact diagonal solve; ``negated`` records that setup ran on -A."""
 
     levels: list
-    params: AmgParams
     negated: bool = False
     diagonal: np.ndarray | None = None
 
@@ -262,7 +244,7 @@ def _filtered(a: sp.csr_array, rows: np.ndarray, off: np.ndarray,
     return (filt + sp.diags_array(lump)).tocsr()
 
 
-def _rho_dinv_a(a: sp.csr_array, dinv: np.ndarray, iterations: int) -> float:
+def _rho_dinv_a(a: sp.csr_array, dinv: np.ndarray) -> float:
     """Spectral radius estimate of D^-1 A by power iteration (seeded, deterministic).
 
     Norms are ``sqrt(sum(w * w))``, not ``np.linalg.norm``: the latter is a
@@ -273,7 +255,7 @@ def _rho_dinv_a(a: sp.csr_array, dinv: np.ndarray, iterations: int) -> float:
     v = rng.standard_normal(a.shape[0])
     v /= np.sqrt(np.sum(v * v))
     rho = 1.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         w = dinv * (a @ v)
         nrm = np.sqrt(np.sum(w * w))
         if nrm == 0.0:
@@ -295,7 +277,7 @@ def _triangular_factor(a: sp.csr_array):
                      panel_size=1)
 
 
-def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
+def amg_setup(a: CsrMatrix) -> AmgHierarchy:
     """Build a smoothed-aggregation hierarchy for a square operator.
 
     Parameters
@@ -306,7 +288,6 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
         entry for entry; explicit zeros count as zeros. An all-negative
         diagonal is handled by internal negation; a purely diagonal operator
         skips the hierarchy.
-    params : AmgParams, optional
 
     Raises
     ------
@@ -319,10 +300,9 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
     Warns
     -----
     AmgSetupWarning
-        If the coarsest level keeps at least ``max_coarse_size`` rows, because
-        aggregation stalled or ``max_levels`` was reached.
+        If the coarsest level keeps at least ``MAX_COARSE_SIZE`` rows, because
+        aggregation stalled or ``MAX_LEVELS`` was reached.
     """
-    params = params or AmgParams()
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"amg_setup: operator is {a.shape[0]}x{a.shape[1]}, not square")
     if (a != a.T).nnz:  # the smoother's backward sweep is tril(A)^T
@@ -335,17 +315,17 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
     if not np.any((a.indices != rows) & (a.data != 0.0)):
         # (block-)diagonal operator: invert directly, no hierarchy needed
-        return AmgHierarchy(levels=[], params=params, negated=False, diagonal=diag.copy())
+        return AmgHierarchy(levels=[], negated=False, diagonal=diag.copy())
 
     negated = bool(np.all(diag < 0.0))
     current = canonical(-a) if negated else a
 
     levels: list[AmgLevel] = []
-    for depth in range(params.max_levels):
+    for depth in range(MAX_LEVELS):
         n = current.shape[0]
-        last = n < params.max_coarse_size or depth == params.max_levels - 1
+        last = n < MAX_COARSE_SIZE or depth == MAX_LEVELS - 1
         if not last:
-            strength = _strength(current, params.strength_threshold)
+            strength = _strength(current, STRENGTH_THRESHOLD)
             agg, n_agg = _aggregate(current, *strength)
             if depth > 0:  # attaching on the finest level too cost 2d iterations
                 agg, n_agg = _attach_isolated(current, *strength, agg)
@@ -356,11 +336,10 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
             if n_agg >= n:
                 last = True  # aggregation stalled; stop coarsening here
         if last:
-            if n >= params.max_coarse_size:
+            if n >= MAX_COARSE_SIZE:
                 warnings.warn(
                     f"amg_setup: coarsest level has {n} rows after {depth + 1} levels, "
-                    f"not below max_coarse_size={params.max_coarse_size} "
-                    f"(max_levels={params.max_levels})",
+                    f"not below max_coarse_size={MAX_COARSE_SIZE} (max_levels={MAX_LEVELS})",
                     AmgSetupWarning,
                     stacklevel=2,
                 )
@@ -378,15 +357,15 @@ def amg_setup(a: CsrMatrix, params: AmgParams | None = None) -> AmgHierarchy:
             (np.ones(n), agg.astype(idx), np.arange(n + 1, dtype=idx)), shape=(n, n_agg)
         )
         dinv = 1.0 / current.diagonal()
-        rho = _rho_dinv_a(current, dinv, params.power_iterations)
-        omega = params.omega_factor / max(rho, np.finfo(float).tiny)
+        rho = _rho_dinv_a(current, dinv)
+        omega = OMEGA_FACTOR / max(rho, np.finfo(float).tiny)
         p = (p_tent - sp.diags_array(omega * dinv) @ (a_filt @ p_tent)).tocsr()
         for arr in (p.indptr, p.indices, p.data):
             arr.flags.writeable = False
         coarse = canonical(p.T @ current @ p)
         levels.append(AmgLevel(a=current, p=p, r=p.T, _lower=_triangular_factor(current)))
         current = coarse
-    return AmgHierarchy(levels=levels, params=params, negated=negated)
+    return AmgHierarchy(levels=levels, negated=negated)
 
 
 def _cycle(levels, depth: int, b: np.ndarray, x: np.ndarray | None) -> np.ndarray:

@@ -137,7 +137,8 @@ def build_grid(geometry: str, n: int, num_fractures: int, num_planes: int, seed:
         return build_random_network_2d(n, num_fractures, seed)
     if geometry == "regular_3d":
         return build_regular_network_3d(n, num_planes)
-    raise ValueError(f"geometry {geometry!r} has no grid; use --import with solve/sweep")
+    raise ValueError(f"geometry {geometry!r} has no grid; an imported system works with "
+                     f"assemble, solve, sweep, export and amg-stats, not generate")
 
 
 def sweep_systems(spec: SweepSpec):

@@ -24,12 +24,11 @@ __all__ = ["SolveConfig", "SolveReport", "as_operator", "gmres"]
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Stopping criteria and bookkeeping for a Krylov solve."""
+    """Stopping criteria for a Krylov solve."""
 
     rel_tol: float = 1e-6
     max_iters: int = 500
     restart: int | None = None  # None = full (non-restarted) GMRES
-    record_history: bool = True
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -192,7 +191,7 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
     return SolveReport(
         converged=bool(converged),
         iterations=total_iters,
-        residual_history=np.asarray(history if cfg.record_history else history[-1:]),
+        residual_history=np.asarray(history),
         solution=x,
         true_residual=float(true_res),
         solve_seconds=time.perf_counter() - t0,

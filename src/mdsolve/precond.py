@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
-from .amg import AmgParams, amg_setup, apply_preconditioner_vcycle
+from .amg import amg_setup, apply_preconditioner_vcycle
 from .sparse import CsrMatrix, csr_add, dense_lu, triple_product_diag_scaled
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 KINDS = ("ml", "bu", "bd")
-DEFAULT_ORACLE_CAP = 2000
+ORACLE_CAP = 2000  # dofs; the exact-mode oracles are dense
 
 
 def _check_kind(kind: str):
@@ -46,15 +46,15 @@ def _check_kind(kind: str):
         raise ValueError(f"unknown preconditioner kind {kind!r}, expected one of {KINDS}")
 
 
-def exact_schur(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
+def exact_schur(system: BlockSystem) -> np.ndarray:
     """Dense Schur complement of the interface block (oracle only).
 
-    Computes A_oo - A_og A_gg^-1 A_go. Refuses systems above the oracle cap
-    and singular interface blocks.
+    Computes A_oo - A_og A_gg^-1 A_go. Refuses systems above ``ORACLE_CAP``
+    dofs and singular interface blocks.
     """
-    if system.n_total > oracle_cap:
+    if system.n_total > ORACLE_CAP:
         raise ValueError(
-            f"exact_schur: system has {system.n_total} dofs, above the oracle cap {oracle_cap}"
+            f"exact_schur: system has {system.n_total} dofs, above the oracle cap {ORACLE_CAP}"
         )
     a_oo = system.a_omega_omega.toarray()
     if system.n_gamma == 0:
@@ -88,20 +88,20 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
     return csr_add(system.a_omega_omega, triple, -1.0)
 
 
-def factorization_factors(system: BlockSystem, oracle_cap: int = DEFAULT_ORACLE_CAP):
+def factorization_factors(system: BlockSystem):
     """Dense (U, D, L) factors of the monolithic operator (oracle only).
 
     U is unit block upper triangular with A_og A_gg^-1 in its off-diagonal
     block, D is blockdiag(Schur, A_gg), L is unit block lower triangular with
     A_gg^-1 A_go. Their product reproduces the monolithic matrix.
     """
-    if system.n_total > oracle_cap:
+    if system.n_total > ORACLE_CAP:
         raise ValueError(
             f"factorization_factors: system has {system.n_total} dofs, "
-            f"above the oracle cap {oracle_cap}"
+            f"above the oracle cap {ORACLE_CAP}"
         )
     no, ng, nt = system.n_omega, system.n_gamma, system.n_total
-    s = exact_schur(system, oracle_cap)
+    s = exact_schur(system)
     u = np.eye(nt)
     d = np.zeros((nt, nt))
     lo = np.eye(nt)
@@ -134,8 +134,8 @@ class _DirectSparse:
 
 
 class _AmgSolve:
-    def __init__(self, a: CsrMatrix, params: AmgParams | None):
-        self.hierarchy = amg_setup(a, params)
+    def __init__(self, a: CsrMatrix):
+        self.hierarchy = amg_setup(a)
 
     def __call__(self, r):
         return apply_preconditioner_vcycle(self.hierarchy, r)
@@ -225,8 +225,6 @@ def build_preconditioner(
     schur_mode: str = "diag",
     inner_omega: str = "amg",
     inner_gamma: str = "amg",
-    amg_params: AmgParams | None = None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> BlockPreconditioner:
     """Set up a block preconditioner for an assembled system.
 
@@ -238,11 +236,10 @@ def build_preconditioner(
     schur_mode : {"diag", "exact"}
         Diagonal approximation of the interface block inside the Schur
         complement, or the dense exact Schur complement (oracle only;
-        requires direct inner solves and a system below ``oracle_cap``).
+        requires direct inner solves and at most ``ORACLE_CAP`` dofs).
     inner_omega, inner_gamma : {"amg", "direct"}
         One AMG V-cycle or an exact factorization per block. AMG on a purely
         diagonal interface block degenerates to the exact diagonal solve.
-    amg_params : AmgParams, optional
     """
     _check_kind(kind)
     if schur_mode not in ("diag", "exact"):
@@ -253,13 +250,13 @@ def build_preconditioner(
     if schur_mode == "exact":
         if inner_omega != "direct" or inner_gamma != "direct":
             raise ValueError("schur_mode='exact' is an oracle and requires direct inner solves")
-        if system.n_total > oracle_cap:
+        if system.n_total > ORACLE_CAP:
             raise ValueError(
-                f"schur_mode='exact' limited to {oracle_cap} dofs, system has {system.n_total}"
+                f"schur_mode='exact' limited to {ORACLE_CAP} dofs, system has {system.n_total}"
             )
 
     if schur_mode == "exact":
-        schur = exact_schur(system, oracle_cap)
+        schur = exact_schur(system)
         q_omega = _DirectDense(schur, "build_preconditioner: Schur block")
         q_gamma = (
             _DirectDense(system.a_gamma_gamma.toarray(), "build_preconditioner: interface block")
@@ -271,13 +268,13 @@ def build_preconditioner(
         if inner_omega == "direct":
             q_omega = _DirectSparse(schur)
         else:
-            q_omega = _AmgSolve(schur, amg_params)
+            q_omega = _AmgSolve(schur)
         if system.n_gamma == 0:
             q_gamma = lambda r: r.copy()  # noqa: E731
         elif inner_gamma == "direct":
             q_gamma = _DirectSparse(system.a_gamma_gamma)
         else:
-            q_gamma = _AmgSolve(system.a_gamma_gamma, amg_params)
+            q_gamma = _AmgSolve(system.a_gamma_gamma)
     return BlockPreconditioner(
         kind=kind,
         n_omega=system.n_omega,

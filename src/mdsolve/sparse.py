@@ -3,11 +3,12 @@
 The package's matrix type is :class:`CsrMatrix`, a ``scipy.sparse.csr_array``
 that the constructors here leave canonical and read-only; products,
 transposes and solves are scipy's own. What scipy does not promise is kept
-as functions: canonical form (:func:`canonical`, :func:`check_canonical`),
-an addition that keeps cancellation zeros (:func:`csr_add`), exact equality
-(:func:`csr_equal`), the diagonally scaled triple product of the Schur
-complement, a dense LU with a singularity check, and lossless Matrix Market
-exchange. Dense operands are plain ndarrays.
+as functions: canonical form (:func:`canonical`), an addition that keeps
+cancellation zeros (:func:`csr_add`), exact equality (:func:`csr_equal`), the
+diagonally scaled triple product of the Schur complement, a dense LU with a
+singularity check, and lossless Matrix Market exchange, written in the
+``general`` encoding and read in any real one. Dense operands are plain
+ndarrays.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "SingularMatrixError",
     "canonical",
     "csr_from_triplets",
-    "check_canonical",
     "csr_equal",
     "triple_product_diag_scaled",
     "csr_add",
@@ -90,35 +90,6 @@ def csr_from_triplets(shape, rows, cols, vals) -> CsrMatrix:
     return canonical(sp.coo_array((vals, (rows, cols)), shape=shape))
 
 
-def check_canonical(m):
-    """Re-check the structural invariants of a CSR matrix; returns ``m``.
-
-    Raises
-    ------
-    ValueError
-        If the row pointer or the array lengths are inconsistent with the
-        shape, or a row has unsorted, duplicate or out-of-range columns.
-    """
-    nrows, ncols = m.shape
-    indptr = np.asarray(m.indptr, dtype=np.int64)
-    indices = np.asarray(m.indices, dtype=np.int64)
-    nnz = len(indices)
-    if indptr.ndim != 1 or len(indptr) != nrows + 1:
-        raise ValueError(f"row pointer has length {len(indptr)}, expected {nrows + 1}")
-    if indptr[0] != 0 or indptr[-1] != nnz or nnz != len(m.data):
-        raise ValueError("row pointer endpoints inconsistent with index/value arrays")
-    if np.any(np.diff(indptr) < 0):
-        raise ValueError("row pointer is not nondecreasing")
-    row_start = np.zeros(nnz + 1, dtype=bool)
-    row_start[indptr[:-1]] = True
-    bad = (indices < 0) | (indices >= ncols)
-    bad[1:] |= (np.diff(indices) <= 0) & ~row_start[1:nnz]
-    if bad.any():
-        row = np.searchsorted(indptr, bad.argmax(), side="right") - 1
-        raise ValueError(f"row {row} has unsorted, duplicate or out-of-range columns")
-    return m
-
-
 def csr_equal(a, b) -> bool:
     """Exact equality of two canonical CSR matrices: shape, pattern (stored
     zeros included) and values, whatever the index dtypes."""
@@ -131,11 +102,8 @@ def csr_equal(a, b) -> bool:
 
 
 def triple_product_diag_scaled(b, dinv: np.ndarray, c) -> CsrMatrix:
-    """Compute B * diag(dinv) * C as canonical CSR.
-
-    This is the only sparse-sparse product the package supports; it is what
-    the diagonally approximated Schur complement needs.
-    """
+    """Compute B * diag(dinv) * C as canonical CSR: the coupling term of the
+    diagonally approximated Schur complement, with its scaling checked."""
     dinv = np.asarray(dinv, dtype=np.float64)
     if dinv.ndim != 1 or b.shape[1] != len(dinv) or len(dinv) != c.shape[0]:
         raise ValueError(
@@ -184,11 +152,10 @@ def dense_lu(a: np.ndarray, message: str):
 # -- Matrix Market exchange ------------------------------------------------
 
 
-def write_matrix_market(path, a, symmetry: str = "general", comment: str = ""):
-    """Write a sparse matrix as a coordinate-format Matrix Market file (1-based)."""
-    if symmetry not in ("general", "symmetric"):
-        raise ValueError(f"unsupported Matrix Market symmetry {symmetry!r}")
-    scipy.io.mmwrite(str(path), a, comment=comment, field="real", symmetry=symmetry)
+def write_matrix_market(path, a):
+    """Write a sparse matrix as a coordinate-format, ``general`` Matrix Market
+    file (1-based)."""
+    scipy.io.mmwrite(str(path), a, field="real", symmetry="general")
 
 
 def read_matrix_market(path) -> CsrMatrix:
@@ -199,7 +166,7 @@ def read_matrix_market(path) -> CsrMatrix:
     return canonical(scipy.io.mmread(str(path)))
 
 
-def write_vector_market(path, v: np.ndarray, comment: str = ""):
+def write_vector_market(path, v: np.ndarray):
     """Write a 1-d vector as an n-by-1 coordinate Matrix Market file.
 
     The coordinate encoding sidesteps a scipy hang on zero-length dense
@@ -208,7 +175,7 @@ def write_vector_market(path, v: np.ndarray, comment: str = ""):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("write_vector_market expects a 1-d array")
-    scipy.io.mmwrite(str(path), sp.coo_matrix(v.reshape(-1, 1)), comment=comment, field="real")
+    scipy.io.mmwrite(str(path), sp.coo_matrix(v.reshape(-1, 1)), field="real")
 
 
 def read_vector_market(path) -> np.ndarray:

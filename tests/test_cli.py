@@ -133,6 +133,18 @@ def test_generate_rejects_imported_geometry(capsys):
     assert "geometry 'imported' has no grid" in capsys.readouterr().err
 
 
+def test_generate_with_an_import_names_the_subcommands_that_take_it(tmp_path, capsys):
+    target = tmp_path / "sys"
+    assert main(["export", "--geometry", "cross_2d", "--n", "4", "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert main(["generate", "--geometry", "imported", "--import", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: geometry 'imported' has no grid")
+    assert "--import" not in err  # it was given
+    for cmd in ("assemble", "solve", "sweep", "export", "amg-stats"):
+        assert cmd in err
+
+
 def test_explicit_flag_equal_to_the_default_beats_the_config(capsys, tmp_path):
     cfg = tmp_path / "loose.cfg"
     cfg.write_text("tol = 1e-2\nmax_iters = 3\n")

@@ -121,14 +121,6 @@ def test_solve_config_validation():
         SolveConfig(restart=0)
 
 
-def test_record_history_flag():
-    rng = np.random.default_rng(5)
-    a = random_spd_dense(rng, 20)
-    b = rng.standard_normal(20)
-    report = gmres(canonical(a), b, cfg=SolveConfig(record_history=False))
-    assert len(report.residual_history) == 1
-
-
 # -- conjugate gradient baseline ------------------------------------------------
 
 
@@ -175,7 +167,7 @@ def cg_reference(a, b: np.ndarray, cfg: SolveConfig | None = None) -> SolveRepor
     return SolveReport(
         converged=converged,
         iterations=iterations,
-        residual_history=np.asarray(history if cfg.record_history else history[-1:]),
+        residual_history=np.asarray(history),
         solution=x,
         true_residual=float(true_res),
         solve_seconds=time.perf_counter() - t0,
@@ -310,7 +302,7 @@ def _reference_gmres(a, b, m=None, cfg=None):
     return SolveReport(
         converged=bool(converged),
         iterations=total_iters,
-        residual_history=np.asarray(history if cfg.record_history else history[-1:]),
+        residual_history=np.asarray(history),
         solution=x,
         true_residual=float(true_res),
     )
@@ -367,7 +359,6 @@ def gmres_cases(draw):
         rel_tol=1e-15 if unconverged else draw(st.sampled_from([1e-6, 1e-10, 1e-14])),
         max_iters=draw(st.integers(1, 5)) if unconverged else 200 if restart else 500,
         restart=restart,
-        record_history=draw(st.booleans()),
     )
     return a, b, m, cfg
 

@@ -90,7 +90,7 @@ def test_exact_schur_guards():
     rng = np.random.default_rng(1)
     sys_ = synthetic_system(rng, 5, 2)
     with pytest.raises(ValueError, match="oracle cap"):
-        exact_schur(sys_, oracle_cap=3)
+        exact_schur(assemble(build_cross_2d(46), PhysicalParams()))  # 2,397 dofs
     singular = BlockSystem(
         sys_.a_omega_omega, sys_.a_omega_gamma, sys_.a_gamma_omega,
         canonical(np.zeros((2, 2))),
@@ -259,11 +259,10 @@ def test_mode_validation():
     with pytest.raises(ValueError, match="direct inner"):
         build_preconditioner(sys_, schur_mode="exact", inner_omega="amg",
                              inner_gamma="direct")
-    with pytest.raises(ValueError, match="limited to 100"):
+    with pytest.raises(ValueError, match="limited to 2000"):
         build_preconditioner(
-            assemble(build_cross_2d(16), PhysicalParams()),
+            assemble(build_cross_2d(46), PhysicalParams()),  # 2,397 dofs
             schur_mode="exact", inner_omega="direct", inner_gamma="direct",
-            oracle_cap=100,
         )
     with pytest.raises(ValueError, match="length"):
         build_preconditioner(sys_).apply(np.zeros(3))

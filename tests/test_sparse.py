@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from mdsolve.sparse import (
     CsrMatrix,
     SingularMatrixError,
     canonical,
-    check_canonical,
     csr_add,
     csr_equal,
     csr_from_triplets,
@@ -31,6 +31,36 @@ def raw_csr(shape, row_ptr, col_idx, values):
     """A CSR array holding the given arrays as they are, unchecked."""
     m = sp.csr_array(shape)
     m.indptr, m.indices, m.data = np.asarray(row_ptr), np.asarray(col_idx), np.asarray(values)
+    return m
+
+
+def check_canonical(m):
+    """Re-check the structural invariants of a CSR matrix; returns ``m``.
+    The structural oracle of these tests.
+
+    Raises
+    ------
+    ValueError
+        If the row pointer or the array lengths are inconsistent with the
+        shape, or a row has unsorted, duplicate or out-of-range columns.
+    """
+    nrows, ncols = m.shape
+    indptr = np.asarray(m.indptr, dtype=np.int64)
+    indices = np.asarray(m.indices, dtype=np.int64)
+    nnz = len(indices)
+    if indptr.ndim != 1 or len(indptr) != nrows + 1:
+        raise ValueError(f"row pointer has length {len(indptr)}, expected {nrows + 1}")
+    if indptr[0] != 0 or indptr[-1] != nnz or nnz != len(m.data):
+        raise ValueError("row pointer endpoints inconsistent with index/value arrays")
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError("row pointer is not nondecreasing")
+    row_start = np.zeros(nnz + 1, dtype=bool)
+    row_start[indptr[:-1]] = True
+    bad = (indices < 0) | (indices >= ncols)
+    bad[1:] |= (np.diff(indices) <= 0) & ~row_start[1:nnz]
+    if bad.any():
+        row = np.searchsorted(indptr, bad.argmax(), side="right") - 1
+        raise ValueError(f"row {row} has unsorted, duplicate or out-of-range columns")
     return m
 
 
@@ -358,9 +388,10 @@ def test_symmetric_encoding_matches_general(tmp_path):
     full = csr_add(a, a.T.tocsr())
     p_sym = tmp_path / "sym.mtx"
     p_gen = tmp_path / "gen.mtx"
-    write_matrix_market(p_sym, full, symmetry="symmetric")
-    write_matrix_market(p_gen, full, symmetry="general")
+    scipy.io.mmwrite(str(p_sym), full, field="real", symmetry="symmetric")
+    write_matrix_market(p_gen, full)
     assert "symmetric" in p_sym.read_text().splitlines()[0]
+    assert "general" in p_gen.read_text().splitlines()[0]  # even for a symmetric matrix
     x = rng.standard_normal(6)
     assert np.array_equal(read_matrix_market(p_sym) @ x, read_matrix_market(p_gen) @ x)
 
