@@ -5,13 +5,14 @@ operator, a zero initial guess, and Givens rotations for the least-squares
 update. With right preconditioning the recurrence residual estimates the
 true residual of the original system, so the iteration stops on the
 preconditioned-system criterion and a single true-residual check is reported
-at the end. The preconditioned basis vectors are stored, which makes the
-implementation valid for flexible (iteration-dependent) preconditioners as
-well; the package only passes fixed linear operators.
+at the end. The preconditioner must be a fixed linear operator, as every
+preconditioner the package builds is: only the Arnoldi basis V is stored, and
+each cycle ends with one more preconditioner apply, ``x += M(V y)``.
 """
 
 from __future__ import annotations
 
+import mmap
 import time
 from dataclasses import dataclass
 
@@ -71,6 +72,15 @@ def as_operator(obj, n: int):
     raise TypeError(f"cannot interpret {type(obj).__name__} as a linear operator")
 
 
+def _reserve_rows(rows: int, n: int) -> np.ndarray:
+    """An uninitialised float64 ``(rows, n)`` array in its own anonymous mapping.
+
+    Only the pages of rows that are written become resident, and the mapping
+    goes back to the OS when the array is released, whatever the C heap keeps.
+    """
+    return np.frombuffer(mmap.mmap(-1, rows * n * 8), dtype=np.float64).reshape(rows, n)
+
+
 def _solve_upper(r: np.ndarray, g: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(r, g, lower=False, check_finite=False)
 
@@ -86,6 +96,9 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
         Right-hand side.
     m : optional
         Right preconditioner, same duck typing as ``a``; identity if None.
+        Must be a fixed linear operator: the solution is rebuilt from the
+        unpreconditioned basis, so a preconditioner that changes between
+        applies (flexible GMRES) is not supported.
     cfg : SolveConfig, optional
 
     Raises
@@ -101,11 +114,16 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
     within ``max_iters`` returns the best iterate with ``converged=False``.
 
     Each cycle of ``steps`` iterations (``max_iters`` for full GMRES, else
-    ``restart``) reserves ``(2*steps+1)*n*8`` bytes of basis, uninitialised:
-    only the rows the iteration writes are touched, and an unwritten row is
-    never read. The Hessenberg matrix grows by one column per step taken, and
-    its ``k x k`` triangle is built once per cycle for the least-squares
-    solve.
+    ``restart``) reserves ``(steps+1)*n*8`` bytes for the basis V in an
+    anonymous mapping: only the rows the iteration writes are committed, an
+    unwritten row is never read, and the mapping is released when the next
+    cycle replaces it or the solve returns. A cycle of ``k`` steps applies the
+    preconditioner ``k + 1`` times, once per step and once for the update
+    ``x += M(V y)``, so the returned solution carries the rounding of that
+    last apply; at tolerances near machine precision its true residual can
+    stay above ``rel_tol`` on ill-conditioned systems. The Hessenberg
+    matrix grows by one column per step taken, and its ``k x k`` triangle is
+    built once per cycle for the least-squares solve.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -140,16 +158,14 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
             converged = True
             break
         steps = min(cycle, cfg.max_iters - total_iters)
-        v = np.empty((steps + 1, n))
-        z = np.empty((steps, n))
+        v = _reserve_rows(steps + 1, n)
         cols = []  # Hessenberg columns, rotated: column k keeps its k + 1 upper entries
         cs, sn = [], []
         g = [beta]
         v[0] = r / beta
         k_done = 0
         for k in range(steps):
-            z[k] = apply_m(v[k])
-            w = apply_a(z[k])
+            w = apply_a(apply_m(v[k]))
             h = np.empty(k + 2)
             for i in range(k + 1):  # modified Gram-Schmidt
                 h[i] = v[i] @ w
@@ -185,7 +201,7 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
             for j, col in enumerate(cols):
                 upper[: j + 1, j] = col
             y = _solve_upper(upper, np.array(g[:k_done]))
-            x = x + z[:k_done].T @ y
+            x = x + apply_m(v[:k_done].T @ y)
 
     true_res = np.linalg.norm(b - apply_a(x)) / b_norm
     return SolveReport(

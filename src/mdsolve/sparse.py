@@ -167,7 +167,7 @@ def read_matrix_market(path) -> CsrMatrix:
 
 
 def write_vector_market(path, v: np.ndarray):
-    """Write a 1-d vector as an n-by-1 coordinate Matrix Market file.
+    """Write a 1-d vector as an n-by-1 coordinate, ``general`` Matrix Market file.
 
     The coordinate encoding sidesteps a scipy hang on zero-length dense
     arrays and stays lossless (implicit entries read back as zeros).
@@ -175,7 +175,7 @@ def write_vector_market(path, v: np.ndarray):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("write_vector_market expects a 1-d array")
-    scipy.io.mmwrite(str(path), sp.coo_matrix(v.reshape(-1, 1)), field="real")
+    scipy.io.mmwrite(str(path), sp.coo_matrix(v.reshape(-1, 1)), field="real", symmetry="general")
 
 
 def read_vector_market(path) -> np.ndarray:

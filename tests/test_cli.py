@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,15 @@ def test_generate_text_and_json(capsys):
     assert main(["generate", "--geometry", "regular_3d", "--n", "4", "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["ambient_dim"] == 3
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdsolve.bench.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    run = subprocess.run([sys.executable, "-m", "mdsolve", "generate", "--geometry", "cross_2d",
+                          "--n", "4"], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "mixed-dimensional grid" in run.stdout
 
 
 def test_assemble_reports_blocks(capsys):

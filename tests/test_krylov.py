@@ -234,9 +234,10 @@ def test_non_finite_error_names_the_iteration_across_restarts():
 # -- byte equality with the zero-initialised basis ----------------------------------
 
 
-def _reference_gmres(a, b, m=None, cfg=None):
-    """The solver as it was with a zero-filled basis and no finite check,
-    kept as the oracle."""
+def _reference_gmres(a, b, m=None, cfg=None, bases=1):
+    """The solver with a zero-filled basis and no finite check, kept as the
+    oracle. ``bases=2`` is the two-basis loop the solver had before: it also
+    stores Z = M V and updates with ``x += Z y`` instead of ``x += M(V y)``."""
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=np.float64)
     n = len(b)
@@ -297,7 +298,7 @@ def _reference_gmres(a, b, m=None, cfg=None):
                 break
         if k_done:
             y = _solve_upper(h[:k_done, :k_done], g[:k_done])
-            x = x + z[:k_done].T @ y
+            x = x + (apply_m(v[:k_done].T @ y) if bases == 1 else z[:k_done].T @ y)
     true_res = np.linalg.norm(b - apply_a(x)) / b_norm
     return SolveReport(
         converged=bool(converged),
@@ -308,20 +309,6 @@ def _reference_gmres(a, b, m=None, cfg=None):
     )
 
 
-class _NanEmptyNumpy:
-    """numpy, except that ``empty`` returns NaN-filled arrays and counts its calls."""
-
-    def __init__(self):
-        self.empty_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def empty(self, shape, dtype=float):
-        self.empty_calls += 1
-        return np.full(shape, np.nan, dtype=dtype)
-
-
 @functools.lru_cache(maxsize=None)
 def _block_case(kind, k_par, kappa):
     system = assemble(build_cross_2d(4), PhysicalParams(k_parallel=k_par, kappa=kappa))
@@ -329,7 +316,7 @@ def _block_case(kind, k_par, kappa):
 
 
 @st.composite
-def gmres_cases(draw):
+def gmres_cases(draw, restarts=st.none() | st.integers(1, 8)):
     """An operator, right-hand side, preconditioner and config for one solve."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["block", "spd", "nonsymmetric", "identity_like"]))
@@ -353,7 +340,7 @@ def gmres_cases(draw):
     d = rng.uniform(0.5, 2.0, size=n)
     preconditioners += [None, lambda v: v / d]
     m = draw(st.sampled_from(preconditioners))
-    restart = draw(st.none() | st.integers(1, 8))
+    restart = draw(restarts)
     unconverged = draw(st.booleans())  # stops at max_iters unless it breaks down
     cfg = SolveConfig(
         rel_tol=1e-15 if unconverged else draw(st.sampled_from([1e-6, 1e-10, 1e-14])),
@@ -372,17 +359,37 @@ def _assert_same_report(report, expected):
     assert report.residual_history.tobytes() == expected.residual_history.tobytes()
 
 
-@pytest.mark.parametrize("nan_empty", [False, True], ids=["numpy", "nan_filled_empty"])
+@pytest.mark.parametrize("nan_rows", [False, True], ids=["numpy", "nan_filled_empty"])
 @settings(max_examples=150, deadline=None)
 @given(case=gmres_cases())
-def test_gmres_matches_the_zero_filled_reference_byte_for_byte(nan_empty, case):
+def test_gmres_matches_the_zero_filled_reference_byte_for_byte(nan_rows, case):
     a, b, m, cfg = case
     expected = _reference_gmres(a, b, m, cfg)
+    reserved = []
+
+    def nan_filled_rows(rows, n):  # an unwritten basis row that is read would spread NaN
+        reserved.append(rows)
+        return np.full((rows, n), np.nan)
+
     with pytest.MonkeyPatch.context() as mp:
-        if nan_empty:  # an unwritten basis row that is read would spread NaN
-            fake = _NanEmptyNumpy()
-            mp.setattr(krylov, "np", fake)
+        if nan_rows:
+            mp.setattr(krylov, "_reserve_rows", nan_filled_rows)
         report = gmres(a, b, m, cfg)
-    if nan_empty:
-        assert fake.empty_calls >= 2
+    if nan_rows:
+        assert reserved
     _assert_same_report(report, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gmres_cases(restarts=st.none()))
+def test_one_basis_matches_the_two_basis_loop_up_to_the_update(case):
+    a, b, m, cfg = case
+    report = gmres(a, b, m, cfg)
+    two = _reference_gmres(a, b, m, cfg, bases=2)
+    assert report.iterations == two.iterations
+    assert report.converged == two.converged
+    assert report.residual_history.tobytes() == two.residual_history.tobytes()
+    # M(V y) and Z y are one linear combination rounded two ways
+    assert np.linalg.norm(report.solution - two.solution) <= 1e-12 * np.linalg.norm(two.solution)
+    if report.converged:  # below 10 rel_tol, or at the rounding floor both loops reach
+        assert report.true_residual <= max(10 * cfg.rel_tol, 2 * two.true_residual)

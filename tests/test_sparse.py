@@ -381,6 +381,14 @@ def test_vector_market_roundtrip(tmp_path):
     assert np.array_equal(read_vector_market(path), v)
 
 
+def test_one_entry_vector_is_written_general(tmp_path):
+    # scipy detects a 1-by-1 matrix as symmetric unless told otherwise
+    path = tmp_path / "v.mtx"
+    write_vector_market(path, np.array([2.5]))
+    assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate real general"
+    assert read_vector_market(path).tobytes() == np.array([2.5]).tobytes()
+
+
 def test_symmetric_encoding_matches_general(tmp_path):
     # same matrix written twice: lower-triangle symmetric vs full general
     rng = np.random.default_rng(9)
