@@ -10,11 +10,9 @@ from .sparse import (
     CsrMatrix,
     SingularMatrixError,
     canonical,
-    csr_add,
     csr_equal,
     csr_from_triplets,
     read_matrix_market,
-    triple_product_diag_scaled,
     write_matrix_market,
 )
 from .grids import (
@@ -77,7 +75,6 @@ __all__ = [
     "build_random_network_2d",
     "build_regular_network_3d",
     "canonical",
-    "csr_add",
     "csr_equal",
     "csr_from_triplets",
     "emit_table",
@@ -89,7 +86,6 @@ __all__ = [
     "monolithic",
     "read_matrix_market",
     "run_sweep",
-    "triple_product_diag_scaled",
     "v_cycle",
     "write_matrix_market",
 ]

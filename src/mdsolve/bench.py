@@ -19,15 +19,16 @@ import numpy as np
 from .assembly import PhysicalParams, assemble, monolithic
 from .grids import build_cross_2d, build_random_network_2d, build_regular_network_3d
 from .krylov import SolveConfig, gmres
-from .precond import KINDS, build_preconditioner
+from .precond import KINDS, build_preconditioner, check_modes
 from .sysio import import_system
 
 __all__ = [
-    "GEOMETRIES", "SweepSpec", "SweepRow", "SweepResult", "build_grid", "sweep_systems",
-    "run_sweep", "emit_table",
+    "GEOMETRIES", "TABLE_FORMATS", "SweepSpec", "SweepRow", "SweepResult", "build_grid",
+    "sweep_systems", "run_sweep", "emit_table",
 ]
 
 GEOMETRIES = ("cross_2d", "random_2d", "regular_3d", "imported")
+TABLE_FORMATS = ("csv", "aligned-text", "markdown")
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ class SweepSpec:
         unknown = [k for k in self.precond_kinds if k not in KINDS + ("none",)]
         if unknown:
             raise ValueError(f"unknown preconditioner kind {unknown[0]!r} in precond_kinds")
+        check_modes(self.schur_mode, self.inner_omega, self.inner_gamma)
         if self.geometry == "imported":
             if not self.import_path:
                 raise ValueError("geometry 'imported' has no grid and needs import_path")
@@ -257,7 +259,7 @@ def emit_table(result: SweepResult, fmt: str = "aligned-text") -> str:
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
         return _emit_markdown(result)
-    raise ValueError(f"unknown table format {fmt!r}")
+    raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
 
 
 def _format_csv(v):

@@ -4,9 +4,11 @@ Subcommands cover each pipeline stage: ``generate`` (grid summaries),
 ``assemble`` (block statistics), ``export`` / ``import`` (file exchange),
 ``solve`` (one system), ``sweep`` (parameter grids), and ``amg-stats``
 (hierarchy dumps). Flags can be preloaded from a plain-text
-config file of ``key = value`` lines, where keys are the long flag names
-with dashes or underscores and list-valued flags take comma-separated
-values; explicit command-line flags win. The flags of every subcommand that
+config file of ``key = value`` lines, where keys are the long names of the
+flags that take a value (``LIST_KEYS`` and ``SCALAR_KEYS``), with dashes or
+underscores, except that ``--import`` is ``import_path``; ``--history-csv``
+and ``--json`` have no key. List-valued flags take comma-separated values,
+and explicit command-line flags win. The flags of every subcommand that
 builds a grid or a system become one :class:`~mdsolve.bench.SweepSpec`, so a
 flag given nowhere keeps the ``SweepSpec`` or ``SolveConfig`` default, and
 ``solve`` is a one-row :func:`~mdsolve.bench.run_sweep`.
@@ -19,10 +21,11 @@ import json
 import sys
 from pathlib import Path
 
-from .amg import amg_setup
-from .bench import GEOMETRIES, SweepSpec, build_grid, emit_table, run_sweep, sweep_systems
+from .bench import (
+    GEOMETRIES, TABLE_FORMATS, SweepSpec, build_grid, emit_table, run_sweep, sweep_systems,
+)
 from .krylov import SolveConfig
-from .precond import KINDS, approx_schur
+from .precond import INNER_MODES, KINDS, SCHUR_MODES, build_preconditioner
 from .sysio import export_system, import_system
 
 # every flag defaults to None so "was it given explicitly" is visible; these
@@ -81,10 +84,13 @@ def _apply_config(args, config: dict):
 
 
 def _fill_defaults(args):
-    """Give unset output flags their defaults and resolve kind aliases."""
+    """Give unset output flags their defaults, check the table format a
+    config file may have set, and resolve kind aliases."""
     for key, default in OUTPUT_DEFAULTS.items():
         if getattr(args, key, default) is None:
             setattr(args, key, default)
+    if getattr(args, "format", None) not in (None, *TABLE_FORMATS):
+        raise ValueError(f"unknown table format {args.format!r}, expected one of {TABLE_FORMATS}")
     if getattr(args, "precond", None):
         args.precond = [KIND_ALIASES.get(k, k) for k in args.precond]
     return args
@@ -113,9 +119,9 @@ def _add_solver_flags(p):
     p.add_argument("--precond", action="append", default=None,
                    choices=[*KINDS, *KIND_ALIASES, "none"],
                    help="preconditioner kind; repeatable; 'bl' is 'ml'")
-    p.add_argument("--schur", choices=["diag", "exact"])
-    p.add_argument("--inner-omega", choices=["amg", "direct"], dest="inner_omega")
-    p.add_argument("--inner-gamma", choices=["amg", "direct"], dest="inner_gamma")
+    p.add_argument("--schur", choices=SCHUR_MODES)
+    p.add_argument("--inner-omega", choices=INNER_MODES, dest="inner_omega")
+    p.add_argument("--inner-gamma", choices=INNER_MODES, dest="inner_gamma")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--restart", type=int)
@@ -150,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p)
     _add_param_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--format", choices=["csv", "aligned-text", "markdown"])
+    p.add_argument("--format", choices=TABLE_FORMATS)
     p.add_argument("--out", help="write the table to this file")
 
     p = sub.add_parser("export", help="assemble a system and write it to disk")
@@ -260,12 +266,11 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "amg-stats":
-        system = _single_system(args)
-        schur = approx_schur(system)
+        hierarchies = build_preconditioner(_single_system(args)).hierarchies()
         print("hierarchy for the approximate Schur complement:")
-        print(amg_setup(schur).describe())
+        print(hierarchies["schur"].describe())
         print("hierarchy for the interface block:")
-        print(amg_setup(system.a_gamma_gamma).describe())
+        print(hierarchies["interface"].describe())
         return 0
 
     raise ValueError(f"unhandled command {cmd!r}")

@@ -22,14 +22,18 @@ import copy
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
 from .amg import amg_setup, apply_preconditioner_vcycle
-from .sparse import CsrMatrix, csr_add, dense_lu, triple_product_diag_scaled
+from .sparse import CsrMatrix, canonical, dense_lu
 
 __all__ = [
     "KINDS",
+    "SCHUR_MODES",
+    "INNER_MODES",
+    "check_modes",
     "exact_schur",
     "approx_schur",
     "factorization_factors",
@@ -38,12 +42,23 @@ __all__ = [
 ]
 
 KINDS = ("ml", "bu", "bd")
+SCHUR_MODES = ("diag", "exact")
+INNER_MODES = ("amg", "direct")
 ORACLE_CAP = 2000  # dofs; the exact-mode oracles are dense
 
 
 def _check_kind(kind: str):
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind {kind!r}, expected one of {KINDS}")
+
+
+def check_modes(schur_mode: str, inner_omega: str, inner_gamma: str):
+    """Reject a set-up mode name that :func:`build_preconditioner` does not know."""
+    if schur_mode not in SCHUR_MODES:
+        raise ValueError(f"unknown schur_mode {schur_mode!r}")
+    for name, mode in (("inner_omega", inner_omega), ("inner_gamma", inner_gamma)):
+        if mode not in INNER_MODES:
+            raise ValueError(f"unknown {name} {mode!r}")
 
 
 def exact_schur(system: BlockSystem) -> np.ndarray:
@@ -71,7 +86,9 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
     """Sparse approximate Schur complement A_oo - A_og diag(A_gg)^-1 A_go.
 
     Equals the exact Schur complement whenever A_gg is diagonal, which is the
-    matching-grid case this package assembles.
+    matching-grid case this package assembles. scipy forms the product and
+    the difference, so a stored zero of an imported A_oo that the difference
+    leaves at zero is dropped; an assembled A_oo stores none.
     """
     diag = system.a_gamma_gamma.diagonal()
     zero = np.flatnonzero(diag == 0.0)
@@ -82,10 +99,16 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
         )
     if system.n_gamma == 0:
         return system.a_omega_omega
-    triple = triple_product_diag_scaled(
-        system.a_omega_gamma, 1.0 / diag, system.a_gamma_omega
-    )
-    return csr_add(system.a_omega_omega, triple, -1.0)
+    with np.errstate(over="ignore"):  # a subnormal entry overflows; reported below
+        dinv = 1.0 / diag
+    bad = np.flatnonzero(~np.isfinite(dinv))
+    if len(bad):
+        raise ValueError(
+            f"approx_schur: interface block diagonal entry {float(diag[bad[0]])!r} has no finite "
+            f"inverse at interface DOF {bad[0]}"
+        )
+    coupling = system.a_omega_gamma @ sp.diags_array(dinv) @ system.a_gamma_omega
+    return canonical(system.a_omega_omega - coupling)
 
 
 def factorization_factors(system: BlockSystem):
@@ -117,42 +140,36 @@ def factorization_factors(system: BlockSystem):
     return u, d, lo
 
 
-class _DirectDense:
-    def __init__(self, a: np.ndarray, context: str):
-        self._lu = dense_lu(a, f"{context}: matrix is singular to working precision")
+def _inner_solve(block, mode: str, name: str):
+    """The solve of one diagonal block and its AMG hierarchy (None without one).
 
-    def __call__(self, r):
-        return scipy.linalg.lu_solve(self._lu, r)
-
-
-class _DirectSparse:
-    def __init__(self, a: CsrMatrix):
-        self._lu = spla.splu(a.tocsc())
-
-    def __call__(self, r):
-        return self._lu.solve(r)
-
-
-class _AmgSolve:
-    def __init__(self, a: CsrMatrix):
-        self.hierarchy = amg_setup(a)
-
-    def __call__(self, r):
-        return apply_preconditioner_vcycle(self.hierarchy, r)
+    A dense block is the exact-mode oracle and gets a dense LU; a sparse one
+    gets a sparse LU in ``direct`` mode and one AMG V-cycle in ``amg`` mode.
+    ``name`` labels the block in a singularity error.
+    """
+    if mode == "amg":
+        hierarchy = amg_setup(block)
+        return (lambda r: apply_preconditioner_vcycle(hierarchy, r)), hierarchy
+    if isinstance(block, np.ndarray):
+        lu = dense_lu(block, f"build_preconditioner: {name} block: matrix is singular "
+                             f"to working precision")
+        return (lambda r: scipy.linalg.lu_solve(lu, r)), None
+    return spla.splu(block.tocsc()).solve, None
 
 
 class BlockPreconditioner:
     """A built block preconditioner; ``apply`` is a fixed linear operator.
 
     Instances are created by :func:`build_preconditioner`. The setup (Schur
-    assembly, inner factorizations or AMG hierarchies) is done once and is
-    reusable across right-hand sides and, through :meth:`with_kind`, across
-    kinds. Apply allocates its own scratch, so concurrent applications are
-    safe.
+    assembly, then one inner solve per diagonal block: a factorization or an
+    AMG hierarchy) is done once and is reusable across right-hand sides and,
+    through :meth:`with_kind`, across kinds. The hierarchies built are kept
+    for :meth:`hierarchies`. Apply allocates its own scratch, so concurrent
+    applications are safe.
     """
 
     def __init__(self, kind, n_omega, n_gamma, q_omega, q_gamma, a_gamma_omega,
-                 a_omega_gamma, schur_matrix=None):
+                 a_omega_gamma, schur_matrix, hierarchies):
         self.kind = kind
         self.n_omega = n_omega
         self.n_gamma = n_gamma
@@ -161,6 +178,7 @@ class BlockPreconditioner:
         self._a_gamma_omega = a_gamma_omega
         self._a_omega_gamma = a_omega_gamma
         self.schur_matrix = schur_matrix
+        self._hierarchies = hierarchies
 
     @property
     def n_total(self) -> int:
@@ -180,13 +198,8 @@ class BlockPreconditioner:
         return view
 
     def hierarchies(self) -> dict:
-        """AMG hierarchies in use, keyed by block name (may be empty)."""
-        out = {}
-        if isinstance(self._q_omega, _AmgSolve):
-            out["schur"] = self._q_omega.hierarchy
-        if isinstance(self._q_gamma, _AmgSolve):
-            out["interface"] = self._q_gamma.hierarchy
-        return out
+        """AMG hierarchies in use, keyed ``schur`` and ``interface`` (may be empty)."""
+        return dict(self._hierarchies)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Apply the preconditioner to a residual vector.
@@ -242,11 +255,7 @@ def build_preconditioner(
         diagonal interface block degenerates to the exact diagonal solve.
     """
     _check_kind(kind)
-    if schur_mode not in ("diag", "exact"):
-        raise ValueError(f"unknown schur_mode {schur_mode!r}")
-    for name, mode in (("inner_omega", inner_omega), ("inner_gamma", inner_gamma)):
-        if mode not in ("amg", "direct"):
-            raise ValueError(f"unknown {name} {mode!r}")
+    check_modes(schur_mode, inner_omega, inner_gamma)
     if schur_mode == "exact":
         if inner_omega != "direct" or inner_gamma != "direct":
             raise ValueError("schur_mode='exact' is an oracle and requires direct inner solves")
@@ -256,25 +265,13 @@ def build_preconditioner(
             )
 
     if schur_mode == "exact":
-        schur = exact_schur(system)
-        q_omega = _DirectDense(schur, "build_preconditioner: Schur block")
-        q_gamma = (
-            _DirectDense(system.a_gamma_gamma.toarray(), "build_preconditioner: interface block")
-            if system.n_gamma
-            else (lambda r: r.copy())
-        )
+        schur, a_gg = exact_schur(system), system.a_gamma_gamma.toarray()
     else:
-        schur = approx_schur(system)
-        if inner_omega == "direct":
-            q_omega = _DirectSparse(schur)
-        else:
-            q_omega = _AmgSolve(schur)
-        if system.n_gamma == 0:
-            q_gamma = lambda r: r.copy()  # noqa: E731
-        elif inner_gamma == "direct":
-            q_gamma = _DirectSparse(system.a_gamma_gamma)
-        else:
-            q_gamma = _AmgSolve(system.a_gamma_gamma)
+        schur, a_gg = approx_schur(system), system.a_gamma_gamma
+    q_omega, h_omega = _inner_solve(schur, inner_omega, "Schur")
+    q_gamma, h_gamma = _inner_solve(a_gg, inner_gamma, "interface")
+    hierarchies = {name: h for name, h in (("schur", h_omega), ("interface", h_gamma))
+                   if h is not None}
     return BlockPreconditioner(
         kind=kind,
         n_omega=system.n_omega,
@@ -284,4 +281,5 @@ def build_preconditioner(
         a_gamma_omega=system.a_gamma_omega,
         a_omega_gamma=system.a_omega_gamma,
         schur_matrix=schur,
+        hierarchies=hierarchies,
     )

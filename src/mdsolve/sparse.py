@@ -1,14 +1,12 @@
 """Sparse and small-dense linear algebra on scipy's CSR arrays.
 
 The package's matrix type is :class:`CsrMatrix`, a ``scipy.sparse.csr_array``
-that the constructors here leave canonical and read-only; products,
+that the constructors here leave canonical and read-only; sums, products,
 transposes and solves are scipy's own. What scipy does not promise is kept
-as functions: canonical form (:func:`canonical`), an addition that keeps
-cancellation zeros (:func:`csr_add`), exact equality (:func:`csr_equal`), the
-diagonally scaled triple product of the Schur complement, a dense LU with a
-singularity check, and lossless Matrix Market exchange, written in the
-``general`` encoding and read in any real one. Dense operands are plain
-ndarrays.
+as functions: canonical form (:func:`canonical`), exact equality
+(:func:`csr_equal`), a dense LU with a singularity check, and lossless
+Matrix Market exchange, written in the ``general`` encoding and read in any
+real one. Dense operands are plain ndarrays.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ __all__ = [
     "canonical",
     "csr_from_triplets",
     "csr_equal",
-    "triple_product_diag_scaled",
-    "csr_add",
     "dense_lu",
     "read_matrix_market",
     "write_matrix_market",
@@ -44,8 +40,8 @@ class CsrMatrix(sp.csr_array):
     """A ``scipy.sparse.csr_array`` in canonical form with read-only arrays.
 
     Canonical means: within each row the column indices are strictly
-    increasing and duplicates have been summed. Explicit zeros (for example
-    produced by cancellation in :func:`csr_add`) are kept in the pattern.
+    increasing and duplicates have been summed. Explicit zeros are kept in
+    the pattern, but scipy's own sums and differences store none.
     :func:`canonical`, :func:`csr_from_triplets` and
     :func:`read_matrix_market` return such arrays with scipy's canonical
     flags set, so scipy never sorts one in place. scipy's own operations on
@@ -99,36 +95,6 @@ def csr_equal(a, b) -> bool:
         and np.array_equal(a.indices, b.indices)
         and np.array_equal(a.data, b.data)
     )
-
-
-def triple_product_diag_scaled(b, dinv: np.ndarray, c) -> CsrMatrix:
-    """Compute B * diag(dinv) * C as canonical CSR: the coupling term of the
-    diagonally approximated Schur complement, with its scaling checked."""
-    dinv = np.asarray(dinv, dtype=np.float64)
-    if dinv.ndim != 1 or b.shape[1] != len(dinv) or len(dinv) != c.shape[0]:
-        raise ValueError(
-            "triple_product_diag_scaled: inner dimensions "
-            f"{b.shape[1]}, {len(dinv)}, {c.shape[0]} do not agree"
-        )
-    if not np.all(np.isfinite(dinv)):
-        raise ValueError("triple_product_diag_scaled: nonfinite scaling entry")
-    return canonical(b @ sp.diags_array(dinv) @ c)
-
-
-def csr_add(a, b, alpha: float = 1.0) -> CsrMatrix:
-    """Entrywise A + alpha*B on the union pattern.
-
-    Cancellation zeros stay stored so repeated calls with the same operands
-    keep a stable sparsity pattern. (scipy's own add prunes them, hence the
-    triplet merge here.)
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"csr_add: shape mismatch {a.shape} vs {b.shape}")
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    rows = np.concatenate([rows, np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))])
-    cols = np.concatenate([a.indices, b.indices])
-    vals = np.concatenate([a.data, float(alpha) * b.data])
-    return csr_from_triplets(a.shape, rows, cols, vals)
 
 
 def dense_lu(a: np.ndarray, message: str):

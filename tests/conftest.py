@@ -2,8 +2,14 @@
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import settings
 
 from mdsolve.sparse import CsrMatrix, canonical, csr_from_triplets
+
+# a failure prints its @reproduce_failure line, so it replays from the log
+# even when its example holds objects that print as unpasteable reprs
+settings.register_profile("mdsolve", print_blob=True)
+settings.load_profile("mdsolve")
 
 
 def eye(n: int) -> CsrMatrix:

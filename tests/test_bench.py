@@ -185,6 +185,15 @@ def test_spec_validation():
         small_spec(precond_kinds=("bl",))
 
 
+def test_spec_rejects_unknown_set_up_modes():
+    # the check build_preconditioner makes, before any system is built
+    with pytest.raises(ValueError, match="^unknown schur_mode 'exakt'$"):
+        small_spec(schur_mode="exakt")
+    for name in ("inner_omega", "inner_gamma"):
+        with pytest.raises(ValueError, match=f"^unknown {name} 'amgg'$"):
+            small_spec(**{name: "amgg"})
+
+
 def test_emit_empty_table_has_header_only():
     empty = SweepResult(spec=small_spec(), rows=[])
     csv_text = emit_table(empty, "csv")

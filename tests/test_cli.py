@@ -91,6 +91,65 @@ def test_amg_stats(capsys):
     assert "level 0" in out
 
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "systems")
+AMG_STATS = {
+    ("--geometry", "cross_2d", "--n", "16"): (
+        "hierarchy for the approximate Schur complement:\n"
+        "amg hierarchy (multilevel, negated=False)\n"
+        "  level 0: n=     289  nnz=      1377\n"
+        "  level 1: n=      62  nnz=       636\n"
+        "  operator complexity 1.462, grid complexity 1.215\n"
+        "hierarchy for the interface block:\n"
+        "amg hierarchy (diagonal, negated=False)\n"
+        "  level 0: n=      68  nnz=        68\n"
+        "  operator complexity 1.000, grid complexity 1.000\n"
+    ),
+    # no fractures: the interface block is empty, and its hierarchy too
+    ("--geometry", "random_2d", "--n", "8", "--num-fractures", "0"): (
+        "hierarchy for the approximate Schur complement:\n"
+        "amg hierarchy (multilevel, negated=False)\n"
+        "  level 0: n=      64  nnz=       288\n"
+        "  level 1: n=      12  nnz=        70\n"
+        "  operator complexity 1.243, grid complexity 1.188\n"
+        "hierarchy for the interface block:\n"
+        "amg hierarchy (diagonal, negated=False)\n"
+        "  level 0: n=       0  nnz=         0\n"
+        "  operator complexity 1.000, grid complexity 1.000\n"
+    ),
+    ("--geometry", "regular_3d", "--n", "8"): (
+        "hierarchy for the approximate Schur complement:\n"
+        "amg hierarchy (multilevel, negated=False)\n"
+        "  level 0: n=     729  nnz=      4617\n"
+        "  level 1: n=     189  nnz=      2353\n"
+        "  level 2: n=      41  nnz=       573\n"
+        "  operator complexity 1.634, grid complexity 1.316\n"
+        "hierarchy for the interface block:\n"
+        "amg hierarchy (diagonal, negated=False)\n"
+        "  level 0: n=     486  nnz=       486\n"
+        "  operator complexity 1.000, grid complexity 1.000\n"
+    ),
+    ("--geometry", "imported", "--import", os.path.join(FIXTURES, "random_2d_n16_f20_s3")): (
+        "hierarchy for the approximate Schur complement:\n"
+        "amg hierarchy (multilevel, negated=False)\n"
+        "  level 0: n=     369  nnz=      1741\n"
+        "  level 1: n=     109  nnz=       877\n"
+        "  level 2: n=      24  nnz=       174\n"
+        "  operator complexity 1.604, grid complexity 1.360\n"
+        "hierarchy for the interface block:\n"
+        "amg hierarchy (diagonal, negated=False)\n"
+        "  level 0: n=     244  nnz=       244\n"
+        "  operator complexity 1.000, grid complexity 1.000\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", AMG_STATS, ids=["cross_2d", "no_fractures", "regular_3d",
+                                                 "imported"])
+def test_amg_stats_prints_the_recorded_hierarchies(flags, capsys):
+    assert main(["amg-stats", *flags]) == 0
+    assert capsys.readouterr().out == AMG_STATS[flags]
+
+
 def test_amg_stats_rejects_an_imported_non_symmetric_block(tmp_path, capsys):
     target = tmp_path / "system"
     export_system(assemble(build_cross_2d(4), PhysicalParams()), target)
@@ -138,6 +197,26 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mystery = 7\n")
     assert main(["--config", str(cfg), "generate", "--n", "4"]) == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("schur = exakt", "error: unknown schur_mode 'exakt'\n"),
+    ("inner_gamma = dirct", "error: unknown inner_gamma 'dirct'\n"),
+    ("format = mardown", "error: unknown table format 'mardown', "
+                         "expected one of ('csv', 'aligned-text', 'markdown')\n"),
+], ids=["schur", "inner_gamma", "format"])
+def test_a_config_mode_or_format_is_checked_before_any_work(line, message, capsys, tmp_path,
+                                                           monkeypatch):
+    # argparse checks these on the command line; a config file skips its choices
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(mdsolve.bench, "build_grid", no_grid)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["--config", str(cfg), "sweep", "--n", "8", "--kpar", "1", "--kpar", "1e4"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message)
 
 
 def test_generate_rejects_imported_geometry(capsys):

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import eye, poisson1d, random_spd_dense
@@ -380,8 +380,24 @@ def test_gmres_matches_the_zero_filled_reference_byte_for_byte(nan_rows, case):
     _assert_same_report(report, expected)
 
 
+def _drawn_block_case(seed, kind, pair, diagonal_m):
+    """The case :func:`gmres_cases` draws for a block system with a perturbed
+    right-hand side, ``rel_tol`` 1e-14 and no restart; M is v / d or the
+    block preconditioner."""
+    rng = np.random.default_rng(seed)
+    a, block, b = _block_case(kind, *pair)
+    b = b + rng.standard_normal(len(b))
+    d = rng.uniform(0.5, 2.0, size=len(b))
+    m = (lambda v: v / d) if diagonal_m else block
+    return a, b, m, SolveConfig(rel_tol=1e-14, max_iters=500)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=gmres_cases(restarts=st.none()))
+# 46 iterations each; true residuals 3.35e-13 with one basis, 1.29e-13 with two
+@example(case=_drawn_block_case(35033, "ml", (1e-4, 1e4), diagonal_m=True))
+# 3 iterations each; true residuals 2.29e-13 and 8.2e-14, both at the rounding floor
+@example(case=_drawn_block_case(272, "bu", (1e4, 1e-4), diagonal_m=False))
 def test_one_basis_matches_the_two_basis_loop_up_to_the_update(case):
     a, b, m, cfg = case
     report = gmres(a, b, m, cfg)
@@ -391,5 +407,9 @@ def test_one_basis_matches_the_two_basis_loop_up_to_the_update(case):
     assert report.residual_history.tobytes() == two.residual_history.tobytes()
     # M(V y) and Z y are one linear combination rounded two ways
     assert np.linalg.norm(report.solution - two.solution) <= 1e-12 * np.linalg.norm(two.solution)
-    if report.converged:  # below 10 rel_tol, or at the rounding floor both loops reach
-        assert report.true_residual <= max(10 * cfg.rel_tol, 2 * two.true_residual)
+    # where the reference attains rel_tol, so must the one-basis update up to
+    # a factor; elsewhere the reference sits at its rounding floor, and the
+    # one-basis floor lies above it by a factor that depends on the system
+    # (1.3e-12 against 6.0e-15 on regular_3d n=8 at (1e-4, 1e4) with ml)
+    if two.true_residual <= cfg.rel_tol:
+        assert report.true_residual <= 10 * cfg.rel_tol

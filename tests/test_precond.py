@@ -1,8 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mdsolve.amg import apply_preconditioner_vcycle
 from mdsolve.assembly import BlockSystem, PhysicalParams, assemble, monolithic
-from mdsolve.grids import DofPartition, build_cross_2d
+from mdsolve.grids import (
+    DofPartition,
+    build_cross_2d,
+    build_random_network_2d,
+    build_regular_network_3d,
+)
 from mdsolve.precond import (
     approx_schur,
     build_preconditioner,
@@ -12,6 +20,11 @@ from mdsolve.precond import (
 import scipy.sparse as sp
 
 from mdsolve.sparse import SingularMatrixError, canonical, csr_equal
+from mdsolve.sysio import export_system, import_system
+from test_sparse import reference_schur
+
+FIXTURES = Path(__file__).parent / "data" / "systems"
+PAIRS = [(k_par, kappa) for k_par in (1e-4, 1.0, 1e4) for kappa in (1e-4, 1.0, 1e4)]
 
 
 def one_dof_system():
@@ -120,6 +133,58 @@ def test_approx_schur_names_the_offending_interface_dof():
     )
     with pytest.raises(ValueError, match="interface DOF 1"):
         approx_schur(broken)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+    )
+
+
+def _synthetic_systems():
+    rng = np.random.default_rng(12)
+    systems = [one_dof_system()] + [
+        synthetic_system(rng, n_omega, n_gamma, symmetric)
+        for n_omega, n_gamma, symmetric in ((6, 3, True), (5, 2, True), (4, 3, False), (12, 5, False))
+    ]
+    sys_ = systems[1]
+    decoupled = BlockSystem(
+        sys_.a_omega_omega, canonical(sp.csr_array((6, 3))), canonical(sp.csr_array((3, 6))),
+        sys_.a_gamma_gamma, sys_.rhs_omega, sys_.rhs_gamma, sys_.partition,
+    )
+    return systems + [decoupled]
+
+
+def _assembled_systems():
+    grids = {"cross_2d": build_cross_2d(8), "random_2d": build_random_network_2d(16, 20, 3),
+             "regular_3d": build_regular_network_3d(4, 3)}
+    for name, grid in grids.items():
+        for k_par, kappa in PAIRS:
+            yield (name, k_par, kappa), assemble(grid, PhysicalParams(k_parallel=k_par, kappa=kappa))
+
+
+def test_approx_schur_equals_the_triplet_merge_byte_for_byte():
+    systems = list(_assembled_systems())
+    systems += [(path.name, import_system(path)) for path in sorted(FIXTURES.iterdir())]
+    systems += [(("synthetic", i), s) for i, s in enumerate(_synthetic_systems())]
+    assert len(systems) == 27 + 6 + 6
+    for name, system in systems:
+        assert _same_bytes(approx_schur(system), reference_schur(system)), name
+
+
+def test_approx_schur_names_an_interface_entry_without_a_finite_inverse(tmp_path):
+    sys_ = synthetic_system(np.random.default_rng(2), 4, 3)
+    a_gg = sys_.a_gamma_gamma.toarray()
+    a_gg[2, 2] = 5e-324  # subnormal: 1 / a_gg overflows
+    export_system(BlockSystem(
+        sys_.a_omega_omega, sys_.a_omega_gamma, sys_.a_gamma_omega, canonical(a_gg),
+        sys_.rhs_omega, sys_.rhs_gamma, sys_.partition,
+    ), tmp_path / "system")
+    subnormal = import_system(tmp_path / "system")  # a valid block system
+    with pytest.raises(ValueError, match="^approx_schur: .* 5e-324 has no finite inverse "
+                                         "at interface DOF 2$"):
+        approx_schur(subnormal)
 
 
 # -- factorization oracle --------------------------------------------------------
@@ -274,6 +339,27 @@ def test_hierarchies_are_exposed_for_stats():
     hs = p.hierarchies()
     assert "schur" in hs and "interface" in hs
     assert hs["interface"].diagonal is not None  # matching grid: direct inverse
+    assert build_preconditioner(sys_, inner_omega="direct").hierarchies().keys() == {"interface"}
+    assert build_preconditioner(sys_, inner_gamma="direct").hierarchies().keys() == {"schur"}
+
+
+@pytest.mark.parametrize("modes", [
+    dict(), dict(inner_omega="direct", inner_gamma="direct"),
+    dict(schur_mode="exact", inner_omega="direct", inner_gamma="direct"),
+], ids=["amg", "direct", "exact"])
+def test_a_system_without_fractures_sets_up_an_empty_interface_block(modes):
+    sys_ = assemble(build_random_network_2d(8, 0, 0), PhysicalParams())
+    assert sys_.n_gamma == 0
+    p = build_preconditioner(sys_, **modes)
+    r = np.random.default_rng(13).standard_normal(sys_.n_total)
+    z = p.apply(r)
+    if not modes:  # amg builds the empty interface block like any other
+        assert p.hierarchies()["interface"].diagonal.shape == (0,)
+        assert np.array_equal(z, apply_preconditioner_vcycle(p.hierarchies()["schur"], r))
+    else:  # a direct solve with A_oo, the whole operator
+        assert np.abs(monolithic(sys_) @ z - r).max() <= 1e-10 * np.abs(r).max()
+    for kind in ("bu", "bd"):
+        assert np.array_equal(p.with_kind(kind).apply(r), z)
 
 
 def test_with_kind_is_a_view_equal_to_a_fresh_build():

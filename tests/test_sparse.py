@@ -11,13 +11,11 @@ from mdsolve.sparse import (
     CsrMatrix,
     SingularMatrixError,
     canonical,
-    csr_add,
     csr_equal,
     csr_from_triplets,
     dense_lu,
     read_matrix_market,
     read_vector_market,
-    triple_product_diag_scaled,
     write_matrix_market,
     write_vector_market,
 )
@@ -197,7 +195,49 @@ def test_diagonal_matches_dense_oracle():
     assert np.array_equal(a.diagonal(), np.diag(a.toarray()))
 
 
-# -- triple_product_diag_scaled ----------------------------------------------
+# -- the triplet-merge Schur complement ---------------------------------------
+
+
+def triple_product_diag_scaled(b, dinv: np.ndarray, c) -> CsrMatrix:
+    """Compute B * diag(dinv) * C as canonical CSR: the coupling term of
+    :func:`reference_schur`, with its scaling checked."""
+    dinv = np.asarray(dinv, dtype=np.float64)
+    if dinv.ndim != 1 or b.shape[1] != len(dinv) or len(dinv) != c.shape[0]:
+        raise ValueError(
+            "triple_product_diag_scaled: inner dimensions "
+            f"{b.shape[1]}, {len(dinv)}, {c.shape[0]} do not agree"
+        )
+    if not np.all(np.isfinite(dinv)):
+        raise ValueError("triple_product_diag_scaled: nonfinite scaling entry")
+    return canonical(b @ sp.diags_array(dinv) @ c)
+
+
+def csr_add(a, b, alpha: float = 1.0) -> CsrMatrix:
+    """Entrywise A + alpha*B on the union pattern.
+
+    Cancellation zeros stay stored, where scipy's own add prunes them, hence
+    the triplet merge.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"csr_add: shape mismatch {a.shape} vs {b.shape}")
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    rows = np.concatenate([rows, np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))])
+    cols = np.concatenate([a.indices, b.indices])
+    vals = np.concatenate([a.data, float(alpha) * b.data])
+    return csr_from_triplets(a.shape, rows, cols, vals)
+
+
+def reference_schur(system) -> CsrMatrix:
+    """A_oo - A_og diag(A_gg)^-1 A_go as a triplet merge of A_oo with the
+    scaled triple product: the reference that ``approx_schur`` must equal
+    byte for byte. It keeps cancellation zeros; an assembled system has
+    none."""
+    if system.n_gamma == 0:
+        return system.a_omega_omega
+    triple = triple_product_diag_scaled(
+        system.a_omega_gamma, 1.0 / system.a_gamma_gamma.diagonal(), system.a_gamma_omega
+    )
+    return csr_add(system.a_omega_omega, triple, -1.0)
 
 
 def test_triple_product_hand_example():
@@ -231,9 +271,6 @@ def test_triple_product_rejects_bad_inputs():
         triple_product_diag_scaled(b, np.ones(2), b)
     with pytest.raises(ValueError):
         triple_product_diag_scaled(b, np.array([1.0, np.inf, 1.0]), b)
-
-
-# -- csr_add -----------------------------------------------------------------
 
 
 def test_add_cancellation_keeps_pattern():
@@ -341,14 +378,22 @@ def test_dense_lu_factors_solve_and_singular_message():
 
 def test_dense_lu_callers_keep_their_messages():
     from mdsolve.amg import amg_setup
-    from mdsolve.precond import _DirectDense
+    from mdsolve.assembly import BlockSystem
+    from mdsolve.grids import DofPartition
+    from mdsolve.precond import build_preconditioner
 
     with pytest.raises(SingularMatrixError, match="^dense_lu_solve: matrix is singular to working precision$"):
         dense_lu_solve(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(SingularMatrixError, match="^amg_setup: coarsest-level operator is singular$"):
         amg_setup(dense([[1.0, -1.0], [-1.0, 1.0]]))
-    with pytest.raises(SingularMatrixError, match="^ctx: matrix is singular to working precision$"):
-        _DirectDense(np.zeros((2, 2)), "ctx")
+    # A_gg = [1] is regular, its Schur complement 1 - 1 * 1 * 1 is not
+    one = dense([[1.0]])
+    system = BlockSystem(one, one, one, one, np.zeros(1), np.zeros(1),
+                         DofPartition(((0, 0, 1),), ((0, 1, 2),)))
+    with pytest.raises(SingularMatrixError, match="^build_preconditioner: Schur block: "
+                                                  "matrix is singular to working precision$"):
+        build_preconditioner(system, schur_mode="exact", inner_omega="direct",
+                             inner_gamma="direct")
 
 
 def test_lu_shape_errors():
@@ -393,7 +438,7 @@ def test_symmetric_encoding_matches_general(tmp_path):
     # same matrix written twice: lower-triangle symmetric vs full general
     rng = np.random.default_rng(9)
     a = random_csr(rng, 6, 6, 0.4)
-    full = csr_add(a, a.T.tocsr())
+    full = canonical(a + a.T)
     p_sym = tmp_path / "sym.mtx"
     p_gen = tmp_path / "gen.mtx"
     scipy.io.mmwrite(str(p_sym), full, field="real", symmetry="symmetric")
