@@ -19,6 +19,13 @@ the transpose of the stored lower triangle. One cycle from a zero initial
 guess is a fixed linear operator, which is what the block preconditioner
 uses for its inner solves.
 
+Set-up runs on typed arrays: no step creates a Python object per stored
+entry. Each level computes its per-entry strength arrays once
+(:func:`_strength`); aggregation, the attach pass and filtering share them,
+and they are freed before the Galerkin product. Only aggregation's root pass
+is a Python loop, over ``memoryview``s of the strong graph; its straggler
+pass is vectorised and gives the same aggregates as the sequential pass.
+
 Two special cases are handled transparently: operators whose off-diagonal
 part is entirely zero are solved directly (no hierarchy), and operators with
 an all-negative diagonal (the interface block as assembled) are negated for
@@ -144,78 +151,100 @@ class AmgHierarchy:
 
 
 def _strength(a: sp.csr_array, theta: float):
-    """Row of each stored entry, off-diagonal mask, and the strength threshold
-    ``theta * sqrt(|a_ii a_jj|)`` of each entry; shared by aggregation and
-    filtering of one level."""
+    """Per-entry strength arrays of one level, computed once and shared by
+    :func:`_aggregate`, :func:`_attach_isolated` and :func:`_filtered`.
+
+    Returns ``(rows, off, thresh, absval, strong)``: the row of each stored
+    entry in ``a``'s index dtype, the off-diagonal mask, the threshold
+    ``theta * sqrt(|a_ii a_jj|)``, ``|a_ij|``, and the strong mask: an
+    off-diagonal entry is strong when ``|a_ij| >= thresh`` and ``|a_ij| > 0``.
+    """
     diag = a.diagonal()
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
     off = a.indices != rows
-    thresh = theta * np.sqrt(np.abs(diag[rows] * diag[a.indices]))
-    return rows, off, thresh
+    thresh = diag[rows]  # in place from here: one per-entry float temporary, not four
+    thresh *= diag[a.indices]
+    np.abs(thresh, out=thresh)
+    np.sqrt(thresh, out=thresh)
+    thresh *= theta
+    absval = np.abs(a.data)
+    strong = absval >= thresh
+    strong &= off
+    strong &= absval > 0
+    return rows, off, thresh, absval, strong
 
 
-def _aggregate(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray):
+def _aggregate(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray,
+               absval: np.ndarray, strong: np.ndarray):
     """Greedy aggregation over the strength graph (Vanek, Mandel & Brezina).
 
-    An off-diagonal entry is strong when ``|a_ij| >= thresh`` and
-    ``|a_ij| > 0``. Root pass: nodes are visited in natural order, and a
-    free node whose strong neighbors are all free seeds an aggregate with
-    them. Straggler pass, again in natural order: each remaining node joins
-    the aggregate of the first strictly strongest aggregated neighbor in row
-    order, seeing nodes attached earlier in the same pass. Hierarchies stay
-    bit-identical only while this order and tie-break hold.
+    Takes the arrays of :func:`_strength`. Root pass: nodes are visited in
+    natural order, and a free node whose strong neighbors are all free seeds
+    an aggregate with them. It is a lexicographically-first choice, so it
+    stays a Python loop, over typed views of the strong graph. Straggler
+    pass: each remaining node joins the aggregate of its first strongest
+    strong neighbor (largest ``|a_ij|``, ties to the earlier entry in the
+    row) among the root-aggregated nodes and the earlier stragglers. That
+    is what a sequential pass in natural order sees; here it is one sort,
+    and chains of stragglers are resolved by pointer jumping. Hierarchies
+    stay bit-identical only while this order and tie-break hold.
     Returns (int64 aggregate id per node, number of aggregates).
     """
     n = a.shape[0]
-    absval = np.abs(a.data)
-    strong = off & (absval >= thresh) & (absval > 0)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[strong], minlength=n))]).tolist()
-    indices = a.indices[strong].tolist()
-    weights = absval[strong].tolist()
-
-    agg = [-1] * n
+    indptr = memoryview(np.concatenate([[0], np.cumsum(np.bincount(rows[strong], minlength=n))]))
+    indices = memoryview(a.indices[strong])
+    agg = np.full(n, -1, dtype=np.int64)
+    view = memoryview(agg)
     n_agg = 0
     for i in range(n):
-        if agg[i] >= 0:
+        if view[i] >= 0:
             continue
         nbrs = indices[indptr[i] : indptr[i + 1]]
         for j in nbrs:
-            if agg[j] >= 0:
+            if view[j] >= 0:
                 break
         else:  # every strong neighbor is free
-            agg[i] = n_agg
+            view[i] = n_agg
             for j in nbrs:
-                agg[j] = n_agg
+                view[j] = n_agg
             n_agg += 1
-    for i in range(n):
-        if agg[i] >= 0:
-            continue
-        best, best_w = -1, -1.0
-        for k in range(indptr[i], indptr[i + 1]):
-            j = agg[indices[k]]
-            if j >= 0 and weights[k] > best_w:
-                best, best_w = j, weights[k]
-        agg[i] = best
-    # No third pass: a node the root pass skips has an aggregated strong neighbor.
-    # A node without strong neighbors seeds a singleton here; below the finest
-    # level amg_setup then merges it into a neighbor's (_attach_isolated).
-    return np.array(agg, dtype=np.int64), n_agg
+    del view, indices, indptr
+    # Every straggler has a root-aggregated strong neighbor: the root pass
+    # skips a free node only for one. A node without strong neighbors seeds a
+    # singleton above; below the finest level amg_setup then merges it into
+    # a neighbor's (_attach_isolated).
+    straggler = agg < 0
+    k = np.flatnonzero(strong & straggler[rows])
+    r, c = rows[k], a.indices[k]
+    keep = ~straggler[c] | (c < r)
+    k, r, c = k[keep], r[keep], c[keep]
+    order = np.lexsort((k, -absval[k], r))  # by row, strongest first, then row order
+    r, c = r[order], c[order]
+    first = np.diff(r, prepend=-1) != 0
+    target = np.arange(n)
+    target[r[first]] = c[first]
+    while True:  # an earlier straggler's target is smaller still, so this ends
+        jumped = target[target]
+        if np.array_equal(jumped, target):
+            break
+        target = jumped
+    return agg[target], n_agg
 
 
-def _attach_isolated(a: sp.csr_array, rows: np.ndarray, off: np.ndarray,
-                     thresh: np.ndarray, agg: np.ndarray):
+def _attach_isolated(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray,
+                     absval: np.ndarray, strong: np.ndarray, agg: np.ndarray):
     """Merge each node without a strong neighbor into the aggregate of its
     strongest neighbor that has one, then renumber the aggregates
     contiguously in their previous order.
 
-    Strength here is the normalised ``|a_ij| / sqrt(|a_ii a_jj|)`` of the
-    strength test; ties go to the first neighbor in row order. Nodes whose
-    nonzero neighbors are all isolated keep their aggregate. Returns
-    (int64 aggregate id per node, number of aggregates).
+    Takes the arrays of :func:`_strength` and the aggregates of
+    :func:`_aggregate`. Strength here is the normalised
+    ``|a_ij| / sqrt(|a_ii a_jj|)`` of the strength test; ties go to the first
+    neighbor in row order. Nodes whose nonzero neighbors are all isolated
+    keep their aggregate. Returns (int64 aggregate id per node, number of
+    aggregates).
     """
     n = a.shape[0]
-    absval = np.abs(a.data)
-    strong = off & (absval >= thresh) & (absval > 0)
     has_strong = np.bincount(rows[strong], minlength=n) > 0
     cand = np.flatnonzero(off & (absval > 0) & ~has_strong[rows] & has_strong[a.indices])
     if len(cand):
@@ -231,17 +260,30 @@ def _attach_isolated(a: sp.csr_array, rows: np.ndarray, off: np.ndarray,
     return agg.astype(np.int64, copy=False), len(ids)
 
 
-def _filtered(a: sp.csr_array, rows: np.ndarray, off: np.ndarray,
-              thresh: np.ndarray) -> sp.csr_array:
+def _filtered(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray,
+              absval: np.ndarray, strong: np.ndarray) -> sp.csr_array:
     """Drop weak off-diagonal entries (``|a_ij| < thresh``) and lump them
-    into the diagonal."""
+    into the diagonal. Takes the arrays of :func:`_strength`.
+
+    The result is built from the kept entries, without the copy of ``a``
+    and the sparse sum ``filt + diags(lump)`` that would hold two per-entry
+    arrays at once; like that sum, it drops entries that end up exactly
+    zero. Every row must store its diagonal, as every level
+    :func:`amg_setup` filters does.
+    """
     n = a.shape[0]
-    weak = off & (np.abs(a.data) < thresh)
+    weak = off & (absval < thresh)
     lump = np.zeros(n)
     np.add.at(lump, rows[weak], a.data[weak])
-    data = np.where(weak, 0.0, a.data)
-    filt = sp.csr_array((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    return (filt + sp.diags_array(lump)).tocsr()
+    indptr = np.zeros_like(a.indptr)
+    np.cumsum(np.diff(a.indptr) - np.bincount(rows[weak], minlength=n), out=indptr[1:])
+    keep = ~weak
+    del weak
+    data = a.data[keep]
+    data[~off[keep]] += lump
+    filt = sp.csr_array((data, a.indices[keep], indptr), shape=a.shape)
+    filt.eliminate_zeros()
+    return filt
 
 
 def _rho_dinv_a(a: sp.csr_array, dinv: np.ndarray) -> float:
@@ -268,13 +310,20 @@ def _rho_dinv_a(a: sp.csr_array, dinv: np.ndarray) -> float:
 def _triangular_factor(a: sp.csr_array):
     """SuperLU factor of ``tril(a)`` in natural order without pivoting, so its
     solves are the forward (``solve``) and backward (``solve(trans="T")``)
-    Gauss-Seidel sweeps. ``panel_size=1`` leaves the factor and its solves
-    byte-identical to the default panel size but shrinks SuperLU's panel
-    workspace: on the 3d n=36 Schur block it halved the level-0 factor time
-    (23.6 to 10.1 ms), and a factor of ``triu(A)`` kept 19 MiB resident with
-    the default panel size against 2.3 MiB with this one."""
-    return spla.splu(sp.tril(a, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                     panel_size=1)
+    Gauss-Seidel sweeps. ``tril(a)`` is built by masking the CSR arrays and
+    converting to CSC: the same CSC arrays as ``sp.tril(a).tocsc()``,
+    without its COO copy. ``panel_size=1`` leaves the factor and its
+    solves byte-identical to the default panel size but shrinks SuperLU's
+    panel workspace: on the 3d n=36 Schur block it halved the level-0 factor
+    time (23.6 to 10.1 ms), and a factor of ``triu(A)`` kept 19 MiB resident
+    with the default panel size against 2.3 MiB with this one."""
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+    lower = a.indices <= rows
+    indptr = np.zeros_like(a.indptr)
+    np.cumsum(np.bincount(rows[lower], minlength=a.shape[0]), out=indptr[1:])
+    del rows
+    tril = sp.csr_array((a.data[lower], a.indices[lower], indptr), shape=a.shape).tocsc()
+    return spla.splu(tril, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
 
 
 def amg_setup(a: CsrMatrix) -> AmgHierarchy:
@@ -312,8 +361,10 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
     if len(zero):
         raise ValueError(f"amg_setup: zero diagonal entry at row {zero[0]}")
 
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    if not np.any((a.indices != rows) & (a.data != 0.0)):
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+    diagonal_only = not np.any((a.indices != rows) & (a.data != 0.0))
+    del rows  # one entry per stored value; must not live through the level loop
+    if diagonal_only:
         # (block-)diagonal operator: invert directly, no hierarchy needed
         return AmgHierarchy(levels=[], negated=False, diagonal=diag.copy())
 
@@ -360,6 +411,7 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
         rho = _rho_dinv_a(current, dinv)
         omega = OMEGA_FACTOR / max(rho, np.finfo(float).tiny)
         p = (p_tent - sp.diags_array(omega * dinv) @ (a_filt @ p_tent)).tocsr()
+        del a_filt  # one entry per stored value; must not live into the next level
         for arr in (p.indptr, p.indices, p.data):
             arr.flags.writeable = False
         coarse = canonical(p.T @ current @ p)

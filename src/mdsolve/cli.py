@@ -64,11 +64,22 @@ def _read_config(path) -> dict:
     return values
 
 
-def _apply_config(args, config: dict):
+def _parse(kind, text: str, key: str, path):
+    """Cast one config value, naming the key and the file if it does not
+    parse, as argparse names the flag."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"config {path}, key {key!r}: invalid {kind.__name__} value: "
+                         f"{text!r}") from None
+
+
+def _apply_config(args, config: dict, path):
     """Fill config values into flags the user did not give.
 
     Keys the current subcommand does not use are ignored, so one config file
-    can serve several subcommands; keys no subcommand knows are rejected.
+    can serve several subcommands; keys no subcommand knows are rejected, and
+    a value that does not parse names its key and the file.
     """
     for key, value in config.items():
         if key not in LIST_KEYS and key not in SCALAR_KEYS:
@@ -76,10 +87,10 @@ def _apply_config(args, config: dict):
         if not hasattr(args, key) or getattr(args, key) is not None:
             continue  # the subcommand has no such flag, or it was given
         if key in LIST_KEYS:
-            cast = LIST_KEYS[key]
-            setattr(args, key, [cast(p.strip()) for p in value.split(",") if p.strip()])
+            setattr(args, key, [_parse(LIST_KEYS[key], p.strip(), key, path)
+                                for p in value.split(",") if p.strip()])
         else:
-            setattr(args, key, SCALAR_KEYS[key](value))
+            setattr(args, key, _parse(SCALAR_KEYS[key], value, key, path))
     return args
 
 
@@ -200,7 +211,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, _read_config(args.config))
+            _apply_config(args, _read_config(args.config), args.config)
         return _dispatch(_fill_defaults(args))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdsolve
@@ -318,8 +319,50 @@ def symmetric_operators(draw):
     return a, draw(st.sampled_from([0.0, 0.08, 0.25, 0.6]))
 
 
+def _graph(n: int, edges: dict) -> sp.csr_matrix:
+    """Symmetric operator with diagonal 4 and ``a_ij = a_ji = -w`` for each
+    edge ``(i, j): w``; at theta 0 every edge is strong."""
+    a = sp.lil_matrix((n, n))
+    a.setdiag(4.0)
+    for (i, j), w in edges.items():
+        a[i, j] = a[j, i] = -w
+    return sp.csr_matrix(a)
+
+
+# Root pass on each: {0, 1} and {2, 3} become aggregates 0 and 1; every later
+# node has a strong neighbor among them and is a straggler.
+# Stragglers 5 and 6 each hold their strongest edge to the previous straggler,
+# so 6 -> 5 -> 4 -> 1 is a chain and all three join aggregate 0, although 5
+# and 6 also have an edge to aggregate 1.
+_STRAGGLER_CHAIN = (_graph(7, {(0, 1): 1.0, (2, 3): 1.0, (1, 4): 0.9, (3, 4): 0.5,
+                               (3, 5): 0.2, (4, 5): 0.8, (3, 6): 0.3, (5, 6): 0.7}), 0.0)
+# Equal weights: 4 goes to 1, the earlier entry of its row, not to 3; and 5
+# goes to 3 (root-aggregated) before 4 (an earlier straggler).
+_STRAGGLER_TIES = (_graph(6, {(0, 1): 1.0, (2, 3): 1.0, (1, 4): 0.5, (3, 4): 0.5,
+                              (3, 5): 0.5, (4, 5): 0.5}), 0.0)
+# 4's strongest strong neighbor is 5, a later straggler, which a sequential
+# pass has not placed yet: 4 joins 3's aggregate, and 5 then follows 4.
+_LATER_STRAGGLER = (_graph(6, {(0, 1): 1.0, (2, 3): 1.0, (3, 4): 0.2, (4, 5): 0.9,
+                               (1, 5): 0.3}), 0.0)
+
+
+@pytest.mark.parametrize("case, expected", [
+    (_STRAGGLER_CHAIN, [0, 0, 1, 1, 0, 0, 0]),
+    (_STRAGGLER_TIES, [0, 0, 1, 1, 0, 1]),
+    (_LATER_STRAGGLER, [0, 0, 1, 1, 1, 1]),
+], ids=["chain", "ties", "later_straggler"])
+def test_straggler_pass_on_hand_built_operators(case, expected):
+    a, theta = case
+    agg, n_agg = _aggregate(a, *_strength(a, theta))
+    assert (agg.tolist(), n_agg) == (expected, 2)
+    _assert_matches_reference(a, theta)
+
+
 @settings(max_examples=300, deadline=None)
 @given(symmetric_operators())
+@example(_STRAGGLER_CHAIN)
+@example(_STRAGGLER_TIES)
+@example(_LATER_STRAGGLER)
 def test_aggregation_matches_reference_on_generated_operators(case):
     a, theta = case
     _assert_matches_reference(a, theta)
@@ -417,6 +460,25 @@ def test_3d_schur_hierarchy_coarsens_at_scale(n):
     assert h.operator_complexity < 2.0
     report = gmres(monolithic(system), system.rhs, prec, SolveConfig(rel_tol=1e-6))
     assert report.converged
+
+
+def test_setup_python_heap_peak_is_at_most_five_times_its_input():
+    """The ``tracemalloc`` peak of ``amg_setup`` on a 3d Schur block stays
+    within five times the block's CSR bytes (8.2 times when aggregation built
+    Python lists of the strong graph). ``tracemalloc`` sees only the Python
+    heap, numpy arrays included; SuperLU's C allocations for the triangular
+    factors are invisible to it."""
+    system = assemble(build_regular_network_3d(24, 3), PhysicalParams(k_parallel=1e4, kappa=1e-4))
+    schur = approx_schur(system)
+    del system
+    csr_bytes = schur.data.nbytes + schur.indices.nbytes + schur.indptr.nbytes
+    tracemalloc.start()
+    try:
+        amg_setup(schur)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * csr_bytes, f"peak {peak / csr_bytes:.2f} x the input's CSR bytes"
 
 
 _HIERARCHY_BYTES = """

@@ -219,6 +219,24 @@ def test_a_config_mode_or_format_is_checked_before_any_work(line, message, capsy
     assert (out, err) == ("", message)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("n = abc", "key 'n': invalid int value: 'abc'"),
+    ("tol = 1e-6x", "key 'tol': invalid float value: '1e-6x'"),
+    ("n = 4, x", "key 'n': invalid int value: 'x'"),
+], ids=["int", "float", "list_item"])
+def test_a_config_value_that_does_not_parse_names_its_key_and_file(line, message, capsys,
+                                                                  tmp_path, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(mdsolve.bench, "build_grid", no_grid)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["--config", str(cfg), "sweep", "--kpar", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: config {cfg}, {message}\n")
+
+
 def test_generate_rejects_imported_geometry(capsys):
     assert main(["generate", "--geometry", "imported"]) == 2
     assert "geometry 'imported' has no grid" in capsys.readouterr().err
