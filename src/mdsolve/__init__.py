@@ -34,13 +34,7 @@ from .amg import (
     apply_preconditioner_vcycle,
     v_cycle,
 )
-from .precond import (
-    BlockPreconditioner,
-    approx_schur,
-    build_preconditioner,
-    exact_schur,
-    factorization_factors,
-)
+from .precond import BlockPreconditioner, approx_schur, build_preconditioner
 from .krylov import SolveConfig, SolveReport, gmres
 from .bench import SweepResult, SweepRow, SweepSpec, emit_table, run_sweep
 from .sysio import export_system, import_system
@@ -78,9 +72,7 @@ __all__ = [
     "csr_equal",
     "csr_from_triplets",
     "emit_table",
-    "exact_schur",
     "export_system",
-    "factorization_factors",
     "gmres",
     "import_system",
     "monolithic",

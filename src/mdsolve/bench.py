@@ -49,7 +49,6 @@ class SweepSpec:
     k_parallel_values: tuple = (1.0,)
     kappa_values: tuple = (1.0,)
     precond_kinds: tuple = ("ml",)
-    schur_mode: str = "diag"
     inner_omega: str = "amg"
     inner_gamma: str = "amg"
     matrix_permeability: float = 1.0
@@ -72,7 +71,7 @@ class SweepSpec:
         unknown = [k for k in self.precond_kinds if k not in KINDS + ("none",)]
         if unknown:
             raise ValueError(f"unknown preconditioner kind {unknown[0]!r} in precond_kinds")
-        check_modes(self.schur_mode, self.inner_omega, self.inner_gamma)
+        check_modes(self.inner_omega, self.inner_gamma)
         if self.geometry == "imported":
             if not self.import_path:
                 raise ValueError("geometry 'imported' has no grid and needs import_path")
@@ -197,10 +196,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if kind != "none" and shared is None:
                 t0 = time.perf_counter()
                 try:
-                    shared = build_preconditioner(
-                        system, kind=kind, schur_mode=spec.schur_mode,
-                        inner_omega=spec.inner_omega, inner_gamma=spec.inner_gamma,
-                    )
+                    shared = build_preconditioner(system, kind=kind, inner_omega=spec.inner_omega,
+                                                  inner_gamma=spec.inner_gamma)
                     row.setup_seconds = time.perf_counter() - t0
                 except Exception as exc:  # fails every preconditioned kind alike
                     shared = _error_text(exc)

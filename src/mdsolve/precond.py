@@ -12,8 +12,9 @@ V-cycle each. Its action is three steps: solve on the subdomain block,
 update the interface residual with the coupling block, solve on the
 interface block.
 
-Exact-mode preconditioners are dense oracles guarded by a size cap; they
-exist to validate the approximate path, not to solve anything large.
+On the matching grids this package assembles, the interface block is
+diagonal, so the approximate Schur complement is the exact one; the dense
+exact-factorization oracle that checks this lives in the tests.
 """
 
 from __future__ import annotations
@@ -21,30 +22,24 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
 from .amg import amg_setup, apply_preconditioner_vcycle
-from .sparse import CsrMatrix, canonical, dense_lu
+from .sparse import CsrMatrix, SingularMatrixError, canonical
 
 __all__ = [
     "KINDS",
-    "SCHUR_MODES",
     "INNER_MODES",
     "check_modes",
-    "exact_schur",
     "approx_schur",
-    "factorization_factors",
     "BlockPreconditioner",
     "build_preconditioner",
 ]
 
 KINDS = ("ml", "bu", "bd")
-SCHUR_MODES = ("diag", "exact")
 INNER_MODES = ("amg", "direct")
-ORACLE_CAP = 2000  # dofs; the exact-mode oracles are dense
 
 
 def _check_kind(kind: str):
@@ -52,34 +47,11 @@ def _check_kind(kind: str):
         raise ValueError(f"unknown preconditioner kind {kind!r}, expected one of {KINDS}")
 
 
-def check_modes(schur_mode: str, inner_omega: str, inner_gamma: str):
-    """Reject a set-up mode name that :func:`build_preconditioner` does not know."""
-    if schur_mode not in SCHUR_MODES:
-        raise ValueError(f"unknown schur_mode {schur_mode!r}")
+def check_modes(inner_omega: str, inner_gamma: str):
+    """Reject an inner-solve mode name that :func:`build_preconditioner` does not know."""
     for name, mode in (("inner_omega", inner_omega), ("inner_gamma", inner_gamma)):
         if mode not in INNER_MODES:
             raise ValueError(f"unknown {name} {mode!r}")
-
-
-def exact_schur(system: BlockSystem) -> np.ndarray:
-    """Dense Schur complement of the interface block (oracle only).
-
-    Computes A_oo - A_og A_gg^-1 A_go. Refuses systems above ``ORACLE_CAP``
-    dofs and singular interface blocks.
-    """
-    if system.n_total > ORACLE_CAP:
-        raise ValueError(
-            f"exact_schur: system has {system.n_total} dofs, above the oracle cap {ORACLE_CAP}"
-        )
-    a_oo = system.a_omega_omega.toarray()
-    if system.n_gamma == 0:
-        return a_oo
-    lu = dense_lu(
-        system.a_gamma_gamma.toarray(),
-        "exact_schur: interface block: matrix is singular to working precision",
-    )
-    x = scipy.linalg.lu_solve(lu, system.a_gamma_omega.toarray())
-    return a_oo - system.a_omega_gamma.toarray() @ x
 
 
 def approx_schur(system: BlockSystem) -> CsrMatrix:
@@ -111,50 +83,22 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
     return canonical(system.a_omega_omega - coupling)
 
 
-def factorization_factors(system: BlockSystem):
-    """Dense (U, D, L) factors of the monolithic operator (oracle only).
-
-    U is unit block upper triangular with A_og A_gg^-1 in its off-diagonal
-    block, D is blockdiag(Schur, A_gg), L is unit block lower triangular with
-    A_gg^-1 A_go. Their product reproduces the monolithic matrix.
-    """
-    if system.n_total > ORACLE_CAP:
-        raise ValueError(
-            f"factorization_factors: system has {system.n_total} dofs, "
-            f"above the oracle cap {ORACLE_CAP}"
-        )
-    no, ng, nt = system.n_omega, system.n_gamma, system.n_total
-    s = exact_schur(system)
-    u = np.eye(nt)
-    d = np.zeros((nt, nt))
-    lo = np.eye(nt)
-    d[:no, :no] = s
-    if ng:
-        a_gg = system.a_gamma_gamma.toarray()
-        lu = dense_lu(
-            a_gg, "factorization_factors: interface block: matrix is singular to working precision"
-        )
-        u[:no, no:] = scipy.linalg.lu_solve(lu, system.a_omega_gamma.toarray().T).T
-        lo[no:, :no] = scipy.linalg.lu_solve(lu, system.a_gamma_omega.toarray())
-        d[no:, no:] = a_gg
-    return u, d, lo
-
-
-def _inner_solve(block, mode: str, name: str):
+def _inner_solve(block: CsrMatrix, mode: str, name: str):
     """The solve of one diagonal block and its AMG hierarchy (None without one).
 
-    A dense block is the exact-mode oracle and gets a dense LU; a sparse one
-    gets a sparse LU in ``direct`` mode and one AMG V-cycle in ``amg`` mode.
-    ``name`` labels the block in a singularity error.
+    ``amg`` mode gets one AMG V-cycle, ``direct`` mode a sparse LU. ``name``
+    labels the block in a singularity error.
     """
     if mode == "amg":
         hierarchy = amg_setup(block)
         return (lambda r: apply_preconditioner_vcycle(hierarchy, r)), hierarchy
-    if isinstance(block, np.ndarray):
-        lu = dense_lu(block, f"build_preconditioner: {name} block: matrix is singular "
-                             f"to working precision")
-        return (lambda r: scipy.linalg.lu_solve(lu, r)), None
-    return spla.splu(block.tocsc()).solve, None
+    try:
+        lu = spla.splu(block.tocsc())
+    except RuntimeError as exc:  # SuperLU's only one: "Factor is exactly singular"
+        raise SingularMatrixError(
+            f"build_preconditioner: {name} block: matrix is exactly singular"
+        ) from exc
+    return lu.solve, None
 
 
 class BlockPreconditioner:
@@ -235,41 +179,30 @@ class BlockPreconditioner:
 def build_preconditioner(
     system: BlockSystem,
     kind: str = "ml",
-    schur_mode: str = "diag",
     inner_omega: str = "amg",
     inner_gamma: str = "amg",
 ) -> BlockPreconditioner:
     """Set up a block preconditioner for an assembled system.
+
+    The Schur complement is :func:`approx_schur`, the diagonal approximation
+    of the interface block inside it, which is exact when the interface block
+    is diagonal.
 
     Parameters
     ----------
     system : BlockSystem
     kind : {"ml", "bu", "bd"}
         Block lower triangular, upper triangular, or block diagonal.
-    schur_mode : {"diag", "exact"}
-        Diagonal approximation of the interface block inside the Schur
-        complement, or the dense exact Schur complement (oracle only;
-        requires direct inner solves and at most ``ORACLE_CAP`` dofs).
     inner_omega, inner_gamma : {"amg", "direct"}
-        One AMG V-cycle or an exact factorization per block. AMG on a purely
-        diagonal interface block degenerates to the exact diagonal solve.
+        One AMG V-cycle or a sparse LU factorization per block. AMG on a
+        purely diagonal interface block degenerates to the exact diagonal
+        solve.
     """
     _check_kind(kind)
-    check_modes(schur_mode, inner_omega, inner_gamma)
-    if schur_mode == "exact":
-        if inner_omega != "direct" or inner_gamma != "direct":
-            raise ValueError("schur_mode='exact' is an oracle and requires direct inner solves")
-        if system.n_total > ORACLE_CAP:
-            raise ValueError(
-                f"schur_mode='exact' limited to {ORACLE_CAP} dofs, system has {system.n_total}"
-            )
-
-    if schur_mode == "exact":
-        schur, a_gg = exact_schur(system), system.a_gamma_gamma.toarray()
-    else:
-        schur, a_gg = approx_schur(system), system.a_gamma_gamma
+    check_modes(inner_omega, inner_gamma)
+    schur = approx_schur(system)
     q_omega, h_omega = _inner_solve(schur, inner_omega, "Schur")
-    q_gamma, h_gamma = _inner_solve(a_gg, inner_gamma, "interface")
+    q_gamma, h_gamma = _inner_solve(system.a_gamma_gamma, inner_gamma, "interface")
     hierarchies = {name: h for name, h in (("schur", h_omega), ("interface", h_gamma))
                    if h is not None}
     return BlockPreconditioner(

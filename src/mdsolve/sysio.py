@@ -1,12 +1,12 @@
 """Block system exchange on disk.
 
 A system is stored as a directory of four coordinate Matrix Market files,
-two array-format right-hand side files, and a JSON sidecar recording the DOF
-partition. The writer emits full-precision values, so an export/import round
-trip reproduces every block bit for bit. Import rejects NaN and inf
-values and validates the sidecar against the matrices and the
-exact-transpose contract between the two coupling blocks, so externally
-generated systems are checked before any solve touches them.
+two n-by-1 coordinate Matrix Market files for the right-hand sides, and a
+JSON sidecar recording the DOF partition. The writer emits full-precision
+values, so an export/import round trip reproduces every block bit for bit.
+Import rejects NaN and inf values and validates the sidecar against the
+matrices and the exact-transpose contract between the two coupling blocks,
+so externally generated systems are checked before any solve touches them.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""Shared test helpers: model problems and random matrix factories."""
+"""Shared test helpers: model problems, random matrix factories and a
+system whose preconditioner set-up fails."""
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import settings
 
+from mdsolve.assembly import BlockSystem, PhysicalParams, assemble
+from mdsolve.grids import build_cross_2d
 from mdsolve.sparse import CsrMatrix, canonical, csr_from_triplets
+from mdsolve.sysio import export_system
 
 # a failure prints its @reproduce_failure line, so it replays from the log
 # even when its example holds objects that print as unpasteable reprs
@@ -48,3 +52,15 @@ def random_csr(rng: np.random.Generator, nrows: int, ncols: int, density: float 
 def random_spd_dense(rng: np.random.Generator, n: int) -> np.ndarray:
     m = rng.standard_normal((n, n))
     return m @ m.T + n * np.eye(n)
+
+
+def export_zero_interface_diagonal(target) -> str:
+    """Export ``cross_2d`` n=4 with ``A_gg[1, 1] = 0`` to ``target``: a valid
+    block system on which ``approx_schur`` refuses to divide. Returns the
+    directory as a string."""
+    s = assemble(build_cross_2d(4), PhysicalParams())
+    a_gg = s.a_gamma_gamma.toarray()
+    a_gg[1, 1] = 0.0
+    export_system(BlockSystem(s.a_omega_omega, s.a_omega_gamma, s.a_gamma_omega, canonical(a_gg),
+                              s.rhs_omega, s.rhs_gamma, s.partition), target)
+    return str(target)

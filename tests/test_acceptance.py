@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from conftest import poisson2d
-from test_sparse import dense_lu_solve
+from test_sparse import dense_lu_solve, exact_preconditioner, exact_schur, factorization_factors
 from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.bench import SweepSpec, run_sweep
 from mdsolve.grids import (
@@ -19,12 +19,7 @@ from mdsolve.grids import (
     build_regular_network_3d,
 )
 from mdsolve.krylov import SolveConfig, gmres
-from mdsolve.precond import (
-    approx_schur,
-    build_preconditioner,
-    exact_schur,
-    factorization_factors,
-)
+from mdsolve.precond import approx_schur
 from mdsolve.sparse import canonical, csr_equal
 from mdsolve.sysio import export_system, import_system
 from mdsolve.amg import amg_setup, v_cycle
@@ -81,10 +76,7 @@ def test_criterion_2_two_iteration_property():
     count = 0
     for system in tested:
         a = monolithic(system)
-        prec = build_preconditioner(
-            system, kind="ml", schur_mode="exact",
-            inner_omega="direct", inner_gamma="direct",
-        )
+        prec = exact_preconditioner(system, kind="ml")
         for b in (system.rhs, rng.standard_normal(system.n_total)):
             if not np.linalg.norm(b):
                 b = rng.standard_normal(system.n_total)
@@ -96,10 +88,7 @@ def test_criterion_2_two_iteration_property():
     # near eps*kappa(A) ~ 1e-8; the two-step property still shows at the
     # benchmark tolerance
     extreme = assemble(build_cross_2d(4), PhysicalParams(k_parallel=1e4, kappa=1e-4))
-    prec = build_preconditioner(
-        extreme, kind="ml", schur_mode="exact",
-        inner_omega="direct", inner_gamma="direct",
-    )
+    prec = exact_preconditioner(extreme, kind="ml")
     rep = gmres(monolithic(extreme), rng.standard_normal(extreme.n_total), prec,
                 SolveConfig(rel_tol=1e-6, max_iters=10))
     extreme_ok = rep.converged and rep.iterations <= 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import export_zero_interface_diagonal
 import mdsolve.bench
 from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.bench import SweepResult, SweepRow, SweepSpec, emit_table, run_sweep
@@ -76,12 +77,11 @@ def test_converged_rows_satisfy_reverified_residual():
         assert row.residual <= 1.1 * result.spec.solver.rel_tol
 
 
-def test_tuple_failure_is_recorded_and_sweep_continues(monkeypatch):
-    # exact Schur above the oracle cap fails the shared set-up, which is not retried
+def test_tuple_failure_is_recorded_and_sweep_continues(monkeypatch, tmp_path):
+    # a zero interface diagonal entry fails the shared set-up, which is not retried
     setups = count_calls(monkeypatch, "build_preconditioner", build_preconditioner)
     result = run_sweep(
-        small_spec(mesh_sizes=(64,), schur_mode="exact",
-                   inner_omega="direct", inner_gamma="direct",
+        small_spec(geometry="imported", import_path=export_zero_interface_diagonal(tmp_path),
                    precond_kinds=("ml", "none", "bu"),
                    solver=SolveConfig(rel_tol=1e-6, max_iters=30))
     )
@@ -89,7 +89,7 @@ def test_tuple_failure_is_recorded_and_sweep_continues(monkeypatch):
     assert len(result.rows) == 3
     ml, none, bu = result.rows
     for row in (ml, bu):
-        assert row.error.startswith("ValueError: ") and "exact" in row.error
+        assert row.error.startswith("ValueError: ") and "at interface DOF 1" in row.error
         assert not row.converged
         assert row.setup_seconds == 0.0
     assert bu.error == ml.error
@@ -187,8 +187,6 @@ def test_spec_validation():
 
 def test_spec_rejects_unknown_set_up_modes():
     # the check build_preconditioner makes, before any system is built
-    with pytest.raises(ValueError, match="^unknown schur_mode 'exakt'$"):
-        small_spec(schur_mode="exakt")
     for name in ("inner_omega", "inner_gamma"):
         with pytest.raises(ValueError, match=f"^unknown {name} 'amgg'$"):
             small_spec(**{name: "amgg"})

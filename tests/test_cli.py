@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -7,7 +10,9 @@ import numpy as np
 import pytest
 import scipy.io
 
+from conftest import export_zero_interface_diagonal
 import mdsolve.bench
+from mdsolve import cli
 from mdsolve import (
     PhysicalParams, SolveConfig, SweepSpec, assemble, build_cross_2d, build_preconditioner,
     gmres, monolithic, run_sweep,
@@ -193,6 +198,27 @@ def test_errors_exit_with_code_two(capsys):
     assert main(["import", "/nonexistent/path"]) == 2
 
 
+def test_the_flags_and_the_spec_stay_in_step():
+    # a flag left behind by a removed field would raise TypeError out of
+    # SweepSpec(**fields), which main does not catch
+    spec = {f.name for f in dataclasses.fields(SweepSpec)} - {"solver"}
+    assert set(cli.SPEC_FIELDS.values()) == spec
+    assert set(cli.SOLVER_FIELDS.values()) == {f.name for f in dataclasses.fields(SolveConfig)}
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions}
+    for key in {**cli.SPEC_FIELDS, **cli.SOLVER_FIELDS}:
+        assert key in cli.LIST_KEYS or key in cli.SCALAR_KEYS, key
+        assert key in dests, key
+
+
+def test_every_public_name_resolves():
+    for module in [mdsolve] + [importlib.import_module(f"mdsolve.{name}") for name in (
+            "sparse", "grids", "assembly", "amg", "precond", "krylov", "bench", "sysio")]:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
 def test_unknown_config_key_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mystery = 7\n")
@@ -200,7 +226,7 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("schur = exakt", "error: unknown schur_mode 'exakt'\n"),
+    ("schur = diag", "error: unknown config key 'schur'\n"),
     ("inner_gamma = dirct", "error: unknown inner_gamma 'dirct'\n"),
     ("format = mardown", "error: unknown table format 'mardown', "
                          "expected one of ('csv', 'aligned-text', 'markdown')\n"),
@@ -342,12 +368,13 @@ def test_solve_history_matches_a_direct_gmres_call(tmp_path):
 
 def test_solve_setup_error_exits_two_with_the_row_error(capsys, tmp_path):
     history = tmp_path / "hist.csv"
-    assert main(["solve", "--n", "4", "--schur", "exact",
+    system = export_zero_interface_diagonal(tmp_path / "system")
+    assert main(["solve", "--geometry", "imported", "--import", system,
                  "--history-csv", str(history)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: ValueError: schur_mode='exact' is an oracle "
-                   "and requires direct inner solves\n")
+    assert err == ("error: ValueError: approx_schur: zero diagonal entry in the interface "
+                   "block at interface DOF 1\n")
     assert not history.exists()
 
 

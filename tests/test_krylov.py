@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import eye, poisson1d, random_spd_dense
-from test_sparse import dense_lu_solve
+from test_sparse import dense_lu_solve, exact_preconditioner
 from mdsolve import krylov
 from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.grids import build_cross_2d
@@ -33,9 +33,7 @@ def test_zero_rhs_returns_zero_without_iterating():
 def test_exact_lower_preconditioner_needs_at_most_two_iterations():
     sys_ = assemble(build_cross_2d(4), PhysicalParams(k_parallel=1e3, kappa=1e-2))
     a = monolithic(sys_)
-    prec = build_preconditioner(
-        sys_, kind="ml", schur_mode="exact", inner_omega="direct", inner_gamma="direct"
-    )
+    prec = exact_preconditioner(sys_, kind="ml")
     rng = np.random.default_rng(0)
     for trial in range(3):
         b = sys_.rhs if trial == 0 else rng.standard_normal(sys_.n_total)

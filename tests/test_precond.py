@@ -11,17 +11,12 @@ from mdsolve.grids import (
     build_random_network_2d,
     build_regular_network_3d,
 )
-from mdsolve.precond import (
-    approx_schur,
-    build_preconditioner,
-    exact_schur,
-    factorization_factors,
-)
+from mdsolve.precond import approx_schur, build_preconditioner
 import scipy.sparse as sp
 
 from mdsolve.sparse import SingularMatrixError, canonical, csr_equal
 from mdsolve.sysio import export_system, import_system
-from test_sparse import reference_schur
+from test_sparse import exact_preconditioner, exact_schur, factorization_factors, reference_schur
 
 FIXTURES = Path(__file__).parent / "data" / "systems"
 PAIRS = [(k_par, kappa) for k_par in (1e-4, 1.0, 1e4) for kappa in (1e-4, 1.0, 1e4)]
@@ -102,8 +97,6 @@ def test_exact_schur_matches_dense_elimination_oracle():
 def test_exact_schur_guards():
     rng = np.random.default_rng(1)
     sys_ = synthetic_system(rng, 5, 2)
-    with pytest.raises(ValueError, match="oracle cap"):
-        exact_schur(assemble(build_cross_2d(46), PhysicalParams()))  # 2,397 dofs
     singular = BlockSystem(
         sys_.a_omega_omega, sys_.a_omega_gamma, sys_.a_gamma_omega,
         canonical(np.zeros((2, 2))),
@@ -221,27 +214,19 @@ def test_apply_zero_residual_gives_zero():
 
 def test_algorithm_walkthrough_on_one_dof_system():
     # z_omega = 3/3 = 1; r_gamma = -1 - 1*1 = -2; z_gamma = -2/-1 = 2
-    p = build_preconditioner(
-        one_dof_system(), kind="ml", schur_mode="exact",
-        inner_omega="direct", inner_gamma="direct",
-    )
+    p = exact_preconditioner(one_dof_system(), kind="ml")
     assert p.apply(np.array([3.0, -1.0])).tolist() == [1.0, 2.0]
 
 
 def test_block_diagonal_hand_value():
-    p = build_preconditioner(
-        one_dof_system(), kind="bd", schur_mode="exact",
-        inner_omega="direct", inner_gamma="direct",
-    )
+    p = exact_preconditioner(one_dof_system(), kind="bd")
     out = p.apply(np.array([3.0, -1.0]))
     assert np.allclose(out, [1.0, 1.0])  # (r_omega / 3, -r_gamma)
 
 
 def test_exact_lower_preconditioner_reproduces_unit_upper_factor():
     sys_ = cross_system(2, k_parallel=5.0, kappa=0.2)
-    p = build_preconditioner(
-        sys_, kind="ml", schur_mode="exact", inner_omega="direct", inner_gamma="direct"
-    )
+    p = exact_preconditioner(sys_, kind="ml")
     u, _, _ = factorization_factors(sys_)
     mono = monolithic(sys_).toarray()
     rng = np.random.default_rng(4)
@@ -255,9 +240,7 @@ def test_no_transpose_shortcut_in_the_apply_path():
     rng = np.random.default_rng(5)
     sys_ = synthetic_system(rng, 7, 3, symmetric=False)
     assert not csr_equal(sys_.a_omega_gamma, sys_.a_gamma_omega.T.tocsr())
-    p = build_preconditioner(
-        sys_, kind="ml", schur_mode="exact", inner_omega="direct", inner_gamma="direct"
-    )
+    p = exact_preconditioner(sys_, kind="ml")
     u, _, _ = factorization_factors(sys_)
     mono = monolithic(sys_).toarray()
     bl = np.column_stack([p.apply(e) for e in np.eye(sys_.n_total)])
@@ -266,8 +249,7 @@ def test_no_transpose_shortcut_in_the_apply_path():
 
 def test_practical_direct_equals_dense_lower_triangular_solve():
     sys_ = cross_system(4)
-    p = build_preconditioner(sys_, kind="ml", schur_mode="diag",
-                             inner_omega="direct", inner_gamma="direct")
+    p = build_preconditioner(sys_, kind="ml", inner_omega="direct", inner_gamma="direct")
     # dense oracle: solve the (Schur-tilde, A_go, A_gg) block lower triangle;
     # on this matching grid the approximate Schur complement is exact
     no = sys_.n_omega
@@ -283,9 +265,7 @@ def test_practical_direct_equals_dense_lower_triangular_solve():
 def test_upper_kind_mirrors_the_order():
     rng = np.random.default_rng(7)
     sys_ = synthetic_system(rng, 6, 3)
-    p = build_preconditioner(
-        sys_, kind="bu", schur_mode="exact", inner_omega="direct", inner_gamma="direct"
-    )
+    p = exact_preconditioner(sys_, kind="bu")
     # dense oracle: B_U = (U D)^-1
     u, d, _ = factorization_factors(sys_)
     expected = np.linalg.inv(u @ d)
@@ -319,16 +299,9 @@ def test_mode_validation():
     for kind in ("xl", "bl"):  # "bl" ran the same code as "ml"; only the CLI keeps the name
         with pytest.raises(ValueError, match="kind"):
             build_preconditioner(sys_, kind=kind)
-    with pytest.raises(ValueError, match="schur_mode"):
-        build_preconditioner(sys_, schur_mode="weird")
-    with pytest.raises(ValueError, match="direct inner"):
-        build_preconditioner(sys_, schur_mode="exact", inner_omega="amg",
-                             inner_gamma="direct")
-    with pytest.raises(ValueError, match="limited to 2000"):
-        build_preconditioner(
-            assemble(build_cross_2d(46), PhysicalParams()),  # 2,397 dofs
-            schur_mode="exact", inner_omega="direct", inner_gamma="direct",
-        )
+    for name in ("inner_omega", "inner_gamma"):
+        with pytest.raises(ValueError, match=f"^unknown {name} 'amgg'$"):
+            build_preconditioner(sys_, **{name: "amgg"})
     with pytest.raises(ValueError, match="length"):
         build_preconditioner(sys_).apply(np.zeros(3))
 
@@ -345,8 +318,7 @@ def test_hierarchies_are_exposed_for_stats():
 
 @pytest.mark.parametrize("modes", [
     dict(), dict(inner_omega="direct", inner_gamma="direct"),
-    dict(schur_mode="exact", inner_omega="direct", inner_gamma="direct"),
-], ids=["amg", "direct", "exact"])
+], ids=["amg", "direct"])
 def test_a_system_without_fractures_sets_up_an_empty_interface_block(modes):
     sys_ = assemble(build_random_network_2d(8, 0, 0), PhysicalParams())
     assert sys_.n_gamma == 0

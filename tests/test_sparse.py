@@ -19,6 +19,7 @@ from mdsolve.sparse import (
     write_matrix_market,
     write_vector_market,
 )
+from mdsolve.precond import BlockPreconditioner
 
 
 def dense(rows):
@@ -342,6 +343,72 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve(lu, b)
 
 
+# -- the exact-factorization oracle -------------------------------------------
+
+
+def exact_schur(system) -> np.ndarray:
+    """Dense Schur complement A_oo - A_og A_gg^-1 A_go of the interface block.
+
+    Refuses singular interface blocks.
+    """
+    a_oo = system.a_omega_omega.toarray()
+    if system.n_gamma == 0:
+        return a_oo
+    lu = dense_lu(
+        system.a_gamma_gamma.toarray(),
+        "exact_schur: interface block: matrix is singular to working precision",
+    )
+    x = scipy.linalg.lu_solve(lu, system.a_gamma_omega.toarray())
+    return a_oo - system.a_omega_gamma.toarray() @ x
+
+
+def factorization_factors(system):
+    """Dense (U, D, L) factors of the monolithic operator.
+
+    U is unit block upper triangular with A_og A_gg^-1 in its off-diagonal
+    block, D is blockdiag(Schur, A_gg), L is unit block lower triangular with
+    A_gg^-1 A_go. Their product reproduces the monolithic matrix.
+    """
+    no, ng, nt = system.n_omega, system.n_gamma, system.n_total
+    s = exact_schur(system)
+    u = np.eye(nt)
+    d = np.zeros((nt, nt))
+    lo = np.eye(nt)
+    d[:no, :no] = s
+    if ng:
+        a_gg = system.a_gamma_gamma.toarray()
+        lu = dense_lu(
+            a_gg, "factorization_factors: interface block: matrix is singular to working precision"
+        )
+        u[:no, no:] = scipy.linalg.lu_solve(lu, system.a_omega_gamma.toarray().T).T
+        lo[no:, :no] = scipy.linalg.lu_solve(lu, system.a_gamma_omega.toarray())
+        d[no:, no:] = a_gg
+    return u, d, lo
+
+
+def exact_preconditioner(system, kind: str = "ml") -> BlockPreconditioner:
+    """The block preconditioner with the exact Schur complement and dense LU
+    inner solves: with kind ``ml`` the preconditioned operator is the unit
+    upper factor of :func:`factorization_factors`, so GMRES takes two steps."""
+    def solve(block, name):
+        lu = dense_lu(block, f"exact_preconditioner: {name} block: matrix is singular "
+                             f"to working precision")
+        return lambda r: scipy.linalg.lu_solve(lu, r)
+
+    schur = exact_schur(system)
+    return BlockPreconditioner(
+        kind=kind,
+        n_omega=system.n_omega,
+        n_gamma=system.n_gamma,
+        q_omega=solve(schur, "Schur"),
+        q_gamma=solve(system.a_gamma_gamma.toarray(), "interface"),
+        a_gamma_omega=system.a_gamma_omega,
+        a_omega_gamma=system.a_omega_gamma,
+        schur_matrix=schur,
+        hierarchies={},
+    )
+
+
 def test_lu_identity_and_diagonal():
     assert dense_lu_solve(np.eye(2), np.array([4.0, 2.0])).tolist() == [4.0, 2.0]
     d = np.array([[2.0, 0.0], [0.0, 4.0]])
@@ -391,9 +458,15 @@ def test_dense_lu_callers_keep_their_messages():
     system = BlockSystem(one, one, one, one, np.zeros(1), np.zeros(1),
                          DofPartition(((0, 0, 1),), ((0, 1, 2),)))
     with pytest.raises(SingularMatrixError, match="^build_preconditioner: Schur block: "
-                                                  "matrix is singular to working precision$"):
-        build_preconditioner(system, schur_mode="exact", inner_omega="direct",
-                             inner_gamma="direct")
+                                                  "matrix is exactly singular$"):
+        build_preconditioner(system, inner_omega="direct")
+    # the Schur complement 4 - 1 - 1 is regular, the interface block is not
+    system = BlockSystem(dense([[4.0]]), dense([[1.0, 1.0]]), dense([[1.0], [1.0]]),
+                         dense([[1.0, 1.0], [1.0, 1.0]]), np.zeros(1), np.zeros(2),
+                         DofPartition(((0, 0, 1),), ((0, 1, 3),)))
+    with pytest.raises(SingularMatrixError, match="^build_preconditioner: interface block: "
+                                                  "matrix is exactly singular$"):
+        build_preconditioner(system, inner_gamma="direct")
 
 
 def test_lu_shape_errors():
