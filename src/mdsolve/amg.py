@@ -20,11 +20,13 @@ guess is a fixed linear operator, which is what the block preconditioner
 uses for its inner solves.
 
 Set-up runs on typed arrays: no step creates a Python object per stored
-entry. Each level computes its per-entry strength arrays once
-(:func:`_strength`); aggregation, the attach pass and filtering share them,
-and they are freed before the Galerkin product. Only aggregation's root pass
-is a Python loop, over ``memoryview``s of the strong graph; its straggler
-pass is vectorised and gives the same aggregates as the sequential pass.
+entry. Each level computes its per-entry strength masks once
+(:func:`_strength`), boolean rather than float; aggregation, the attach
+pass and filtering share them, and they are freed before the Galerkin
+product. That product runs in CSR order (:func:`_galerkin`), so no level's
+operator is copied into CSC. Only aggregation's root pass is a Python loop,
+over ``memoryview``s of the strong graph; its straggler pass is vectorised
+and gives the same aggregates as the sequential pass.
 
 Two special cases are handled transparently: operators whose off-diagonal
 part is entirely zero are solved directly (no hierarchy), and operators with
@@ -42,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrs
 
-from .sparse import CsrMatrix, canonical, dense_lu
+from .sparse import CsrMatrix, canonical, csr_equal, dense_lu
 
 __all__ = ["AmgLevel", "AmgHierarchy", "AmgSetupWarning", "amg_setup", "v_cycle",
            "apply_preconditioner_vcycle"]
@@ -151,13 +153,16 @@ class AmgHierarchy:
 
 
 def _strength(a: sp.csr_array, theta: float):
-    """Per-entry strength arrays of one level, computed once and shared by
+    """Per-entry strength masks of one level, computed once and shared by
     :func:`_aggregate`, :func:`_attach_isolated` and :func:`_filtered`.
 
-    Returns ``(rows, off, thresh, absval, strong)``: the row of each stored
-    entry in ``a``'s index dtype, the off-diagonal mask, the threshold
-    ``theta * sqrt(|a_ii a_jj|)``, ``|a_ij|``, and the strong mask: an
-    off-diagonal entry is strong when ``|a_ij| >= thresh`` and ``|a_ij| > 0``.
+    Returns ``(rows, off, weak, strong)``: the row of each stored entry in
+    ``a``'s index dtype and three boolean masks over the stored entries.
+    ``off`` marks the off-diagonal entries. With the threshold
+    ``theta * sqrt(|a_ii a_jj|)``, an off-diagonal entry is weak when
+    ``|a_ij|`` is below it, and strong when ``|a_ij|`` reaches it and is
+    nonzero. The float threshold and ``|a_ij|`` are freed on return; the
+    passes that need ``|a_ij|`` recompute it on the entries they index.
     """
     diag = a.diagonal()
     rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
@@ -168,26 +173,31 @@ def _strength(a: sp.csr_array, theta: float):
     np.sqrt(thresh, out=thresh)
     thresh *= theta
     absval = np.abs(a.data)
+    weak = absval < thresh
+    weak &= off
     strong = absval >= thresh
+    del thresh
     strong &= off
     strong &= absval > 0
-    return rows, off, thresh, absval, strong
+    return rows, off, weak, strong
 
 
-def _aggregate(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray,
-               absval: np.ndarray, strong: np.ndarray):
+def _aggregate(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, weak: np.ndarray,
+               strong: np.ndarray):
     """Greedy aggregation over the strength graph (Vanek, Mandel & Brezina).
 
-    Takes the arrays of :func:`_strength`. Root pass: nodes are visited in
-    natural order, and a free node whose strong neighbors are all free seeds
-    an aggregate with them. It is a lexicographically-first choice, so it
-    stays a Python loop, over typed views of the strong graph. Straggler
-    pass: each remaining node joins the aggregate of its first strongest
-    strong neighbor (largest ``|a_ij|``, ties to the earlier entry in the
-    row) among the root-aggregated nodes and the earlier stragglers. That
-    is what a sequential pass in natural order sees; here it is one sort,
-    and chains of stragglers are resolved by pointer jumping. Hierarchies
-    stay bit-identical only while this order and tie-break hold.
+    Takes the arrays of :func:`_strength` and reads ``rows`` and ``strong``;
+    ``|a_ij|`` is computed only on the straggler pass's entries. Root pass:
+    nodes are visited in natural order, and a free node whose strong
+    neighbors are all free seeds an aggregate with them. It is a
+    lexicographically-first choice, so it stays a Python loop, over typed
+    views of the strong graph. Straggler pass: each remaining node joins the
+    aggregate of its first strongest strong neighbor (largest ``|a_ij|``,
+    ties to the earlier entry in the row) among the root-aggregated nodes
+    and the earlier stragglers. That is what a sequential pass in natural
+    order sees; here it is one sort, and chains of stragglers are resolved
+    by pointer jumping. Hierarchies stay bit-identical only while this order
+    and tie-break hold.
     Returns (int64 aggregate id per node, number of aggregates).
     """
     n = a.shape[0]
@@ -218,7 +228,7 @@ def _aggregate(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.nd
     r, c = rows[k], a.indices[k]
     keep = ~straggler[c] | (c < r)
     k, r, c = k[keep], r[keep], c[keep]
-    order = np.lexsort((k, -absval[k], r))  # by row, strongest first, then row order
+    order = np.lexsort((k, -np.abs(a.data[k]), r))  # by row, strongest first, then row order
     r, c = r[order], c[order]
     first = np.diff(r, prepend=-1) != 0
     target = np.arange(n)
@@ -231,14 +241,15 @@ def _aggregate(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.nd
     return agg[target], n_agg
 
 
-def _attach_isolated(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray,
-                     absval: np.ndarray, strong: np.ndarray, agg: np.ndarray):
+def _attach_isolated(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, weak: np.ndarray,
+                     strong: np.ndarray, agg: np.ndarray):
     """Merge each node without a strong neighbor into the aggregate of its
     strongest neighbor that has one, then renumber the aggregates
     contiguously in their previous order.
 
-    Takes the arrays of :func:`_strength` and the aggregates of
-    :func:`_aggregate`. Strength here is the normalised
+    Takes the arrays of :func:`_strength` (it reads ``rows``, ``off`` and
+    ``strong``) and the aggregates of :func:`_aggregate`; ``|a_ij|`` is
+    computed only on the candidate entries. Strength here is the normalised
     ``|a_ij| / sqrt(|a_ii a_jj|)`` of the strength test; ties go to the first
     neighbor in row order. Nodes whose nonzero neighbors are all isolated
     keep their aggregate. Returns (int64 aggregate id per node, number of
@@ -246,11 +257,11 @@ def _attach_isolated(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh:
     """
     n = a.shape[0]
     has_strong = np.bincount(rows[strong], minlength=n) > 0
-    cand = np.flatnonzero(off & (absval > 0) & ~has_strong[rows] & has_strong[a.indices])
+    cand = np.flatnonzero(off & (a.data != 0) & ~has_strong[rows] & has_strong[a.indices])
     if len(cand):
         r, c = rows[cand], a.indices[cand]
         diag = a.diagonal()
-        weight = absval[cand] / np.sqrt(np.abs(diag[r] * diag[c]))
+        weight = np.abs(a.data[cand]) / np.sqrt(np.abs(diag[r] * diag[c]))
         order = np.lexsort((-weight, r))  # by row, then strongest first; stable on ties
         r, c = r[order], c[order]
         first = np.r_[True, r[1:] != r[:-1]]
@@ -260,10 +271,11 @@ def _attach_isolated(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh:
     return agg.astype(np.int64, copy=False), len(ids)
 
 
-def _filtered(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.ndarray,
-              absval: np.ndarray, strong: np.ndarray) -> sp.csr_array:
-    """Drop weak off-diagonal entries (``|a_ij| < thresh``) and lump them
-    into the diagonal. Takes the arrays of :func:`_strength`.
+def _filtered(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, weak: np.ndarray,
+              strong: np.ndarray) -> sp.csr_array:
+    """Drop the weak off-diagonal entries (the ``weak`` mask of
+    :func:`_strength`) and lump them into the diagonal. Takes the arrays of
+    :func:`_strength` and reads ``rows``, ``off`` and ``weak``.
 
     The result is built from the kept entries, without the copy of ``a``
     and the sparse sum ``filt + diags(lump)`` that would hold two per-entry
@@ -272,13 +284,11 @@ def _filtered(a: sp.csr_array, rows: np.ndarray, off: np.ndarray, thresh: np.nda
     :func:`amg_setup` filters does.
     """
     n = a.shape[0]
-    weak = off & (absval < thresh)
     lump = np.zeros(n)
     np.add.at(lump, rows[weak], a.data[weak])
     indptr = np.zeros_like(a.indptr)
     np.cumsum(np.diff(a.indptr) - np.bincount(rows[weak], minlength=n), out=indptr[1:])
     keep = ~weak
-    del weak
     data = a.data[keep]
     data[~off[keep]] += lump
     filt = sp.csr_array((data, a.indices[keep], indptr), shape=a.shape)
@@ -326,6 +336,21 @@ def _triangular_factor(a: sp.csr_array):
     return spla.splu(tril, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
 
 
+def _galerkin(a: sp.csr_array, p: sp.csr_array) -> CsrMatrix:
+    """The coarse operator ``P^T A P``, computed in CSR order.
+
+    scipy's ``p.T @ a @ p`` is CSC times CSR, which copies ``a`` whole into
+    CSC. Here ``P^T`` is built as CSR with sorted rows and both products are
+    CSR times CSR. scipy sums each output entry over the left operand's row
+    in stored order, so with ``P^T`` and ``P^T A`` sorted, every entry sums
+    over the same ``j`` in the same (ascending) order as the CSC product, and
+    the result is byte-identical to it.
+    """
+    pta = p.T.tocsr() @ a
+    pta.sort_indices()
+    return canonical(pta @ p)
+
+
 def amg_setup(a: CsrMatrix) -> AmgHierarchy:
     """Build a smoothed-aggregation hierarchy for a square operator.
 
@@ -354,7 +379,12 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"amg_setup: operator is {a.shape[0]}x{a.shape[1]}, not square")
-    if (a != a.T).nnz:  # the smoother's backward sweep is tril(A)^T
+    # the smoother's backward sweep is tril(A)^T; equal arrays settle it
+    # without the sparse comparison, which stored zeros need
+    at = a.T.tocsr()
+    symmetric = csr_equal(a, at) or not (a != at).nnz
+    del at
+    if not symmetric:
         raise ValueError("amg_setup: operator is not symmetric")
     diag = a.diagonal()
     zero = np.flatnonzero(diag == 0.0)
@@ -380,7 +410,7 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
             agg, n_agg = _aggregate(current, *strength)
             if depth > 0:  # attaching on the finest level too cost 2d iterations
                 agg, n_agg = _attach_isolated(current, *strength, agg)
-            # filter now: the per-entry strength arrays must not stay alive
+            # filter now: the per-entry strength masks must not stay alive
             # through the Galerkin product, where set-up peaks in memory
             a_filt = _filtered(current, *strength)
             del strength
@@ -414,7 +444,7 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
         del a_filt  # one entry per stored value; must not live into the next level
         for arr in (p.indptr, p.indices, p.data):
             arr.flags.writeable = False
-        coarse = canonical(p.T @ current @ p)
+        coarse = _galerkin(current, p)
         levels.append(AmgLevel(a=current, p=p, r=p.T, _lower=_triangular_factor(current)))
         current = coarse
     return AmgHierarchy(levels=levels, negated=negated)

@@ -188,24 +188,42 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
     x_sub = np.array([xsec[s.id] for s in subs])
     off_sub = np.array([omega_start[s.id] for s in subs], dtype=np.int64)
 
-    # TPFA triplets of all internal faces, then Dirichlet diagonals. Each row
-    # receives its duplicates in face order, (a,a),(b,b),(a,b),(b,a) per
-    # face, and the CSR conversion sums them in that order.
+    # TPFA transmissibilities of all internal faces, with the face ends (a, b)
+    # interleaved, in the triplets' index dtype (int32 where n_omega allows)
     n_faces = [len(s.face_a) for s in subs]
+    idx = sp.get_index_dtype(maxval=n_omega)
     off = np.repeat(off_sub, n_faces)
-    fa = _concat([s.face_a for s in subs], np.int64) + off
-    fb = _concat([s.face_b for s in subs], np.int64) + off
-    geo = _concat([s.face_geo for s in subs], float)
-    t = np.repeat(k_sub, n_faces) * geo * np.repeat(x_sub, n_faces)
+    ends = np.empty((len(off), 2), dtype=idx)
+    ends[:, 0] = _concat([s.face_a for s in subs], np.int64) + off
+    ends[:, 1] = _concat([s.face_b for s in subs], np.int64) + off
+    del off
+    t = _concat([s.face_geo for s in subs], float)
+    t *= np.repeat(k_sub, n_faces)
+    t *= np.repeat(x_sub, n_faces)
     n_bnd = [len(s.bnd_cell) for s in subs]
     bc = _concat([s.bnd_cell for s in subs], np.int64) + np.repeat(off_sub, n_bnd)
     geo = _concat([s.bnd_geo for s in subs], float)
     tb = np.repeat(k_sub, n_bnd) * geo * np.repeat(x_sub, n_bnd)
     dirichlet = _concat([s.bnd_dirichlet for s in subs], bool)
     value = _concat([s.bnd_value for s in subs], float)
-    rows = np.concatenate([np.stack([fa, fb, fa, fb], axis=1).ravel(), bc[dirichlet]])
-    cols = np.concatenate([np.stack([fa, fb, fb, fa], axis=1).ravel(), bc[dirichlet]])
-    vals = np.concatenate([np.stack([t, t, -t, -t], axis=1).ravel(), tb[dirichlet]])
+
+    # A_oo: the diagonal sums each cell's faces in face order, then its
+    # Dirichlet terms, the order in which summing the duplicates of per-face
+    # (a,a),(b,b) triplets added them. Only cells with a face or a Dirichlet
+    # term store a diagonal (0d cells have none). The off-diagonal triplets,
+    # (a,b),(b,a) per face, keep face order for the CSR conversion.
+    diag_cells = np.concatenate([ends.ravel(), bc[dirichlet]])
+    diag = np.bincount(diag_cells, np.concatenate([np.repeat(t, 2), tb[dirichlet]]),
+                       minlength=n_omega)
+    cells = np.flatnonzero(np.bincount(diag_cells, minlength=n_omega)).astype(idx)
+    del diag_cells
+    rows = np.concatenate([ends.ravel(), cells])
+    cols = np.concatenate([ends[:, ::-1].ravel(), cells])
+    del ends
+    vals = np.concatenate([np.repeat(-t, 2), diag[cells]])
+    del t, diag, cells
+    a_oo = csr_from_triplets((n_omega, n_omega), rows, cols, vals)
+    del rows, cols, vals
 
     # right-hand side: boundary terms in face order, then cell sources
     rhs_omega = np.zeros(n_omega)
@@ -239,7 +257,6 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
     gamma_diag = np.zeros(n_gamma)
     gamma_diag[gamma] = -area / kappa_eff
 
-    a_oo = csr_from_triplets((n_omega, n_omega), rows, cols, vals)
     a_og = csr_from_triplets((n_omega, n_gamma), cp_rows, cp_cols, cp_vals)
     a_go = canonical(a_og.T.tocsr())
     mortar = np.arange(n_gamma)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -617,6 +618,60 @@ def test_hierarchy_shapes_match_the_recorded_values(hierarchies):
         stats = h.stats()
         assert [(lev["n"], lev["nnz"]) for lev in stats["levels"]] == levels, name
         assert stats["operator_complexity"] == complexity, name
+
+
+# sha256 of the indptr, indices and data of every level's operator and
+# prolongator (and of the diagonal of a diagonal hierarchy), in level order:
+# the shapes above do not change when a set-up sum changes order, these do
+HIERARCHY_SHA256 = {
+    "poisson1d_64": "e56b865f283283d94be5d8c433de8da7dce5ad03de02627d9236fa9898312abc",
+    "poisson2d_32": "e28a9895c32619b895a100697caacac2bc27093b422ce06d564406bf735346b5",
+    "poisson2d_64": "3a7cc5cc890eab0256c6ae24f80296980e4354b95b667a7c22fbbdf63008bdf9",
+    "negated_poisson2d_16": "3dcbbff94d1068d38ddc00bec68af1aadd242ac1f54c90916c8081d73932ae60",
+    "cross_2d_1_1_schur": "d0592deb9ef1aa9cfd903965b336e52aa7e92f27dd8267873b153f1e2ca4a617",
+    "cross_2d_1_1_interface": "ce8038610c0ff56ff405aebb707cfff0fff1b064451e29bdf74167f0a7e335b2",
+    "cross_2d_10000_0.0001_schur": "73f569f7d448186a7f776d75f76c24248ee8672ed8aaec30a7fd0135584f3268",
+    "cross_2d_10000_0.0001_interface": "d3b042bf16efdb7d7d73b37a41d31a2d497949353ee96b74bce5275432b49e70",
+    "cross_2d_0.0001_10000_schur": "51b4ede4df11723db2ec51da1ac7cf2cff936811d90b3adde36c6e95bdc523c3",
+    "cross_2d_0.0001_10000_interface": "cbcc32b9e42d21ad9555383c52ecbad86707185ae5ccca9f306e3c84a2f24308",
+    "random_2d_1_1_schur": "f393682c1302eec0af27ab69805ae5234816621a91d8e7c3b2c909428df3edcd",
+    "random_2d_1_1_interface": "7d9f7886fef240c751b4f1ca07fd28e982a65c38570e4d8d2035fdb38ea36cbe",
+    "random_2d_10000_0.0001_schur": "3b40bea9fe159db4ceedd434d484bb0893f0e183ca9f6e83358b0147c4ba0002",
+    "random_2d_10000_0.0001_interface": "1f13435a50e64ada4f481b7a885a3dd354bcfd6ebd53ed2940fcad7850365840",
+    "random_2d_0.0001_10000_schur": "ca6ce6530057e52144f3e43cd18c611d998639830921318de7b8cf816453782f",
+    "random_2d_0.0001_10000_interface": "9413b7d625e1e11bcdb467cb0e2ebf89599312823ea7077d8e1ab4ab4043216e",
+    "network_2d_1_1_schur": "28df7ca3529bbfeff9a7cc17098283d8d00731ec5210308d4b2888dea51d0cd3",
+    "network_2d_1_1_interface": "76c48fd0e00d7e7cd053fdb40f1defcf182eadda42413e6772db75e7186cb74d",
+    "network_2d_10000_0.0001_schur": "0b8e85deecd87a0799fb8bb6d6298249bf700b8153822eba57f61f828eee1e52",
+    "network_2d_10000_0.0001_interface": "79999cd393c91f1e4544fed527417ff2b4a4a142549ae514a0ac7487f9d0d490",
+    "network_2d_0.0001_10000_schur": "a18335c18c1c8daa1a3a519bc9b0613ed5df7b00172215fa33fa3da500ff8182",
+    "network_2d_0.0001_10000_interface": "ff0afeb59afbd815bdd68a1e1d7fd35779870126fe753abced2bbd2e086ea95a",
+    "regular_3d_1_1_schur": "d65c86b38203774e9a8b5ee7ed7d58034271b2975ccc7de026b5c678b13f0271",
+    "regular_3d_1_1_interface": "4306a0aa6827bf76f4f4c00a45798f6f14d3289f5c9c8f5d028c38338265b7db",
+    "regular_3d_10000_0.0001_schur": "60e377af34a768a761c2b9fe651fc029c0b665a8d0a482366b212c6c72ffb061",
+    "regular_3d_10000_0.0001_interface": "d6f23cdc92a48ee217734905020072ee0275587b43c0c72921f93fa135651fc8",
+    "regular_3d_0.0001_10000_schur": "18526573bf06f51cba81ce26d004879e639498ce544829c6e1241c0978c33ac8",
+    "regular_3d_0.0001_10000_interface": "68eb4e7db2cf903e4150626321d0aa216a2ab55c7575ac7d59161bd2755a773d",
+    "single_level": "1cb9b310e96307b330c5bbae5a3c7746c212c0f7b9868183d0b5558c65764ec1",
+}
+
+
+def _hierarchy_sha256(h) -> str:
+    digest = hashlib.sha256()
+    for lev in h.levels:
+        for m in (lev.a, lev.p):
+            if m is not None:
+                for arr in (m.indptr, m.indices, m.data):
+                    digest.update(arr.tobytes())
+    if h.diagonal is not None:
+        digest.update(h.diagonal.tobytes())
+    return digest.hexdigest()
+
+
+def test_hierarchy_bytes_match_the_recorded_hashes(hierarchies):
+    assert hierarchies.keys() == HIERARCHY_SHA256.keys()
+    for name, h in hierarchies.items():
+        assert _hierarchy_sha256(h) == HIERARCHY_SHA256[name], name
 
 
 def test_v_cycle_matches_the_reference_byte_for_byte(hierarchies):
