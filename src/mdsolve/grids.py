@@ -8,8 +8,13 @@ cell coincides with one boundary face of the higher-dimensional neighbor and
 one cell of the lower-dimensional one.
 
 Faces and mortar cells are stored as numpy arrays, one entry per face or
-mortar cell. Degrees of freedom are laid out with all subdomain (pressure)
-unknowns first and all interface (mortar flux) unknowns after them.
+mortar cell, and each array once. Cell indices are int32 while the cell
+count fits, int64 beyond. A geometric factor that is the same on every face
+or cell of one object (every factor the builders produce) is a read-only
+zero-stride view of one float64, ``np.broadcast_to(value, length)``. No cell
+centers are stored. Degrees of freedom are laid out with all subdomain
+(pressure) unknowns first and all interface (mortar flux) unknowns after
+them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "BoundaryConfig",
@@ -70,15 +76,17 @@ class Subdomain:
     distance in the subdomain's own dimension. Boundary face ``k`` belongs
     to cell ``bnd_cell[k]`` with factor ``bnd_geo[k]``; it imposes pressure
     ``bnd_value[k]`` where ``bnd_dirichlet[k]`` is true and carries the
-    Neumann flux ``bnd_value[k]`` elsewhere. Cell indices are int64 arrays,
-    ``bnd_dirichlet`` is bool, and the factors and values are float64.
+    Neumann flux ``bnd_value[k]`` elsewhere. The builders store cell indices
+    as int32 while ``cell_count`` fits (int64 beyond), ``bnd_dirichlet`` as
+    bool and the values as float64; ``cell_volumes``, ``face_geo`` and
+    ``bnd_geo`` are read-only zero-stride float64 views of one value each.
+    Any integer and float dtypes pass :meth:`MixedDimGrid.validate`.
     """
 
     id: int
     dim: int
     cell_count: int
     cell_volumes: np.ndarray
-    cell_centers: np.ndarray
     face_a: np.ndarray
     face_b: np.ndarray
     face_geo: np.ndarray
@@ -97,6 +105,10 @@ class Interface:
     ``lower_cell[m]`` of the lower side over area ``area[m]``; cell indices
     are local to their subdomain. ``orientation[m]`` is the sign (+-1) of
     the axis component of the higher side's outward normal at the mortar.
+    The builders store each cell index array in int32 while its
+    subdomain's cell count fits (int64 beyond), ``orientation`` as int64,
+    and ``higher_geo`` and ``area`` as read-only zero-stride float64 views
+    of one value each.
     """
 
     id: int
@@ -148,13 +160,22 @@ def _outside(cells: np.ndarray, count) -> np.ndarray:
     return (cells < 0) | (cells >= count)
 
 
-def _reject(items, sizes, bad: np.ndarray, message: str, *columns):
-    """If ``bad`` has a true entry over the items' concatenated arrays, raise
-    ``ValueError(message.format(item.id, *column values))`` for the first."""
-    if bad.any():
-        k = int(np.argmax(bad))
-        item = items[int(np.searchsorted(np.cumsum(sizes), k, side="right"))]
-        raise ValueError(message.format(item.id, *(c[k] for c in columns)))
+def _reject(items, test, message: str, *columns):
+    """Raise ``ValueError(message.format(item.id, *column values))`` at the
+    first entry where ``test(item)`` is true, taking the items in order."""
+    for item in items:
+        bad = test(item)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(message.format(item.id, *(getattr(item, c)[k] for c in columns)))
+
+
+def _repeated_faces(itf) -> np.ndarray:
+    """True at each mortar cell whose (higher cell, side) an earlier one uses."""
+    key = itf.higher_cell.astype(np.int64) * 2 + (itf.orientation > 0)
+    repeated = np.ones(len(key), dtype=bool)
+    repeated[np.unique(key, return_index=True)[1]] = False
+    return repeated
 
 
 @dataclass(frozen=True)
@@ -179,8 +200,8 @@ class MixedDimGrid:
 
     def validate(self):
         """Check structural invariants; raises ValueError naming the first
-        object that breaks a rule. Array rules run over the concatenated
-        arrays of all subdomains, then of all interfaces."""
+        object that breaks a rule. Each array rule runs over all subdomains,
+        then over all interfaces, in the arrays' own dtypes."""
         subs, itfs = self.subdomains, self.interfaces
         sub_by_id = {s.id: s for s in subs}
         if len(sub_by_id) != len(subs):
@@ -188,7 +209,7 @@ class MixedDimGrid:
         for s in subs:
             if not 0 <= s.dim <= self.ambient_dim:
                 raise ValueError(f"subdomain {s.id} has dim {s.dim} outside 0..{self.ambient_dim}")
-            if len(s.cell_volumes) != s.cell_count or len(s.cell_centers) != s.cell_count:
+            if len(s.cell_volumes) != s.cell_count:
                 raise ValueError(f"subdomain {s.id}: cell array lengths mismatch")
             if not len(s.face_a) == len(s.face_b) == len(s.face_geo):
                 raise ValueError(f"subdomain {s.id}: internal face array lengths mismatch")
@@ -199,21 +220,19 @@ class MixedDimGrid:
                     f"subdomain {s.id}: unknown boundary tag, bnd_dirichlet has dtype "
                     f"{s.bnd_dirichlet.dtype} instead of bool"
                 )
-        counts = [s.cell_count for s in subs]
-        n_faces = [len(s.face_a) for s in subs]
-        n_bnd = [len(s.bnd_cell) for s in subs]
-        volumes = _concat([s.cell_volumes for s in subs], float)
-        _reject(subs, counts, volumes <= 0, "subdomain {}: nonpositive cell volume")
-        fa = _concat([s.face_a for s in subs], np.int64)
-        fb = _concat([s.face_b for s in subs], np.int64)
-        face_count = np.repeat(counts, n_faces)
-        bad = (fa == fb) | _outside(fa, face_count) | _outside(fb, face_count)
-        _reject(subs, n_faces, bad, "subdomain {}: invalid internal face ({},{})", fa, fb)
-        bad = _concat([s.face_geo for s in subs], float) <= 0
-        _reject(subs, n_faces, bad, "subdomain {}: nonpositive face factor")
-        bad = _outside(_concat([s.bnd_cell for s in subs], np.int64), np.repeat(counts, n_bnd))
-        bad |= _concat([s.bnd_geo for s in subs], float) <= 0
-        _reject(subs, n_bnd, bad, "subdomain {}: invalid boundary face")
+        _reject(subs, lambda s: s.cell_volumes <= 0, "subdomain {}: nonpositive cell volume")
+        _reject(
+            subs,
+            lambda s: (s.face_a == s.face_b)
+            | _outside(s.face_a, s.cell_count)
+            | _outside(s.face_b, s.cell_count),
+            "subdomain {}: invalid internal face ({},{})", "face_a", "face_b",
+        )
+        _reject(subs, lambda s: s.face_geo <= 0, "subdomain {}: nonpositive face factor")
+        _reject(
+            subs, lambda s: _outside(s.bnd_cell, s.cell_count) | (s.bnd_geo <= 0),
+            "subdomain {}: invalid boundary face",
+        )
 
         iface_ids = set()
         for itf in itfs:
@@ -233,25 +252,21 @@ class MixedDimGrid:
                 raise ValueError(f"interface {itf.id}: mortar array lengths mismatch")
             if len(itf.orientation) != len(itf.area):
                 raise ValueError(f"interface {itf.id}: orientation length mismatch")
-        n_mortar = [len(i.area) for i in itfs]
-        hc = _concat([i.higher_cell for i in itfs], np.int64)
-        bad = _outside(hc, np.repeat([sub_by_id[i.higher_id].cell_count for i in itfs], n_mortar))
-        bad |= _outside(
-            _concat([i.lower_cell for i in itfs], np.int64),
-            np.repeat([sub_by_id[i.lower_id].cell_count for i in itfs], n_mortar),
+        _reject(
+            itfs,
+            lambda i: _outside(i.higher_cell, sub_by_id[i.higher_id].cell_count)
+            | _outside(i.lower_cell, sub_by_id[i.lower_id].cell_count),
+            "interface {}: cell index out of range",
         )
-        _reject(itfs, n_mortar, bad, "interface {}: cell index out of range")
-        bad = _concat([i.higher_geo for i in itfs], float) <= 0
-        bad |= _concat([i.area for i in itfs], float) <= 0
-        _reject(itfs, n_mortar, bad, "interface {}: nonpositive mortar geometry")
-        sign = _concat([i.orientation for i in itfs], np.int64)
-        _reject(itfs, n_mortar, (sign != 1) & (sign != -1), "interface {}: orientation must be +-1")
-        # one key per (interface, higher cell, side); a repeat uses a face twice
-        owner = np.repeat(np.arange(len(itfs)), n_mortar)
-        key = (owner * (max(counts, default=0) + 1) + hc) * 2 + (sign > 0)
-        repeated = np.ones(len(key), dtype=bool)
-        repeated[np.unique(key, return_index=True)[1]] = False
-        _reject(itfs, n_mortar, repeated, "interface {}: higher-dim face used twice")
+        _reject(
+            itfs, lambda i: (i.higher_geo <= 0) | (i.area <= 0),
+            "interface {}: nonpositive mortar geometry",
+        )
+        _reject(
+            itfs, lambda i: (i.orientation != 1) & (i.orientation != -1),
+            "interface {}: orientation must be +-1",
+        )
+        _reject(itfs, _repeated_faces, "interface {}: higher-dim face used twice")
         self.dof_partition.validate()
         for iid, start, stop in self.dof_partition.gamma_ranges:
             if stop - start != len(self.interface(iid).area):
@@ -311,22 +326,33 @@ def _build_partition(subdomains, interfaces) -> DofPartition:
 # -- lattice helpers shared by both builders ----------------------------------
 
 
+def _index_dtype(count: int):
+    """int32 while ``count`` fits, int64 beyond: the rule of scipy's CSR indices."""
+    return sp.get_index_dtype(maxval=count)
+
+
 def _cells(shape) -> np.ndarray:
     """Cell index ``c_0 + m_0 c_1 + m_0 m_1 c_2`` of every lattice cell, indexed by coordinates."""
-    return np.arange(int(np.prod(shape))).reshape(shape, order="F")
+    count = int(np.prod(shape))
+    return np.arange(count, dtype=_index_dtype(count)).reshape(shape, order="F")
 
 
 def _layer(shape, axis: int, k: int) -> np.ndarray:
-    """Cells of lattice layer ``k`` normal to ``axis``, first remaining axis fastest."""
-    return np.moveaxis(_cells(shape), axis, 0)[k].ravel(order="F")
+    """Cells of lattice layer ``k`` normal to ``axis``, first remaining axis fastest.
+
+    Built from the lattice strides, so no index array of the whole lattice
+    is made."""
+    stride = np.cumprod((1, *shape[:-1]))
+    cells = k * stride[axis]
+    for a in reversed([a for a in range(len(shape)) if a != axis]):
+        cells = np.add.outer(cells, np.arange(shape[a]) * stride[a])
+    return cells.ravel()
 
 
-def _lattice(sid, shape, h, bc, axes=(), fixed=(), origin=None, cuts=(), sides=None) -> Subdomain:
+def _lattice(sid, shape, h, bc, axes=(), cuts=(), sides=None) -> Subdomain:
     """Subdomain on a box of ``shape`` cells of spacing ``h``, one entry per lattice axis.
 
-    Lattice axis ``a`` runs along ambient axis ``axes[a]``, its first cell
-    ``origin[a]`` cells from the ambient origin; ``fixed`` maps each other
-    ambient axis to the lattice line the object sits on. A cut ``(a, k,
+    Lattice axis ``a`` runs along ambient axis ``axes[a]``. A cut ``(a, k,
     span)`` removes the internal faces between layers ``k - 1`` and ``k``
     along axis ``a`` over ``span`` of every transverse axis. ``sides[a]``
     tells whether the low and the high end along axis ``a`` lie on the outer
@@ -338,13 +364,6 @@ def _lattice(sid, shape, h, bc, axes=(), fixed=(), origin=None, cuts=(), sides=N
     """
     dim = len(shape)
     cells = _cells(shape)
-    origin = origin or (0,) * dim
-    fixed = dict(fixed)
-    centers = np.empty((cells.size, dim + len(fixed)))
-    for a, coord in enumerate(np.indices(shape)):
-        centers[:, axes[a]] = (coord.ravel(order="F") + origin[a] + 0.5) * h
-    for axis, line in fixed.items():
-        centers[:, axis] = line * h
     # face measure over center distance (a point has no faces), and cell volume
     geo = (0.0, 1.0 / h, 1.0, h)[dim]
     volume = (1.0, h, h * h, h**3)[dim]
@@ -367,11 +386,13 @@ def _lattice(sid, shape, h, bc, axes=(), fixed=(), origin=None, cuts=(), sides=N
             bnd_dirichlet.append(np.tile([kind == DIRICHLET for kind, _ in tags], layers[0].size))
             bnd_value.append(np.tile([float(value) for _, value in tags], layers[0].size))
 
-    face_a, bnd_cell = _concat(face_a, np.int64), _concat(bnd_cell, np.int64)
+    face_a = _concat(face_a, cells.dtype)
+    face_b = _concat(face_b, cells.dtype)
+    bnd_cell = _concat(bnd_cell, cells.dtype)
     return Subdomain(
-        sid, dim, cells.size, np.full(cells.size, volume), centers,
-        face_a, _concat(face_b, np.int64), np.full(len(face_a), geo),
-        bnd_cell, np.full(len(bnd_cell), 2.0 * geo), _concat(bnd_dirichlet, bool),
+        sid, dim, cells.size, np.broadcast_to(volume, cells.size),
+        face_a, face_b, np.broadcast_to(geo, len(face_a)),
+        bnd_cell, np.broadcast_to(2.0 * geo, len(bnd_cell)), _concat(bnd_dirichlet, bool),
         _concat(bnd_value, float),
     )
 
@@ -380,13 +401,15 @@ def _coupling(iid, higher, lower, higher_cell, geo, area, orientation) -> Interf
     """Interface whose mortar cells meet ``higher_cell`` on the higher side.
 
     Every mortar cell of a point meets its single cell; otherwise mortar
-    cell ``m`` meets lower cell ``m``.
+    cell ``m`` meets lower cell ``m``. Every index array is a copy of its own.
     """
     m = len(higher_cell)
-    lower_cell = np.zeros(m, np.int64) if lower.dim == 0 else np.arange(m)
+    lower_dtype = _index_dtype(lower.cell_count)
+    lower_cell = np.zeros(m, lower_dtype) if lower.dim == 0 else np.arange(m, dtype=lower_dtype)
     return Interface(
-        iid, lower.dim, higher.id, lower.id, np.asarray(higher_cell, np.int64), np.full(m, geo),
-        lower_cell, np.full(m, area), np.broadcast_to(orientation, m).astype(np.int64),
+        iid, lower.dim, higher.id, lower.id,
+        np.array(higher_cell, _index_dtype(higher.cell_count)), np.broadcast_to(geo, m),
+        lower_cell, np.broadcast_to(area, m), np.broadcast_to(orientation, m).astype(np.int64),
     )
 
 
@@ -462,14 +485,10 @@ def build_network_2d(n: int, segments, bc: BoundaryConfig | None = None) -> Mixe
     for si, s in enumerate(segs):
         splits = {pos for inc in points.values() for idx, pos in inc if idx == si}
         fractures.append(_lattice(
-            1 + si, (s.hi - s.lo,), h, bc, axes=(s.axis,), origin=(s.lo,),
-            fixed={1 - s.axis: s.line}, sides=[(s.lo == 0, s.hi == n)],
+            1 + si, (s.hi - s.lo,), h, bc, axes=(s.axis,), sides=[(s.lo == 0, s.hi == n)],
             cuts=[(0, pos - s.lo, slice(None)) for pos in splits if s.lo < pos < s.hi],
         ))
-    point_subs = {
-        key: _lattice(1 + len(segs) + k, (), h, bc, fixed=enumerate(key))
-        for k, key in enumerate(point_keys)
-    }
+    point_subs = {key: _lattice(1 + len(segs) + k, (), h, bc) for k, key in enumerate(point_keys)}
 
     # matrix <-> fracture interfaces, one per side
     interfaces = []
@@ -615,16 +634,15 @@ def build_regular_network_3d(
         ]
         subdomains.append(_lattice(
             len(subdomains), (n, n), h, bc, axes=tuple(a for a in range(3) if a != p.axis),
-            fixed={p.axis: p.line}, cuts=cuts,
+            cuts=cuts,
         ))
     for fixed, run in lines:
         splits = {pt[run] for pt in pts if on_line(pt, fixed)}
         subdomains.append(_lattice(
-            len(subdomains), (n,), h, bc, axes=(run,), fixed=fixed,
-            cuts=[(0, t, slice(None)) for t in splits],
+            len(subdomains), (n,), h, bc, axes=(run,), cuts=[(0, t, slice(None)) for t in splits],
         ))
     for pt in pts:
-        subdomains.append(_lattice(len(subdomains), (), h, bc, fixed=enumerate(pt)))
+        subdomains.append(_lattice(len(subdomains), (), h, bc))
     matrix = subdomains[0]
     plane_subs = dict(zip(planes, subdomains[1:]))
     line_subs = dict(zip(lines, subdomains[1 + len(planes):]))

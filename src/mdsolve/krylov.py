@@ -72,13 +72,19 @@ def as_operator(obj, n: int):
     raise TypeError(f"cannot interpret {type(obj).__name__} as a linear operator")
 
 
+# mmap's default anonymous mapping is shared (shmem-backed) on POSIX, and its
+# first-touch page faults cost more than a private one's; Windows' takes no flags
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
 def _reserve_rows(rows: int, n: int) -> np.ndarray:
-    """An uninitialised float64 ``(rows, n)`` array in its own anonymous mapping.
+    """An uninitialised float64 ``(rows, n)`` array in its own private anonymous mapping.
 
     Only the pages of rows that are written become resident, and the mapping
     goes back to the OS when the array is released, whatever the C heap keeps.
     """
-    return np.frombuffer(mmap.mmap(-1, rows * n * 8), dtype=np.float64).reshape(rows, n)
+    buffer = mmap.mmap(-1, rows * n * 8, **_PRIVATE)
+    return np.frombuffer(buffer, dtype=np.float64).reshape(rows, n)
 
 
 def _solve_upper(r: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -114,16 +120,16 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
     within ``max_iters`` returns the best iterate with ``converged=False``.
 
     Each cycle of ``steps`` iterations (``max_iters`` for full GMRES, else
-    ``restart``) reserves ``(steps+1)*n*8`` bytes for the basis V in an
-    anonymous mapping: only the rows the iteration writes are committed, an
-    unwritten row is never read, and the mapping is released when the next
-    cycle replaces it or the solve returns. A cycle of ``k`` steps applies the
-    preconditioner ``k + 1`` times, once per step and once for the update
-    ``x += M(V y)``, so the returned solution carries the rounding of that
-    last apply; at tolerances near machine precision its true residual can
-    stay above ``rel_tol`` on ill-conditioned systems. The Hessenberg
-    matrix grows by one column per step taken, and its ``k x k`` triangle is
-    built once per cycle for the least-squares solve.
+    ``restart``) reserves ``(steps+1)*n*8`` bytes for the basis V in a
+    private anonymous mapping: only the rows the iteration writes are
+    committed, an unwritten row is never read, and the mapping is released
+    when the next cycle replaces it or the solve returns. A cycle of ``k``
+    steps applies the preconditioner ``k + 1`` times, once per step and once
+    for the update ``x += M(V y)``, so the returned solution carries the
+    rounding of that last apply; at tolerances near machine precision its
+    true residual can stay above ``rel_tol`` on ill-conditioned systems. The
+    Hessenberg matrix grows by one column per step taken, and its ``k x k``
+    triangle is built once per cycle for the least-squares solve.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=np.float64)

@@ -43,14 +43,12 @@ def minimal_one_sided_grid():
     matrix = Subdomain(
         id=0, dim=2, cell_count=2,
         cell_volumes=np.ones(2),
-        cell_centers=np.array([[0.5, 0.5], [0.5, 1.5]]),
         face_a=np.array([0]), face_b=np.array([1]), face_geo=np.array([1.0]),
         **NO_BOUNDARY,
     )
     fracture = Subdomain(
         id=1, dim=1, cell_count=1,
         cell_volumes=np.ones(1),
-        cell_centers=np.array([[0.5, 0.0]]),
         face_a=np.empty(0, np.int64), face_b=np.empty(0, np.int64), face_geo=np.empty(0),
         **NO_BOUNDARY,
     )

@@ -411,3 +411,24 @@ def test_one_basis_matches_the_two_basis_loop_up_to_the_update(case):
     # (1.3e-12 against 6.0e-15 on regular_3d n=8 at (1e-4, 1e4) with ml)
     if two.true_residual <= cfg.rel_tol:
         assert report.true_residual <= 10 * cfg.rel_tol
+
+
+
+@pytest.mark.skipif(not hasattr(krylov.mmap, "MAP_PRIVATE"), reason="mmap takes no flags here")
+def test_basis_rows_live_in_a_private_mapping():
+    rows = krylov._reserve_rows(3, 1000)
+    rows[0] = 1.0
+    address = rows.ctypes.data
+    # each line of /proc/self/maps is "lo-hi perms ...", perms ending in p(rivate) or s(hared)
+    try:
+        with open("/proc/self/maps") as f:
+            maps = f.read().splitlines()
+    except OSError:
+        pytest.skip("no /proc/self/maps to read the mapping from")
+    for line in maps:
+        span, perms = line.split()[:2]
+        lo, hi = (int(x, 16) for x in span.split("-"))
+        if lo <= address < hi:
+            assert perms.endswith("p"), line
+            return
+    pytest.fail("the basis rows lie in no mapping")
