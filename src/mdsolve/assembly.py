@@ -15,6 +15,11 @@ enters), the interface rows are scaled by mortar area so that A_og equals the
 transpose of A_go exactly, and A_gg is diagonal on matching grids with
 entries -area/kappa_eff. The half-cell resistance of the higher-dimensional
 neighbor is folded into kappa_eff, which keeps one unknown per mortar cell.
+
+The system is stored once, as the whole operator in partition order: the
+matrix GMRES multiplies with. :func:`assemble` writes the triplets of all four
+blocks in place and converts them to CSR in one step; each block is a copy
+sliced out of the operator on request.
 """
 
 from __future__ import annotations
@@ -83,31 +88,65 @@ def _global_index(starts, counts) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(np.asarray(starts, dtype=np.int64) - first, counts)
 
 
+def _check_shapes(shapes: dict):
+    """Raise ValueError naming the first ``name: (got, want)`` that differs."""
+    for name, (got, want) in shapes.items():
+        if got != want:
+            raise ValueError(f"{name} has shape {got}, expected {want}")
+
+
 @dataclass(frozen=True)
 class BlockSystem:
-    """The assembled two-by-two block system plus its DOF partition."""
+    """The assembled two-by-two block system plus its DOF partition.
 
-    a_omega_omega: CsrMatrix
-    a_omega_gamma: CsrMatrix
-    a_gamma_omega: CsrMatrix
-    a_gamma_gamma: CsrMatrix
+    The system holds one copy of its matrix: ``operator``, the whole system
+    in partition order (all omega DOFs, then all gamma DOFs) as a canonical,
+    read-only :class:`CsrMatrix`. GMRES multiplies with it as it is
+    (:func:`monolithic`). The four blocks ``a_omega_omega``,
+    ``a_omega_gamma``, ``a_gamma_omega`` and ``a_gamma_gamma`` are sliced
+    out of it: each access returns a fresh canonical, read-only copy, stored
+    zeros included, so keep a block only while it is needed.
+    :meth:`from_blocks` builds a system from four blocks.
+    """
+
+    operator: CsrMatrix
     rhs_omega: np.ndarray
     rhs_gamma: np.ndarray
     partition: DofPartition
 
     def __post_init__(self):
-        no, ng = self.n_omega, self.n_gamma
-        shapes = {
-            "a_omega_omega": (self.a_omega_omega.shape, (no, no)),
-            "a_omega_gamma": (self.a_omega_gamma.shape, (no, ng)),
-            "a_gamma_omega": (self.a_gamma_omega.shape, (ng, no)),
-            "a_gamma_gamma": (self.a_gamma_gamma.shape, (ng, ng)),
-            "rhs_omega": ((len(self.rhs_omega),), (no,)),
-            "rhs_gamma": ((len(self.rhs_gamma),), (ng,)),
-        }
-        for name, (got, want) in shapes.items():
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, expected {want}")
+        n = self.n_total
+        _check_shapes({
+            "operator": (self.operator.shape, (n, n)),
+            "rhs_omega": ((len(self.rhs_omega),), (self.n_omega,)),
+            "rhs_gamma": ((len(self.rhs_gamma),), (self.n_gamma,)),
+        })
+
+    @classmethod
+    def from_blocks(cls, a_omega_omega, a_omega_gamma, a_gamma_omega, a_gamma_gamma,
+                    rhs_omega, rhs_gamma, partition: DofPartition) -> "BlockSystem":
+        """The system of four sparse blocks, stacked once into its operator.
+
+        The blocks are copied, so nothing of them is kept. Each block
+        property of the result equals the canonical form of the block given.
+
+        Raises
+        ------
+        ValueError
+            Naming the first block or right-hand side whose shape does not
+            match the partition.
+        """
+        no, ng = partition.n_omega, partition.n_gamma
+        _check_shapes({
+            "a_omega_omega": (a_omega_omega.shape, (no, no)),
+            "a_omega_gamma": (a_omega_gamma.shape, (no, ng)),
+            "a_gamma_omega": (a_gamma_omega.shape, (ng, no)),
+            "a_gamma_gamma": (a_gamma_gamma.shape, (ng, ng)),
+        })
+        operator = canonical(sp.bmat(
+            [[a_omega_omega, a_omega_gamma], [a_gamma_omega, a_gamma_gamma]], format="csr"
+        ))
+        return cls(operator, rhs_omega, rhs_gamma, partition)
 
     @property
     def n_omega(self) -> int:
@@ -120,6 +159,34 @@ class BlockSystem:
     @property
     def n_total(self) -> int:
         return self.partition.n_total
+
+    @property
+    def _omega(self) -> slice:
+        return slice(0, self.n_omega)
+
+    @property
+    def _gamma(self) -> slice:
+        return slice(self.n_omega, self.n_total)
+
+    @property
+    def a_omega_omega(self) -> CsrMatrix:
+        """A_oo, the subdomain block: a copy sliced out of the operator."""
+        return canonical(self.operator[self._omega, self._omega])
+
+    @property
+    def a_omega_gamma(self) -> CsrMatrix:
+        """A_og, the mortar columns of the subdomain rows: a sliced copy."""
+        return canonical(self.operator[self._omega, self._gamma])
+
+    @property
+    def a_gamma_omega(self) -> CsrMatrix:
+        """A_go, the subdomain columns of the interface rows: a sliced copy."""
+        return canonical(self.operator[self._gamma, self._omega])
+
+    @property
+    def a_gamma_gamma(self) -> CsrMatrix:
+        """A_gg, the interface block: a copy sliced out of the operator."""
+        return canonical(self.operator[self._gamma, self._gamma])
 
     @property
     def rhs(self) -> np.ndarray:
@@ -181,25 +248,15 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
     else:
         source = float(params.source)
 
-    # per-object values, repeated below onto their faces, cells and mortars
+    # per-object values, repeated below onto their cells, boundary faces and
+    # mortars; the internal faces read them object by object
     omega_start = {sid: start for sid, start, _ in part.omega_ranges}
     xsec = {s.id: aperture ** (grid.ambient_dim - s.dim) for s in subs}
     k_sub = np.array([perm[s.id] for s in subs])
     x_sub = np.array([xsec[s.id] for s in subs])
     off_sub = np.array([omega_start[s.id] for s in subs], dtype=np.int64)
 
-    # TPFA transmissibilities of all internal faces, with the face ends (a, b)
-    # interleaved, in the triplets' index dtype (int32 where n_omega allows)
-    n_faces = [len(s.face_a) for s in subs]
-    idx = sp.get_index_dtype(maxval=n_omega)
-    off = np.repeat(off_sub, n_faces)
-    ends = np.empty((len(off), 2), dtype=idx)
-    ends[:, 0] = _concat([s.face_a for s in subs], np.int64) + off
-    ends[:, 1] = _concat([s.face_b for s in subs], np.int64) + off
-    del off
-    t = _concat([s.face_geo for s in subs], float)
-    t *= np.repeat(k_sub, n_faces)
-    t *= np.repeat(x_sub, n_faces)
+    # boundary faces
     n_bnd = [len(s.bnd_cell) for s in subs]
     bc = _concat([s.bnd_cell for s in subs], np.int64) + np.repeat(off_sub, n_bnd)
     geo = _concat([s.bnd_geo for s in subs], float)
@@ -207,34 +264,17 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
     dirichlet = _concat([s.bnd_dirichlet for s in subs], bool)
     value = _concat([s.bnd_value for s in subs], float)
 
-    # A_oo: the diagonal sums each cell's faces in face order, then its
-    # Dirichlet terms, the order in which summing the duplicates of per-face
-    # (a,a),(b,b) triplets added them. Only cells with a face or a Dirichlet
-    # term store a diagonal (0d cells have none). The off-diagonal triplets,
-    # (a,b),(b,a) per face, keep face order for the CSR conversion.
-    diag_cells = np.concatenate([ends.ravel(), bc[dirichlet]])
-    diag = np.bincount(diag_cells, np.concatenate([np.repeat(t, 2), tb[dirichlet]]),
-                       minlength=n_omega)
-    cells = np.flatnonzero(np.bincount(diag_cells, minlength=n_omega)).astype(idx)
-    del diag_cells
-    rows = np.concatenate([ends.ravel(), cells])
-    cols = np.concatenate([ends[:, ::-1].ravel(), cells])
-    del ends
-    vals = np.concatenate([np.repeat(-t, 2), diag[cells]])
-    del t, diag, cells
-    a_oo = csr_from_triplets((n_omega, n_omega), rows, cols, vals)
-    del rows, cols, vals
-
     # right-hand side: boundary terms in face order, then cell sources
     rhs_omega = np.zeros(n_omega)
     np.add.at(rhs_omega, bc, np.where(dirichlet, tb * value, value))
     counts = [s.cell_count for s in subs]
     volumes = _concat([s.cell_volumes for s in subs], float)
     rhs_omega[_global_index(off_sub, counts)] += source * volumes * np.repeat(x_sub, counts)
+    del geo, value, volumes
 
-    # omega-gamma coupling: +1 on the higher side, -1 on the lower side
+    # mortars: the cells on both sides and the interface diagonal
     n_mortar = [len(i.area) for i in itfs]
-    gamma_start = {iid: start - n_omega for iid, start, _ in part.gamma_ranges}
+    gamma_start = {iid: start for iid, start, _ in part.gamma_ranges}
     gamma = _global_index([gamma_start[i.id] for i in itfs], n_mortar)
     higher = _concat([i.higher_cell for i in itfs], np.int64) + np.repeat(
         [omega_start[i.higher_id] for i in itfs], n_mortar
@@ -242,9 +282,6 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
     lower = _concat([i.lower_cell for i in itfs], np.int64) + np.repeat(
         [omega_start[i.lower_id] for i in itfs], n_mortar
     )
-    cp_rows = np.stack([higher, lower], axis=1).ravel()
-    cp_cols = np.repeat(gamma, 2)
-    cp_vals = np.tile([1.0, -1.0], len(gamma))
     # per-area half transmissibility of the higher-dim neighbor cell
     area = _concat([i.area for i in itfs], float)
     t_half = (
@@ -255,21 +292,71 @@ def assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSystem:
     )
     kappa_eff = 1.0 / (1.0 / np.repeat(kappa, n_mortar) + 1.0 / t_half)
     gamma_diag = np.zeros(n_gamma)
-    gamma_diag[gamma] = -area / kappa_eff
+    gamma_diag[gamma - n_omega] = -area / kappa_eff
+    del area, t_half, kappa_eff
 
-    a_og = csr_from_triplets((n_omega, n_gamma), cp_rows, cp_cols, cp_vals)
-    a_go = canonical(a_og.T.tocsr())
-    mortar = np.arange(n_gamma)
-    a_gg = csr_from_triplets((n_gamma, n_gamma), mortar, mortar, gamma_diag)
-    return BlockSystem(a_oo, a_og, a_go, a_gg, rhs_omega, np.zeros(n_gamma), part)
+    # Only cells with a face or a Dirichlet term store an A_oo diagonal (0d
+    # cells have none).
+    has_diag = np.zeros(n_omega, bool)
+    for s, off in zip(subs, off_sub):
+        own = has_diag[off : off + s.cell_count]
+        own[s.face_a] = own[s.face_b] = True
+    has_diag[bc[dirichlet]] = True
+    cells = np.flatnonzero(has_diag)
+    del has_diag
+
+    # The operator's triplets, written in place in its index dtype: per
+    # internal face the A_oo pair (a, b), (b, a) in face order, then A_oo's
+    # diagonal, then per mortar the A_og pair (higher, g), (lower, g), its
+    # transpose in A_go, and last A_gg's diagonal.
+    n_total = part.n_total
+    n_face = sum(len(s.face_a) for s in subs)
+    f2, nd = 2 * n_face, len(cells)
+    og, go, gg = f2 + nd, f2 + nd + 2 * n_gamma, f2 + nd + 4 * n_gamma
+    idx = sp.get_index_dtype(maxval=n_total)
+    rows = np.empty(gg + n_gamma, dtype=idx)
+    cols = np.empty_like(rows)
+    vals = np.empty(len(rows))
+
+    # TPFA transmissibilities of the internal faces, twice each, with their
+    # face ends (a, b) interleaved
+    lo = 0
+    for s, k, x, off in zip(subs, k_sub, x_sub, off_sub):
+        hi = lo + 2 * len(s.face_a)
+        np.add(s.face_a, off, out=rows[lo:hi:2])
+        np.add(s.face_b, off, out=rows[lo + 1 : hi : 2])
+        t = vals[lo:hi:2]
+        np.multiply(s.face_geo, k, out=t)
+        t *= x
+        vals[lo + 1 : hi : 2] = t
+        lo = hi
+
+    # A_oo: the diagonal sums each cell's faces in face order, then its
+    # Dirichlet terms, the order in which summing the duplicates of per-face
+    # (a,a),(b,b) triplets added them (bincount returns integers when there
+    # is no face). The off-diagonal entries are -t.
+    diag = np.bincount(rows[:f2], vals[:f2], minlength=n_omega).astype(float, copy=False)
+    np.add.at(diag, bc[dirichlet], tb[dirichlet])
+    np.negative(vals[:f2], out=vals[:f2])
+    cols[:f2:2], cols[1:f2:2] = rows[1:f2:2], rows[:f2:2]
+    rows[f2:og] = cols[f2:og] = cells
+    vals[f2:og] = diag[cells]
+    del diag, cells
+
+    # omega-gamma coupling: +1 on the higher side, -1 on the lower side; the
+    # interface rows are its exact transpose
+    rows[og:go:2], rows[og + 1 : go : 2] = higher, lower
+    cols[og:go:2] = cols[og + 1 : go : 2] = gamma
+    vals[og:go:2], vals[og + 1 : go : 2] = 1.0, -1.0
+    rows[go:gg], cols[go:gg], vals[go:gg] = cols[og:go], rows[og:go], vals[og:go]
+    rows[gg:] = cols[gg:] = np.arange(n_omega, n_total)
+    vals[gg:] = gamma_diag
+    del higher, lower, gamma, gamma_diag
+
+    operator = csr_from_triplets((n_total, n_total), rows, cols, vals)
+    return BlockSystem(operator, rhs_omega, np.zeros(n_gamma), part)
 
 
 def monolithic(system: BlockSystem) -> CsrMatrix:
-    """Concatenate the four blocks into one operator in partition order."""
-    if system.n_gamma == 0:
-        return system.a_omega_omega
-    return canonical(sp.bmat(
-        [[system.a_omega_omega, system.a_omega_gamma],
-         [system.a_gamma_omega, system.a_gamma_gamma]],
-        format="csr",
-    ))
+    """The whole system in partition order: ``system.operator`` itself, not a copy."""
+    return system.operator

@@ -60,7 +60,9 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
     Equals the exact Schur complement whenever A_gg is diagonal, which is the
     matching-grid case this package assembles. scipy forms the product and
     the difference, so a stored zero of an imported A_oo that the difference
-    leaves at zero is dropped; an assembled A_oo stores none.
+    leaves at zero is dropped; an assembled A_oo stores none. Each block is
+    sliced out of the system's operator once; without interfaces the Schur
+    complement is the operator itself.
     """
     diag = system.a_gamma_gamma.diagonal()
     zero = np.flatnonzero(diag == 0.0)
@@ -70,7 +72,7 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
             f"at interface DOF {zero[0]}"
         )
     if system.n_gamma == 0:
-        return system.a_omega_omega
+        return system.operator
     with np.errstate(over="ignore"):  # a subnormal entry overflows; reported below
         dinv = 1.0 / diag
     bad = np.flatnonzero(~np.isfinite(dinv))

@@ -1,12 +1,13 @@
 """Block system exchange on disk.
 
 A system is stored as a directory of four coordinate Matrix Market files,
-two n-by-1 coordinate Matrix Market files for the right-hand sides, and a
-JSON sidecar recording the DOF partition. The writer emits full-precision
-values, so an export/import round trip reproduces every block bit for bit.
-Import rejects NaN and inf values and validates the sidecar against the
-matrices and the exact-transpose contract between the two coupling blocks,
-so externally generated systems are checked before any solve touches them.
+one per block sliced out of the system's operator, two n-by-1 coordinate
+Matrix Market files for the right-hand sides, and a JSON sidecar recording
+the DOF partition. The writer emits full-precision values, so an
+export/import round trip reproduces every block bit for bit. Import rejects
+NaN and inf values and validates the sidecar against the matrices and the
+exact-transpose contract between the two coupling blocks, so externally
+generated systems are checked before any solve touches them.
 """
 
 from __future__ import annotations
@@ -69,13 +70,17 @@ def export_system(system: BlockSystem, directory) -> Path:
 def import_system(directory) -> BlockSystem:
     """Read a previously exported (or externally produced) block system.
 
+    The four blocks are checked, stacked once into the system's operator
+    and dropped.
+
     Raises
     ------
     ValueError
-        Naming the file of a block or right-hand side that holds a NaN or
-        inf, or naming the mismatch if the sidecar partition does not sum to
-        the matrix sizes, if block shapes disagree, or if the coupling
-        blocks are not exact transposes of each other.
+        Naming the sidecar and the key if the sidecar lacks one, naming the
+        file of a block or right-hand side that holds a NaN or inf, or
+        naming the mismatch if the sidecar partition does not sum to the
+        matrix sizes, if block shapes disagree, or if the coupling blocks
+        are not exact transposes of each other.
     """
     directory = Path(directory)
     sidecar_path = directory / SIDECAR_NAME
@@ -84,7 +89,13 @@ def import_system(directory) -> BlockSystem:
     meta = json.loads(sidecar_path.read_text())
     if meta.get("format") != "mdsolve-block-system":
         raise ValueError(f"sidecar format {meta.get('format')!r} is not a block system")
+    for key in ("n_omega", "n_gamma", "omega_ranges", "gamma_ranges"):
+        if key not in meta:
+            raise ValueError(f"sidecar {sidecar_path} has no key {key!r}")
     files = meta.get("files", _FILES)
+    for key in _FILES:
+        if key not in files:
+            raise ValueError(f"sidecar {sidecar_path} has no key {key!r} in 'files'")
 
     blocks = {key: read_matrix_market(directory / files[key]) for key in
               ("a_omega_omega", "a_omega_gamma", "a_gamma_omega", "a_gamma_gamma")}
@@ -124,12 +135,5 @@ def import_system(directory) -> BlockSystem:
             "a_omega_gamma is not the exact transpose of a_gamma_omega; "
             "this importer only accepts systems honoring that contract"
         )
-    return BlockSystem(
-        a_omega_omega=blocks["a_omega_omega"],
-        a_omega_gamma=blocks["a_omega_gamma"],
-        a_gamma_omega=blocks["a_gamma_omega"],
-        a_gamma_gamma=blocks["a_gamma_gamma"],
-        rhs_omega=rhs_omega,
-        rhs_gamma=rhs_gamma,
-        partition=partition,
-    )
+    return BlockSystem.from_blocks(**blocks, rhs_omega=rhs_omega, rhs_gamma=rhs_gamma,
+                                   partition=partition)

@@ -61,6 +61,6 @@ def export_zero_interface_diagonal(target) -> str:
     s = assemble(build_cross_2d(4), PhysicalParams())
     a_gg = s.a_gamma_gamma.toarray()
     a_gg[1, 1] = 0.0
-    export_system(BlockSystem(s.a_omega_omega, s.a_omega_gamma, s.a_gamma_omega, canonical(a_gg),
+    export_system(BlockSystem.from_blocks(s.a_omega_omega, s.a_omega_gamma, s.a_gamma_omega, canonical(a_gg),
                               s.rhs_omega, s.rhs_gamma, s.partition), target)
     return str(target)

@@ -1,10 +1,12 @@
 import importlib.util
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +26,8 @@ from mdsolve.grids import (
     build_random_network_2d,
     build_regular_network_3d,
 )
-from mdsolve.sparse import canonical, csr_equal, csr_from_triplets
-from mdsolve.sysio import import_system
+from mdsolve.sparse import canonical, csr_equal, csr_from_triplets, read_matrix_market
+from mdsolve.sysio import export_system, import_system
 
 PURE_NEUMANN = BoundaryConfig(dirichlet_axis=None)
 NO_BOUNDARY = dict(
@@ -211,7 +213,7 @@ def test_per_object_parameter_maps_are_honored():
 def test_block_system_shape_validation():
     sys_ = assemble(build_cross_2d(2), PhysicalParams())
     with pytest.raises(ValueError, match="rhs_omega"):
-        BlockSystem(
+        BlockSystem.from_blocks(
             sys_.a_omega_omega, sys_.a_omega_gamma, sys_.a_gamma_omega,
             sys_.a_gamma_gamma, np.zeros(3), sys_.rhs_gamma, sys_.partition,
         )
@@ -262,6 +264,100 @@ def test_assemble_python_heap_peak_is_at_most_three_times_its_blocks():
     blocks = [getattr(system, name) for name in BLOCKS]
     csr_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
     assert peak <= 3 * csr_bytes, f"peak {peak / csr_bytes:.2f} x the blocks' CSR bytes"
+
+
+def test_the_system_holds_one_copy_of_its_operator():
+    """``monolithic`` returns the system's own operator, and the Python heap
+    that ``assemble`` and ``monolithic`` keep is the operator's CSR arrays
+    plus the right-hand sides (twice that while the four blocks were a
+    second copy)."""
+    grid = build_regular_network_3d(24, 3)
+    params = PhysicalParams(k_parallel=1e4, kappa=1e-4)
+    tracemalloc.start()
+    try:
+        system = assemble(grid, params)
+        operator = monolithic(system)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert operator is system.operator
+    held = sum(a.nbytes for a in (operator.data, operator.indices, operator.indptr,
+                                  system.rhs_omega, system.rhs_gamma))
+    assert kept <= 1.1 * held, f"kept {kept / held:.2f} x the operator and right-hand sides"
+
+
+def _is_canonical(m) -> bool:
+    """Strictly increasing columns within every row."""
+    row_start = np.zeros(m.nnz, bool)
+    row_start[m.indptr[:-1][np.diff(m.indptr) > 0]] = True
+    return bool(np.all((np.diff(m.indices.astype(np.int64)) > 0) | row_start[1:]))
+
+
+def _fixture_blocks(name):
+    return [read_matrix_market(DATA / "systems" / name / f"{block}.mtx") for block in BLOCKS]
+
+
+def _with_stored_zero(blocks):
+    """The blocks with the first off-diagonal entry of A_oo stored as 0.0."""
+    a_oo = blocks[0]
+    rows = np.repeat(np.arange(a_oo.shape[0]), np.diff(a_oo.indptr))
+    data = a_oo.data.copy()
+    data[np.flatnonzero(rows != a_oo.indices)[0]] = 0.0
+    return [canonical(sp.csr_array((data, a_oo.indices.copy(), a_oo.indptr.copy()),
+                                   shape=a_oo.shape)), *blocks[1:]]
+
+
+def _fixture_case(name):
+    return lambda _tmp_path: (_fixture_blocks(name), import_system(DATA / "systems" / name))
+
+
+def _stored_zero_case(tmp_path):
+    fixture = import_system(DATA / "systems" / "cross_2d_n8")
+    blocks = _with_stored_zero(_fixture_blocks("cross_2d_n8"))
+    assert 0.0 in blocks[0].data
+    export_system(BlockSystem.from_blocks(*blocks, fixture.rhs_omega, fixture.rhs_gamma,
+                                          fixture.partition), tmp_path)
+    return blocks, import_system(tmp_path)
+
+
+def _no_interfaces_case(_tmp_path):
+    system = assemble(build_random_network_2d(4, 0), PhysicalParams())
+    assert system.n_gamma == 0
+    return [getattr(system, block) for block in BLOCKS], system
+
+
+ROUND_TRIP = {
+    **{name: _fixture_case(name) for name in FIXTURES.CASES},
+    "stored-zero-imported": _stored_zero_case,
+    "no-interfaces": _no_interfaces_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP))
+def test_from_blocks_gives_back_each_block_byte_for_byte(case, tmp_path):
+    """Blocks stacked by ``from_blocks``, and those of the system they came
+    from, slice back out equal to them: dtypes, stored zeros and all."""
+    blocks, source = ROUND_TRIP[case](tmp_path)
+    built = BlockSystem.from_blocks(*blocks, source.rhs_omega, source.rhs_gamma, source.partition)
+    for system in (built, source):
+        assert csr_equal(system.operator, built.operator)
+        for name, want in zip(BLOCKS, blocks):
+            got = getattr(system, name)
+            assert got.shape == want.shape, name
+            for field in ("indptr", "indices", "data"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, field)
+                assert not g.flags.writeable, (name, field)
+                assert not np.shares_memory(g, getattr(system.operator, field)), (name, field)
+            assert got.has_canonical_format and _is_canonical(got), name
+            assert getattr(system, name) is not got, name  # each access copies
+
+
+def test_replacing_a_right_hand_side_shares_the_operator():
+    system = assemble(build_cross_2d(4), PhysicalParams(k_parallel=1e4, kappa=1e-4))
+    moved = replace(system, rhs_omega=system.rhs_omega + 1.0)
+    assert moved.operator is system.operator
+    assert np.array_equal(moved.rhs_omega, system.rhs_omega + 1.0)
 
 
 def _internal_faces(s):
@@ -350,7 +446,7 @@ def _reference_assemble(grid: MixedDimGrid, params: PhysicalParams) -> BlockSyst
     a_gg = csr_from_triplets(
         (n_gamma, n_gamma), np.arange(n_gamma), np.arange(n_gamma), gamma_diag
     )
-    return BlockSystem(a_oo, a_og, a_go, a_gg, rhs_omega, np.zeros(n_gamma), part)
+    return BlockSystem.from_blocks(a_oo, a_og, a_go, a_gg, rhs_omega, np.zeros(n_gamma), part)
 
 
 POSITIVE = st.floats(1e-6, 1e6)

@@ -25,7 +25,7 @@ PAIRS = [(k_par, kappa) for k_par in (1e-4, 1.0, 1e4) for kappa in (1e-4, 1.0, 1
 def one_dof_system():
     """A_oo=[2], A_og=[1], A_go=[1], A_gg=[-1]; Schur complement is [3]."""
     part = DofPartition(((0, 0, 1),), ((0, 1, 2),))
-    return BlockSystem(
+    return BlockSystem.from_blocks(
         canonical([[2.0]]),
         canonical([[1.0]]),
         canonical([[1.0]]),
@@ -46,7 +46,7 @@ def synthetic_system(rng, n_omega, n_gamma, symmetric=True):
     part = DofPartition(
         ((0, 0, n_omega),), ((0, n_omega, n_omega + n_gamma),)
     )
-    return BlockSystem(
+    return BlockSystem.from_blocks(
         canonical(a_oo),
         canonical(a_og),
         canonical(a_go),
@@ -67,7 +67,7 @@ def cross_system(n=2, **params):
 def test_exact_schur_reduces_to_omega_block_without_coupling():
     rng = np.random.default_rng(0)
     sys_ = synthetic_system(rng, 6, 3)
-    decoupled = BlockSystem(
+    decoupled = BlockSystem.from_blocks(
         sys_.a_omega_omega,
         canonical(sp.csr_array((6, 3))),
         canonical(sp.csr_array((3, 6))),
@@ -97,7 +97,7 @@ def test_exact_schur_matches_dense_elimination_oracle():
 def test_exact_schur_guards():
     rng = np.random.default_rng(1)
     sys_ = synthetic_system(rng, 5, 2)
-    singular = BlockSystem(
+    singular = BlockSystem.from_blocks(
         sys_.a_omega_omega, sys_.a_omega_gamma, sys_.a_gamma_omega,
         canonical(np.zeros((2, 2))),
         sys_.rhs_omega, sys_.rhs_gamma, sys_.partition,
@@ -119,7 +119,7 @@ def test_approx_schur_names_the_offending_interface_dof():
     sys_ = synthetic_system(rng, 4, 3)
     broken_gg = sys_.a_gamma_gamma.toarray()
     broken_gg[1, 1] = 0.0
-    broken = BlockSystem(
+    broken = BlockSystem.from_blocks(
         sys_.a_omega_omega, sys_.a_omega_gamma, sys_.a_gamma_omega,
         canonical(broken_gg),
         sys_.rhs_omega, sys_.rhs_gamma, sys_.partition,
@@ -142,7 +142,7 @@ def _synthetic_systems():
         for n_omega, n_gamma, symmetric in ((6, 3, True), (5, 2, True), (4, 3, False), (12, 5, False))
     ]
     sys_ = systems[1]
-    decoupled = BlockSystem(
+    decoupled = BlockSystem.from_blocks(
         sys_.a_omega_omega, canonical(sp.csr_array((6, 3))), canonical(sp.csr_array((3, 6))),
         sys_.a_gamma_gamma, sys_.rhs_omega, sys_.rhs_gamma, sys_.partition,
     )
@@ -170,7 +170,7 @@ def test_approx_schur_names_an_interface_entry_without_a_finite_inverse(tmp_path
     sys_ = synthetic_system(np.random.default_rng(2), 4, 3)
     a_gg = sys_.a_gamma_gamma.toarray()
     a_gg[2, 2] = 5e-324  # subnormal: 1 / a_gg overflows
-    export_system(BlockSystem(
+    export_system(BlockSystem.from_blocks(
         sys_.a_omega_omega, sys_.a_omega_gamma, sys_.a_gamma_omega, canonical(a_gg),
         sys_.rhs_omega, sys_.rhs_gamma, sys_.partition,
     ), tmp_path / "system")

@@ -455,13 +455,13 @@ def test_dense_lu_callers_keep_their_messages():
         amg_setup(dense([[1.0, -1.0], [-1.0, 1.0]]))
     # A_gg = [1] is regular, its Schur complement 1 - 1 * 1 * 1 is not
     one = dense([[1.0]])
-    system = BlockSystem(one, one, one, one, np.zeros(1), np.zeros(1),
+    system = BlockSystem.from_blocks(one, one, one, one, np.zeros(1), np.zeros(1),
                          DofPartition(((0, 0, 1),), ((0, 1, 2),)))
     with pytest.raises(SingularMatrixError, match="^build_preconditioner: Schur block: "
                                                   "matrix is exactly singular$"):
         build_preconditioner(system, inner_omega="direct")
     # the Schur complement 4 - 1 - 1 is regular, the interface block is not
-    system = BlockSystem(dense([[4.0]]), dense([[1.0, 1.0]]), dense([[1.0], [1.0]]),
+    system = BlockSystem.from_blocks(dense([[4.0]]), dense([[1.0, 1.0]]), dense([[1.0], [1.0]]),
                          dense([[1.0, 1.0], [1.0, 1.0]]), np.zeros(1), np.zeros(2),
                          DofPartition(((0, 0, 1),), ((0, 1, 3),)))
     with pytest.raises(SingularMatrixError, match="^build_preconditioner: interface block: "

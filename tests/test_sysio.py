@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,24 @@ def test_transpose_violation_is_rejected(tmp_path):
 
 def test_missing_sidecar(tmp_path):
     with pytest.raises(ValueError, match="sidecar"):
+        import_system(tmp_path)
+
+
+@pytest.mark.parametrize("path,named", [
+    (("n_gamma",), "'n_gamma'"),
+    (("files", "rhs_gamma"), "'rhs_gamma' in 'files'"),
+], ids=["n_gamma", "files.rhs_gamma"])
+def test_incomplete_sidecar_names_the_sidecar_and_the_key(tmp_path, path, named):
+    export_system(assemble(build_cross_2d(2), PhysicalParams()), tmp_path)
+    sidecar = json.loads((tmp_path / SIDECAR_NAME).read_text())
+    *parents, key = path
+    holder = sidecar
+    for parent in parents:
+        holder = holder[parent]
+    del holder[key]
+    (tmp_path / SIDECAR_NAME).write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match=f"^sidecar {re.escape(str(tmp_path / SIDECAR_NAME))} "
+                                         f"has no key {named}$"):
         import_system(tmp_path)
 
 
