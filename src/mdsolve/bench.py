@@ -19,7 +19,7 @@ import numpy as np
 from .assembly import PhysicalParams, assemble, monolithic
 from .grids import build_cross_2d, build_random_network_2d, build_regular_network_3d
 from .krylov import SolveConfig, gmres
-from .precond import KINDS, build_preconditioner, check_modes
+from .precond import KINDS, build_preconditioner
 from .sysio import import_system
 
 __all__ = [
@@ -49,8 +49,6 @@ class SweepSpec:
     k_parallel_values: tuple = (1.0,)
     kappa_values: tuple = (1.0,)
     precond_kinds: tuple = ("ml",)
-    inner_omega: str = "amg"
-    inner_gamma: str = "amg"
     matrix_permeability: float = 1.0
     num_fractures: int = 4
     num_planes: int = 3
@@ -71,7 +69,6 @@ class SweepSpec:
         unknown = [k for k in self.precond_kinds if k not in KINDS + ("none",)]
         if unknown:
             raise ValueError(f"unknown preconditioner kind {unknown[0]!r} in precond_kinds")
-        check_modes(self.inner_omega, self.inner_gamma)
         if self.geometry == "imported":
             if not self.import_path:
                 raise ValueError("geometry 'imported' has no grid and needs import_path")
@@ -196,8 +193,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if kind != "none" and shared is None:
                 t0 = time.perf_counter()
                 try:
-                    shared = build_preconditioner(system, kind=kind, inner_omega=spec.inner_omega,
-                                                  inner_gamma=spec.inner_gamma)
+                    shared = build_preconditioner(system, kind=kind)
                     row.setup_seconds = time.perf_counter() - t0
                 except Exception as exc:  # fails every preconditioned kind alike
                     shared = _error_text(exc)

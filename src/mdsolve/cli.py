@@ -25,7 +25,7 @@ from .bench import (
     GEOMETRIES, TABLE_FORMATS, SweepSpec, build_grid, emit_table, run_sweep, sweep_systems,
 )
 from .krylov import SolveConfig
-from .precond import INNER_MODES, KINDS, build_preconditioner
+from .precond import KINDS, build_preconditioner
 from .sysio import export_system, import_system
 
 # every flag defaults to None so "was it given explicitly" is visible; these
@@ -33,14 +33,13 @@ from .sysio import export_system, import_system
 LIST_KEYS = {"n": int, "kpar": float, "kappa": float, "precond": str}
 SCALAR_KEYS = {
     "geometry": str, "num_fractures": int, "num_planes": int, "seed": int,
-    "import_path": str, "matrix_perm": float, "inner_omega": str, "inner_gamma": str,
-    "tol": float, "max_iters": int, "restart": int, "format": str, "out": str,
+    "import_path": str, "matrix_perm": float, "tol": float, "max_iters": int,
+    "restart": int, "format": str, "out": str,
 }
 # flag -> SweepSpec or SolveConfig field; run defaults live there alone
 SPEC_FIELDS = {
     "geometry": "geometry", "n": "mesh_sizes", "kpar": "k_parallel_values",
     "kappa": "kappa_values", "precond": "precond_kinds",
-    "inner_omega": "inner_omega", "inner_gamma": "inner_gamma",
     "matrix_perm": "matrix_permeability", "num_fractures": "num_fractures",
     "num_planes": "num_planes", "seed": "seed", "import_path": "import_path",
 }
@@ -129,8 +128,6 @@ def _add_solver_flags(p):
     p.add_argument("--precond", action="append", default=None,
                    choices=[*KINDS, *KIND_ALIASES, "none"],
                    help="preconditioner kind; repeatable; 'bl' is 'ml'")
-    p.add_argument("--inner-omega", choices=INNER_MODES, dest="inner_omega")
-    p.add_argument("--inner-gamma", choices=INNER_MODES, dest="inner_gamma")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--restart", type=int)

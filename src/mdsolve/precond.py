@@ -23,35 +23,24 @@ import copy
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import BlockSystem
 from .amg import amg_setup, apply_preconditioner_vcycle
-from .sparse import CsrMatrix, SingularMatrixError, canonical
+from .sparse import CsrMatrix, canonical
 
 __all__ = [
     "KINDS",
-    "INNER_MODES",
-    "check_modes",
     "approx_schur",
     "BlockPreconditioner",
     "build_preconditioner",
 ]
 
 KINDS = ("ml", "bu", "bd")
-INNER_MODES = ("amg", "direct")
 
 
 def _check_kind(kind: str):
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind {kind!r}, expected one of {KINDS}")
-
-
-def check_modes(inner_omega: str, inner_gamma: str):
-    """Reject an inner-solve mode name that :func:`build_preconditioner` does not know."""
-    for name, mode in (("inner_omega", inner_omega), ("inner_gamma", inner_gamma)):
-        if mode not in INNER_MODES:
-            raise ValueError(f"unknown {name} {mode!r}")
 
 
 def approx_schur(system: BlockSystem) -> CsrMatrix:
@@ -85,33 +74,25 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
     return canonical(system.a_omega_omega - coupling)
 
 
-def _inner_solve(block: CsrMatrix, mode: str, name: str):
-    """The solve of one diagonal block and its AMG hierarchy (None without one).
-
-    ``amg`` mode gets one AMG V-cycle, ``direct`` mode a sparse LU. ``name``
-    labels the block in a singularity error.
-    """
-    if mode == "amg":
-        hierarchy = amg_setup(block)
-        return (lambda r: apply_preconditioner_vcycle(hierarchy, r)), hierarchy
-    try:
-        lu = spla.splu(block.tocsc())
-    except RuntimeError as exc:  # SuperLU's only one: "Factor is exactly singular"
-        raise SingularMatrixError(
-            f"build_preconditioner: {name} block: matrix is exactly singular"
-        ) from exc
-    return lu.solve, None
+def _vcycle(block: CsrMatrix):
+    """One AMG V-cycle on a diagonal block, and the hierarchy behind it."""
+    hierarchy = amg_setup(block)
+    return (lambda r: apply_preconditioner_vcycle(hierarchy, r)), hierarchy
 
 
 class BlockPreconditioner:
     """A built block preconditioner; ``apply`` is a fixed linear operator.
 
     Instances are created by :func:`build_preconditioner`. The setup (Schur
-    assembly, then one inner solve per diagonal block: a factorization or an
-    AMG hierarchy) is done once and is reusable across right-hand sides and,
-    through :meth:`with_kind`, across kinds. The hierarchies built are kept
-    for :meth:`hierarchies`. Apply allocates its own scratch, so concurrent
-    applications are safe.
+    assembly, then one AMG hierarchy per diagonal block) is done once and is
+    reusable across right-hand sides and, through :meth:`with_kind`, across
+    kinds. The hierarchies built are kept for :meth:`hierarchies`. Apply
+    allocates its own scratch, so concurrent applications are safe.
+
+    The constructor takes any inner solves ``q_omega`` and ``q_gamma`` (maps
+    from a block's residual to its correction), so a caller can build the
+    same three-step apply with, say, sparse LU solves of the Schur and
+    interface blocks; ``hierarchies`` then may be empty.
     """
 
     def __init__(self, kind, n_omega, n_gamma, q_omega, q_gamma, a_gamma_omega,
@@ -144,7 +125,8 @@ class BlockPreconditioner:
         return view
 
     def hierarchies(self) -> dict:
-        """AMG hierarchies in use, keyed ``schur`` and ``interface`` (may be empty)."""
+        """AMG hierarchies in use, keyed ``schur`` and ``interface`` when set
+        up by :func:`build_preconditioner`."""
         return dict(self._hierarchies)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -178,35 +160,24 @@ class BlockPreconditioner:
     __call__ = apply
 
 
-def build_preconditioner(
-    system: BlockSystem,
-    kind: str = "ml",
-    inner_omega: str = "amg",
-    inner_gamma: str = "amg",
-) -> BlockPreconditioner:
+def build_preconditioner(system: BlockSystem, kind: str = "ml") -> BlockPreconditioner:
     """Set up a block preconditioner for an assembled system.
 
     The Schur complement is :func:`approx_schur`, the diagonal approximation
     of the interface block inside it, which is exact when the interface block
-    is diagonal.
+    is diagonal. Each diagonal block gets one AMG V-cycle; on a purely
+    diagonal interface block that is the exact diagonal solve.
 
     Parameters
     ----------
     system : BlockSystem
     kind : {"ml", "bu", "bd"}
         Block lower triangular, upper triangular, or block diagonal.
-    inner_omega, inner_gamma : {"amg", "direct"}
-        One AMG V-cycle or a sparse LU factorization per block. AMG on a
-        purely diagonal interface block degenerates to the exact diagonal
-        solve.
     """
     _check_kind(kind)
-    check_modes(inner_omega, inner_gamma)
     schur = approx_schur(system)
-    q_omega, h_omega = _inner_solve(schur, inner_omega, "Schur")
-    q_gamma, h_gamma = _inner_solve(system.a_gamma_gamma, inner_gamma, "interface")
-    hierarchies = {name: h for name, h in (("schur", h_omega), ("interface", h_gamma))
-                   if h is not None}
+    q_omega, h_omega = _vcycle(schur)
+    q_gamma, h_gamma = _vcycle(system.a_gamma_gamma)
     return BlockPreconditioner(
         kind=kind,
         n_omega=system.n_omega,
@@ -216,5 +187,5 @@ def build_preconditioner(
         a_gamma_omega=system.a_gamma_omega,
         a_omega_gamma=system.a_omega_gamma,
         schur_matrix=schur,
-        hierarchies=hierarchies,
+        hierarchies={"schur": h_omega, "interface": h_gamma},
     )

@@ -67,6 +67,22 @@ def export_system(system: BlockSystem, directory) -> Path:
     return directory
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _sidecar_error(path, key, expected, value) -> ValueError:
+    return ValueError(f"sidecar {path}, key {key!r}: expected {expected}, got {value!r}")
+
+
+def _ranges(path, key, value) -> tuple:
+    """The DOF ranges of sidecar ``key``, each an ``[id, start, stop]`` list of integers."""
+    for r in value if isinstance(value, list) else [value]:
+        if not (isinstance(r, list) and len(r) == 3 and all(map(_is_int, r))):
+            raise _sidecar_error(path, key, "[id, start, stop] lists of integers", r)
+    return tuple(tuple(r) for r in value)
+
+
 def import_system(directory) -> BlockSystem:
     """Read a previously exported (or externally produced) block system.
 
@@ -76,7 +92,9 @@ def import_system(directory) -> BlockSystem:
     Raises
     ------
     ValueError
-        Naming the sidecar and the key if the sidecar lacks one, naming the
+        Naming the sidecar and the key if the sidecar lacks one or holds a
+        value of the wrong shape (not an integer, a list of ``[id, start,
+        stop]`` integer lists or an object of file names), naming the
         file of a block or right-hand side that holds a NaN or inf, or
         naming the mismatch if the sidecar partition does not sum to the
         matrix sizes, if block shapes disagree, or if the coupling blocks
@@ -87,15 +105,26 @@ def import_system(directory) -> BlockSystem:
     if not sidecar_path.exists():
         raise ValueError(f"no sidecar {SIDECAR_NAME} in {directory}")
     meta = json.loads(sidecar_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {sidecar_path} is not a JSON object")
     if meta.get("format") != "mdsolve-block-system":
         raise ValueError(f"sidecar format {meta.get('format')!r} is not a block system")
     for key in ("n_omega", "n_gamma", "omega_ranges", "gamma_ranges"):
         if key not in meta:
             raise ValueError(f"sidecar {sidecar_path} has no key {key!r}")
     files = meta.get("files", _FILES)
+    if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
+        raise _sidecar_error(sidecar_path, "files", "an object of file names", files)
     for key in _FILES:
         if key not in files:
             raise ValueError(f"sidecar {sidecar_path} has no key {key!r} in 'files'")
+    for key in ("n_omega", "n_gamma"):
+        if not _is_int(meta[key]):
+            raise _sidecar_error(sidecar_path, key, "an integer", meta[key])
+    n_omega, n_gamma = meta["n_omega"], meta["n_gamma"]
+    omega_ranges = _ranges(sidecar_path, "omega_ranges", meta["omega_ranges"])
+    gamma_ranges = _ranges(sidecar_path, "gamma_ranges", meta["gamma_ranges"])
+    partition = DofPartition(omega_ranges, gamma_ranges)
 
     blocks = {key: read_matrix_market(directory / files[key]) for key in
               ("a_omega_omega", "a_omega_gamma", "a_gamma_omega", "a_gamma_gamma")}
@@ -106,12 +135,6 @@ def import_system(directory) -> BlockSystem:
     for key, v in values.items():
         if not np.isfinite(v).all():
             raise ValueError(f"{directory / files[key]} holds a non-finite value (nan or inf)")
-
-    n_omega = int(meta["n_omega"])
-    n_gamma = int(meta["n_gamma"])
-    omega_ranges = tuple(tuple(int(v) for v in r) for r in meta["omega_ranges"])
-    gamma_ranges = tuple(tuple(int(v) for v in r) for r in meta["gamma_ranges"])
-    partition = DofPartition(omega_ranges, gamma_ranges)
 
     omega_sum = sum(stop - start for _, start, stop in omega_ranges)
     gamma_sum = sum(stop - start for _, start, stop in gamma_ranges)

@@ -227,7 +227,7 @@ def test_unknown_config_key_is_rejected(capsys, tmp_path):
 
 @pytest.mark.parametrize("line, message", [
     ("schur = diag", "error: unknown config key 'schur'\n"),
-    ("inner_gamma = dirct", "error: unknown inner_gamma 'dirct'\n"),
+    ("inner_gamma = direct", "error: unknown config key 'inner_gamma'\n"),
     ("format = mardown", "error: unknown table format 'mardown', "
                          "expected one of ('csv', 'aligned-text', 'markdown')\n"),
 ], ids=["schur", "inner_gamma", "format"])
@@ -243,6 +243,15 @@ def test_a_config_mode_or_format_is_checked_before_any_work(line, message, capsy
     assert main(["--config", str(cfg), "sweep", "--n", "8", "--kpar", "1", "--kpar", "1e4"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", message)
+
+
+@pytest.mark.parametrize("flag", ["--inner-omega", "--inner-gamma"])
+def test_there_is_no_inner_solve_flag(flag, capsys):
+    # every set-up is one AMG V-cycle per block
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", "--n", "4", flag, "direct"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} direct" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, message", [

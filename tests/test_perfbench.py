@@ -26,3 +26,19 @@ def test_one_repetition_of_each_workload_is_correct(workload):
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True, run.stdout
     assert result["attempted"] > 0 and result["failed"] == 0, run.stdout
+
+
+def test_a_traced_run_sees_every_patch_point():
+    # the traced path wraps approx_schur, amg_setup and apply_preconditioner_vcycle
+    # in mdsolve.precond's globals; a name bound at import time would escape it
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "solve_3d", "--seed", "3",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=170,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True, run.stdout
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    assert metrics["amg.setups"] == 2 * metrics["precond.setups"] > 0, metrics
+    assert metrics["amg.vcycles"] > 0, metrics

@@ -6,6 +6,7 @@ import pytest
 import scipy.io
 
 from mdsolve.assembly import PhysicalParams, assemble
+from mdsolve.cli import main
 from mdsolve.grids import build_cross_2d, build_random_network_2d
 from mdsolve.sparse import csr_equal, read_vector_market, write_vector_market
 from mdsolve.sysio import SIDECAR_NAME, export_system, import_system
@@ -86,6 +87,25 @@ def test_incomplete_sidecar_names_the_sidecar_and_the_key(tmp_path, path, named)
     with pytest.raises(ValueError, match=f"^sidecar {re.escape(str(tmp_path / SIDECAR_NAME))} "
                                          f"has no key {named}$"):
         import_system(tmp_path)
+
+
+@pytest.mark.parametrize("change,named", [
+    (lambda s: s.update(omega_ranges=5), ", key 'omega_ranges': expected [id, start, stop] "
+                                         "lists of integers, got 5"),
+    (lambda s: s.update(files=5), ", key 'files': expected an object of file names, got 5"),
+    (lambda s: [s], " is not a JSON object"),
+    (lambda s: s.update(gamma_ranges=[[0, 1]]), ", key 'gamma_ranges': expected [id, start, "
+                                                "stop] lists of integers, got [0, 1]"),
+    (lambda s: s.update(n_omega="x"), ", key 'n_omega': expected an integer, got 'x'"),
+], ids=["omega_ranges", "files", "list", "gamma_ranges", "n_omega"])
+def test_malformed_sidecar_exits_2_naming_the_sidecar_and_the_key(tmp_path, capsys, change,
+                                                                   named):
+    export_system(assemble(build_cross_2d(2), PhysicalParams()), tmp_path)
+    sidecar = json.loads((tmp_path / SIDECAR_NAME).read_text())
+    sidecar = change(sidecar) or sidecar
+    (tmp_path / SIDECAR_NAME).write_text(json.dumps(sidecar))
+    assert main(["import", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: sidecar {tmp_path / SIDECAR_NAME}{named}\n"
 
 
 def test_wrong_format_tag(tmp_path):
