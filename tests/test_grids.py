@@ -1,5 +1,7 @@
+import importlib.util
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +283,84 @@ def test_3d_grid_python_heap_is_lean():
         if name in UNIFORM_FACTORS:
             assert arr.dtype == np.float64 and arr.strides == (0,), (obj.id, name)
     assert _index_dtype(2**31 - 1) == np.int32 and _index_dtype(2**31) == np.int64
+
+
+# -- byte pins ----------------------------------------------------------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "write_grid_pins", Path(__file__).parent / "data" / "write_grid_pins.py"
+)
+PINS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(PINS)
+
+# sha256 of every array of every subdomain and interface, with its dtype and
+# whether it is a zero-stride view, and of the partition, per build; printed
+# by tests/data/write_grid_pins.py
+GRID_SHA256 = {
+    "cross_2d_n2": "c2491c78391c211fad01dfadb5d32cb36839d52380fd42ed69fd9aba8352518a",
+    "cross_2d_n4": "7594eede8082e8192c4e37cd79da39ce2828c60f99edd988d9fd48a0f0dc2971",
+    "cross_2d_n8": "49f4fc804701444688f1fa30ad4a423c9159a4040d1cf06d2c945bc212b254cd",
+    "cross_2d_n16": "d04deb3e1f1bd0b991da24098a1b0e4e24fcd2b1508fa993058e6dafb8ac5121",
+    "network_2d_t_tips_n8": "566545a9fffd18a5dbac68714bcc5e64f04cad89c76251710347a8cc45114e03",
+    "network_2d_touching_n8": "1997075cebc224dd3c9ffbfe6614d0475b1683c3137153427e5595786ed43eb2",
+    "network_2d_overlapping_n8": "fb82e9ba37ba03652e74a7665d817ca5379c6e5e3055e1b77f8309d384064452",
+    "network_2d_full_span_n6": "1014f3d7d2c26b77bd504b5ff007ad9f2f88d3cf15525552897cdd4bf9436280",
+    "network_2d_gap_and_corner_n8": "c0365e33078a5ac3baa093502ef6a96ffbe930933dd9938ac7eff3d10d318b50",
+    "random_2d_n8_f4_s1": "e15152fa1e5bdd258da523c43a1a718088a8cf25dbebfd217878614ef8ef610e",
+    "random_2d_n8_f5_s42": "3436d9ce3cce7837ad594636522e746045f26459c10fc7f6e8d9267acf291885",
+    "random_2d_n8_f10_s2": "5f3941ae148df49b10a7d91e25f14af3b4bc3b8c9260045a992438fd0bf8de51",
+    "random_2d_n16_f6_s3": "ecd2f7f3da47982586af076db84cdcdf85447bb0aafa68d06978036a6f4a64cf",
+    "random_2d_n16_f20_s3": "c88a1b2843a2a22c11e70224bca3922b3d1faba6d8cfadab6cb22e2bbed7f14f",
+    "random_2d_n16_f20_s0": "1e6c10a3deeab989df9af8f8a978c7bcf7006084efd6cf7bc743127f8a848340",
+    "random_2d_n32_f10_s1": "c38592cbce23291034659cc08077e41113bd437c6be0c5f7d82c9fe0969de5ff",
+    "random_2d_n32_f20_s5": "935bf7792d70315d447b1ad1bf481f7448216dde14a78584c23e9fb97bfba140",
+    "random_2d_n64_f20_s0": "be89f97489bf2866fd5f72c33088680aeb08e5eb51305be0a9afd74aa730bb9e",
+    "random_2d_n64_f40_s7": "e43c27dc25b540b70d3421a483378a870a3780c8ec852f0450d030acb542191e",
+    "regular_3d_n2_p0": "c88d7901ce7a759e99e48a54237f5eb8f10f6f83fe11c462f3ea6066e2f1d3a5",
+    "regular_3d_n2_p1": "ecd774e358e4a3e7b29addcf7e5bc90707196b5a89fd3952ddc3cf23bea26ed7",
+    "regular_3d_n2_p2": "88c677ab9cf19af3741248b6172b8589b2b711a04d35bceb88efa4ce0dbb722d",
+    "regular_3d_n2_p3": "8dc69c543bc4908a88ab5cd1e25305ce0265b83fe0798ab749f2f749d296c6b4",
+    "regular_3d_n4_p0": "6da019009601736e39f1c5591374cc4555969594dd8124937fb1540e58d0c5a4",
+    "regular_3d_n4_p1": "7c3dff5adb67059e8e25cb72d4a30e9f4e3a5f77f6acc1b5778a864262da54ef",
+    "regular_3d_n4_p2": "067fb89e90b5e8760dd4a66a8ffa79e4572e361a734047470f726aede33b9c57",
+    "regular_3d_n4_p3": "ed5fe5cd2809a517cd70e1daae0ec31dcd9ae62a53278538fbe8ca51eac07569",
+    "regular_3d_n4_p4": "f9340d04bade2b8ba4ab01237bf4842091c0ccc8008150825cd87b10a955e9e0",
+    "regular_3d_n4_p5": "caca9fdbd0d4e765af3e767bfdf1fcd56202cfc1d16ce8195e1043004298a014",
+    "regular_3d_n4_p6": "127c9ae9fb6a825e540cf88c9449ef96f39fe4798989b145d82ef4b12ed917d5",
+    "regular_3d_n4_p7": "52a93307abed3c0d593297e7410114dddf07773cfa0d6a3da1651538b9cd5d71",
+    "regular_3d_n4_p8": "3e5ee11a88389b8d234b5fed18eb89d18af47b1a530f2ebd658e6bba79565b30",
+    "regular_3d_n4_p9": "4b0f3574f062ac21078d366018382efd94715201cdedbe4d6838e3e5cd348c89",
+    "regular_3d_n8_p0": "28b850e815634edae888f14d9e8ad3765b0d6319cbfb3f68836657ec52dc25a5",
+    "regular_3d_n8_p1": "f754697181a8a1b44de8db87eca9a7d3d95e367f4929f7943408e4dcfecf6495",
+    "regular_3d_n8_p2": "831c6a284ce87f849ec49074d4b4a79b2bc8ac46c6534911073154c4a22344f5",
+    "regular_3d_n8_p3": "38428d3b5f84544b9c84e36e29e0e1c1076f15c9a3d2fa49df2931ead21b28d3",
+    "regular_3d_n8_p4": "05c43e8e2622bf77d83373dfbf09adc1479c40938597574f422b36b403571863",
+    "regular_3d_n8_p5": "c21d3fc07d0b60578830faafed16be7d5aabbedcec653b8b3740c2550187f0db",
+    "regular_3d_n8_p6": "e37261a50c3f61ecd83486fdd1101341fcfa437d0510bd4f90263b305fb20700",
+    "regular_3d_n8_p7": "b5d58559bf019742a7dfb937f1a7708c88b88560c09ec2d185a648f28d75b02b",
+    "regular_3d_n8_p8": "44c907e253984b12dffd9279d5013bbb52ff2801809b05fc9518f526816c446e",
+    "regular_3d_n8_p9": "ffcf405c429394d7ff5bb513522070fdf2e5e760e3b90e1c9df36875571e4058",
+    "regular_3d_n12_p0": "472575404efa5a3ec99d226daf6dd528c36eaf227a6022b09a675c817d8b4e74",
+    "regular_3d_n12_p1": "24ac462e8bd268c6aa5d82003ecc7cbfbbcf2d6bf3acd3c90cd75fff779ca965",
+    "regular_3d_n12_p2": "1c65dffbd5760e7d6d28acee5b4c2e96183ac6569ba80325d06a0f0ce8d0e5fd",
+    "regular_3d_n12_p3": "6a90ba5ada99723e239166db2191d6864c5c367172ddef4265b2024ba5cd632e",
+    "regular_3d_n12_p4": "9a1f0e48f0f7eb553dd98f471f5fa4634410b1c5a5f6f5dd63c412207a9f7295",
+    "regular_3d_n12_p5": "b8554ece6b95f8d66f72a77e5a0a14b6dd9c33da91616693807794a08a235207",
+    "regular_3d_n12_p6": "6d7cc97b010993a8b559c369ffc5200447b8705c46a8008e6f46cf5c219d0eb2",
+    "regular_3d_n12_p7": "9eab679de9f195a6bd3c93fbc2a93f28b28c63fb87d10841abce01699e3d0538",
+    "regular_3d_n12_p8": "0a65fbda239ee075206ffdaeae5e16f8dd715f2d0b8efe4264cf12071d29472e",
+    "regular_3d_n12_p9": "7491c28312d0bc2530908c8338834380315a029c317eaaccd41ea6267804d122",
+    "cross_2d_n4_dirichlet_y": "423aafdefa449988d6e2b84005dda33af82057936c8bc35ac0a2ae983cd0342b",
+    "cross_2d_n4_neumann": "16c99be2ed0824eec1686f0dfad365767be044659803fbf308a3698b29953797",
+    "regular_3d_n4_p3_dirichlet_z": "40f6cb8d67ccdb8198501551c85bceaac278b3aaa64c9b659c77b0dff5d962f2",
+}
+
+
+def test_grid_bytes_match_the_recorded_hashes():
+    assert PINS.CASES.keys() == GRID_SHA256.keys()
+    changed = [name for name, build in PINS.CASES.items()
+               if PINS.grid_sha256(build()) != GRID_SHA256[name]]
+    assert not changed, changed
 
 
 # -- validate() rejections --------------------------------------------------------
