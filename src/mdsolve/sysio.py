@@ -92,7 +92,8 @@ def import_system(directory) -> BlockSystem:
     Raises
     ------
     ValueError
-        Naming the sidecar and the key if the sidecar lacks one or holds a
+        Naming the sidecar if it is not valid JSON or not a block system,
+        naming the sidecar and the key if the sidecar lacks one or holds a
         value of the wrong shape (not an integer, a list of ``[id, start,
         stop]`` integer lists or an object of file names), naming the
         file of a block or right-hand side that holds a NaN or inf, or
@@ -104,11 +105,14 @@ def import_system(directory) -> BlockSystem:
     sidecar_path = directory / SIDECAR_NAME
     if not sidecar_path.exists():
         raise ValueError(f"no sidecar {SIDECAR_NAME} in {directory}")
-    meta = json.loads(sidecar_path.read_text())
+    try:
+        meta = json.loads(sidecar_path.read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"sidecar {sidecar_path} is not valid JSON: {err}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar {sidecar_path} is not a JSON object")
     if meta.get("format") != "mdsolve-block-system":
-        raise ValueError(f"sidecar format {meta.get('format')!r} is not a block system")
+        raise ValueError(f"sidecar {sidecar_path}: format {meta.get('format')!r} is not a block system")
     for key in ("n_omega", "n_gamma", "omega_ranges", "gamma_ranges"):
         if key not in meta:
             raise ValueError(f"sidecar {sidecar_path} has no key {key!r}")

@@ -117,6 +117,20 @@ def test_wrong_format_tag(tmp_path):
         import_system(tmp_path)
 
 
+@pytest.mark.parametrize("text,named", [
+    ("{", r" is not valid JSON: Expecting property name"),
+    ('{"format": "something-else"}', r": format 'something-else' is not a block system"),
+], ids=["invalid-json", "wrong-format"])
+def test_unreadable_sidecar_is_named_by_import_and_the_cli(tmp_path, capsys, text, named):
+    export_system(assemble(build_cross_2d(2), PhysicalParams()), tmp_path)
+    (tmp_path / SIDECAR_NAME).write_text(text)
+    message = f"sidecar {tmp_path / SIDECAR_NAME}{named}"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        import_system(tmp_path)
+    assert main(["import", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", ["a_omega_omega", "a_omega_gamma", "a_gamma_omega",
                                   "a_gamma_gamma", "rhs_omega", "rhs_gamma"])
