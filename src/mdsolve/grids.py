@@ -7,6 +7,33 @@ on a Cartesian n-by-n(-by-n) lattice with matching grids, so every mortar
 cell coincides with one boundary face of the higher-dimensional neighbor and
 one cell of the lower-dimensional one.
 
+Every public builder lists codim-1 fractures and hands them to one builder
+for both dimensions. A fracture is a normal axis, a lattice position on it
+and one lattice span ``[lo, hi]`` per in-plane axis: a 2d segment or a 3d
+rectangle. Every object is a box, one span per ambient axis, fixed
+(``lo == hi``) on the axes it does not run along. The rules:
+
+- Intersections: two fractures with different normals meet in a codim-2
+  object, and a codim-2 object and a fracture across it in a codim-3 point,
+  wherever their closed boxes meet with that dimension. The tests are
+  inclusive, so a fracture that ends on another one meets it (a
+  T-junction). Coplanar fractures must neither overlap nor touch.
+- Cuts: an object's grid is disconnected across every object one dimension
+  lower inside it, over that object's extent, unless it lies on an end.
+- Sides: an end at 0 or n lies on the outer box and has boundary faces;
+  any other end is a no-flux tip or immersed edge.
+- Couplings: an object couples to every object one dimension lower inside
+  it, on each side it extends past it (orientation +1 on the low side, -1
+  on the high side): one interface per side, but one interface for all the
+  sides of a point, low side first.
+- Orders: the matrix (id 0), the fractures in caller order, then each
+  higher codimension sorted by its fixed (axis, position) pairs, then its
+  spans: 2d points by (x, y), 3d lines by (fixed coordinates, running
+  axis), 3d points by (x, y, z). Interfaces come codimension by
+  codimension of the lower object; the matrix couplings are grouped by the
+  fracture, all others by the codim-2 object, the other member in its own
+  order.
+
 Faces and mortar cells are stored as numpy arrays, one entry per face or
 mortar cell, and each array once. Cell indices are int32 while the cell
 count fits, int64 beyond. A geometric factor that is the same on every face
@@ -23,7 +50,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "BoundaryConfig",
@@ -323,12 +349,12 @@ def _build_partition(subdomains, interfaces) -> DofPartition:
     return DofPartition(tuple(omega), tuple(gamma))
 
 
-# -- lattice helpers shared by both builders ----------------------------------
+# -- one lattice network builder for both dimensions ----------------------------
 
 
 def _index_dtype(count: int):
     """int32 while ``count`` fits, int64 beyond: the rule of scipy's CSR indices."""
-    return sp.get_index_dtype(maxval=count)
+    return np.int32 if count < 2**31 else np.int64
 
 
 def _cells(shape) -> np.ndarray:
@@ -337,50 +363,43 @@ def _cells(shape) -> np.ndarray:
     return np.arange(count, dtype=_index_dtype(count)).reshape(shape, order="F")
 
 
-def _layer(shape, axis: int, k: int) -> np.ndarray:
-    """Cells of lattice layer ``k`` normal to ``axis``, first remaining axis fastest.
+def _lattice(sid, box, n, bc, cuts=()) -> Subdomain:
+    """Subdomain on ``box``, one span ``(lo, hi)`` per ambient axis in lattice units of
+    spacing ``1 / n``: one cell per lattice cell along each axis with ``lo < hi``.
 
-    Built from the lattice strides, so no index array of the whole lattice
-    is made."""
-    stride = np.cumprod((1, *shape[:-1]))
-    cells = k * stride[axis]
-    for a in reversed([a for a in range(len(shape)) if a != axis]):
-        cells = np.add.outer(cells, np.arange(shape[a]) * stride[a])
-    return cells.ravel()
-
-
-def _lattice(sid, shape, h, bc, axes=(), cuts=(), sides=None) -> Subdomain:
-    """Subdomain on a box of ``shape`` cells of spacing ``h``, one entry per lattice axis.
-
-    Lattice axis ``a`` runs along ambient axis ``axes[a]``. A cut ``(a, k,
-    span)`` removes the internal faces between layers ``k - 1`` and ``k``
-    along axis ``a`` over ``span`` of every transverse axis. ``sides[a]``
-    tells whether the low and the high end along axis ``a`` lie on the outer
-    box (default: both).
+    A cut is a box one dimension lower, fixed at ``c`` on one of these axes.
+    Where ``lo < c < hi`` it removes the internal faces between the layers
+    on either side of ``c`` over the cut's own extent; on an end it removes
+    nothing. An end at 0 or ``n`` lies on the outer box and has boundary
+    faces; any other end is a no-flux tip.
 
     Internal faces come axis by axis, in lexicographic order of (k, the
     other axes in increasing order). Boundary faces come axis by axis in the
     same order of the other axes, low end before high end at each position.
     """
+    axes = [a for a, (lo, hi) in enumerate(box) if lo < hi]
+    shape = tuple(box[a][1] - box[a][0] for a in axes)
     dim = len(shape)
     cells = _cells(shape)
+    h = 1.0 / n
     # face measure over center distance (a point has no faces), and cell volume
     geo = (0.0, 1.0 / h, 1.0, h)[dim]
     volume = (1.0, h, h * h, h**3)[dim]
 
     face_a, face_b, bnd_cell, bnd_dirichlet, bnd_value = [], [], [], [], []
-    for a in range(dim):
-        layers = np.moveaxis(cells, a, 0)
-        open_faces = np.ones((shape[a] - 1,) + layers.shape[1:], dtype=bool)
-        for axis, k, span in cuts:
-            if axis == a:
-                open_faces[(k - 1,) + (span,) * (dim - 1)] = False
+    for i, a in enumerate(axes):
+        lo, hi = box[a]
+        layers = np.moveaxis(cells, i, 0)
+        open_faces = np.ones((shape[i] - 1,) + layers.shape[1:], dtype=bool)
+        for cut in cuts:
+            if cut[a][0] == cut[a][1] and lo < cut[a][0] < hi:
+                across = (slice(cut[b][0] - box[b][0], cut[b][1] - box[b][0]) for b in axes if b != a)
+                open_faces[(cut[a][0] - lo - 1, *across)] = False
         face_a.append(layers[:-1][open_faces])
         face_b.append(layers[1:][open_faces])
-        on_box = sides[a] if sides else (True, True)
-        ends = [high for high, on in zip((False, True), on_box) if on]
+        ends = [high for high, on in zip((False, True), (lo == 0, hi == n)) if on]
         if ends:
-            tags = [bc.tag(axes[a], high) for high in ends]
+            tags = [bc.tag(a, high) for high in ends]
             end_cells = [layers[-1 if high else 0].ravel() for high in ends]
             bnd_cell.append(np.stack(end_cells, axis=1).ravel())
             bnd_dirichlet.append(np.tile([kind == DIRICHLET for kind, _ in tags], layers[0].size))
@@ -397,23 +416,129 @@ def _lattice(sid, shape, h, bc, axes=(), cuts=(), sides=None) -> Subdomain:
     )
 
 
-def _coupling(iid, higher, lower, higher_cell, geo, area, orientation) -> Interface:
-    """Interface whose mortar cells meet ``higher_cell`` on the higher side.
+def _sides(higher, lower) -> list:
+    """``(orientation, cells)`` of each side of box ``lower`` that box ``higher``
+    extends past, low side first: the cells of ``higher`` that touch
+    ``lower`` there, first axis fastest.
+
+    Built from the lattice strides, so no index array of the whole lattice
+    is made."""
+    running = [a for a, (lo, hi) in enumerate(higher) if lo < hi]
+    shape = [higher[a][1] - higher[a][0] for a in running]
+    local = [(lower[a][0] - higher[a][0], lower[a][1] - higher[a][0]) for a in running]
+    i = next(i for i, (lo, hi) in enumerate(local) if lo == hi)  # where lower is fixed
+    k = local[i][0]
+    sides = []
+    for sign, layer in ((1, k - 1), (-1, k)):
+        if 0 <= layer < shape[i]:
+            local[i] = (layer, layer + 1)
+            cells, stride = 0, 1
+            for m, (start, stop) in zip(shape, local):
+                cells = np.add.outer(np.arange(start * stride, stop * stride, stride), cells)
+                stride *= m
+            sides.append((sign, np.ravel(cells)))
+    return sides
+
+
+def _coupling(iid, higher, lower, sides, h) -> Interface:
+    """Interface whose mortar cells meet the ``cells`` of ``higher``, with outward
+    normal component ``orientation``, of each of ``sides`` in turn.
 
     Every mortar cell of a point meets its single cell; otherwise mortar
     cell ``m`` meets lower cell ``m``. Every index array is a copy of its own.
     """
+    higher_cell = np.concatenate([cells for _, cells in sides], dtype=_index_dtype(higher.cell_count))
     m = len(higher_cell)
+    orientation = np.array([sign for sign, _ in sides], np.int64).repeat([len(c) for _, c in sides])
     lower_dtype = _index_dtype(lower.cell_count)
     lower_cell = np.zeros(m, lower_dtype) if lower.dim == 0 else np.arange(m, dtype=lower_dtype)
+    # face measure over half a cell width on the higher side, and the lower cell's measure
+    geo = (2.0 / h, 2.0, 2.0 * h)[higher.dim - 1]
+    area = (1.0, h, h * h)[lower.dim]
     return Interface(
-        iid, lower.dim, higher.id, lower.id,
-        np.array(higher_cell, _index_dtype(higher.cell_count)), np.broadcast_to(geo, m),
-        lower_cell, np.broadcast_to(area, m), np.broadcast_to(orientation, m).astype(np.int64),
+        iid, lower.dim, higher.id, lower.id, higher_cell, np.broadcast_to(geo, m),
+        lower_cell, np.broadcast_to(area, m), orientation,
     )
 
 
-# -- 2d builder --------------------------------------------------------------
+def _meet(x, y):
+    """The intersection of the closed boxes ``x`` and ``y``, or None where it is empty."""
+    box = []
+    for (a, b), (c, d) in zip(x, y):
+        lo, hi = max(a, c), min(b, d)
+        if lo > hi:
+            return None
+        box.append((lo, hi))
+    return tuple(box)
+
+
+def _network(dim: int, n: int, fractures, bc: BoundaryConfig) -> MixedDimGrid:
+    """Grid of the ``dim``-dimensional unit box with the codim-1 ``fractures`` in caller order.
+
+    A fracture ``(axis, line, spans)`` lies on lattice line ``line`` of its
+    normal ``axis`` and spans ``spans[i] = (lo, hi)`` of its i-th in-plane
+    axis, in increasing axis order. Every object is a box, one ``(lo, hi)``
+    per ambient axis with ``lo == hi`` where the object is fixed; the rules
+    are in the module docstring.
+    """
+    normals = [axis for axis, _, _ in fractures]
+    fracs = []
+    for axis, line, spans in fractures:
+        rest = iter(spans)
+        fracs.append(tuple((line, line) if a == axis else tuple(next(rest)) for a in range(dim)))
+    for i, f in enumerate(fracs):
+        for j in range(i):
+            if normals[j] == normals[i] and _meet(fracs[j], f):
+                raise ValueError(
+                    f"coplanar fractures {tuple(fractures[j])} and {tuple(fractures[i])} overlap or touch"
+                )
+
+    # objects by codimension: the matrix, the fractures, then their intersections,
+    # each with the objects one level up that contain it, in that level's order
+    levels = [[((0, n),) * dim], fracs]
+    parents = {f: levels[0] for f in fracs}
+    for codim in range(2, dim + 1):
+        found: dict = {}
+        for x in levels[-1]:
+            for f, axis in zip(fracs, normals):
+                # only a fracture across x meets it one dimension lower
+                y = x[axis][0] < x[axis][1] and _meet(x, f)
+                if y and sum(lo < hi for lo, hi in y) == dim - codim:
+                    found.setdefault(y, []).append(x)
+        parents.update(found)
+        levels.append(sorted(found, key=lambda y: ([(a, lo) for a, (lo, hi) in enumerate(y) if lo == hi], y)))
+    cuts: dict = {}  # the objects one level down that each object contains, in their level's order
+    for level in levels[1:]:
+        for y in level:
+            for x in parents[y]:
+                cuts.setdefault(x, []).append(y)
+    subs: dict = {}
+    for box in (box for level in levels for box in level):
+        subs[box] = _lattice(len(subs), box, n, bc, cuts.get(box, ()))
+
+    # (higher, lower) of every coupling, level by level, grouped by the member
+    # of codimension min(level, 2), the other member in its level's order
+    pairs = []
+    for codim in range(1, dim + 1):
+        if codim <= 2:
+            pairs += [(x, y) for y in levels[codim] for x in parents[y]]
+        else:
+            pairs += [(x, y) for x in levels[codim - 1] for y in cuts.get(x, ())]
+
+    # one interface per side, except that a point takes all its sides in one
+    h = 1.0 / n
+    interfaces = []
+    for x, y in pairs:
+        sides = _sides(x, y)
+        for group in ([side] for side in sides) if subs[y].dim else [sides]:
+            interfaces.append(_coupling(len(interfaces), subs[x], subs[y], group, h))
+
+    subdomains = tuple(subs.values())
+    grid = MixedDimGrid(dim, subdomains, tuple(interfaces), _build_partition(subdomains, interfaces))
+    return grid.validate()
+
+
+# -- public builders ------------------------------------------------------------
 
 
 def _merge_segments(n: int, segments) -> list:
@@ -462,55 +587,8 @@ def build_network_2d(n: int, segments, bc: BoundaryConfig | None = None) -> Mixe
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    bc = bc or BoundaryConfig()
-    h = 1.0 / n
     segs = _merge_segments(n, segments)
-
-    # crossing points between one horizontal (axis 0) and one vertical (axis 1)
-    points: dict = {}
-    for si, s in enumerate(segs):
-        for ti, t in enumerate(segs):
-            if s.axis == 0 and t.axis == 1:
-                px, py = t.line, s.line
-                if s.lo <= px <= s.hi and t.lo <= py <= t.hi:
-                    points.setdefault((px, py), []).append((si, px))
-                    points[(px, py)].append((ti, py))
-    point_keys = sorted(points)
-
-    # matrix id 0, then one subdomain per segment, then the crossing points
-    matrix = _lattice(
-        0, (n, n), h, bc, axes=(0, 1), cuts=[(1 - s.axis, s.line, slice(s.lo, s.hi)) for s in segs]
-    )
-    fractures = []
-    for si, s in enumerate(segs):
-        splits = {pos for inc in points.values() for idx, pos in inc if idx == si}
-        fractures.append(_lattice(
-            1 + si, (s.hi - s.lo,), h, bc, axes=(s.axis,), sides=[(s.lo == 0, s.hi == n)],
-            cuts=[(0, pos - s.lo, slice(None)) for pos in splits if s.lo < pos < s.hi],
-        ))
-    point_subs = {key: _lattice(1 + len(segs) + k, (), h, bc) for k, key in enumerate(point_keys)}
-
-    # matrix <-> fracture interfaces, one per side
-    interfaces = []
-    for s, frac in zip(segs, fractures):
-        for sign, line in ((1, s.line - 1), (-1, s.line)):
-            cells = _layer((n, n), 1 - s.axis, line)[s.lo : s.hi]
-            interfaces.append(_coupling(len(interfaces), matrix, frac, cells, 2.0, h, sign))
-
-    # fracture <-> point interfaces
-    for key in point_keys:
-        for si, pos in sorted(set(points[key])):
-            s = segs[si]
-            below, above = pos > s.lo, pos < s.hi  # branches present on either side
-            cells = [pos - s.lo - 1] * below + [pos - s.lo] * above
-            interfaces.append(_coupling(
-                len(interfaces), fractures[si], point_subs[key], cells, 2.0 / h, 1.0,
-                [1] * below + [-1] * above,
-            ))
-
-    subdomains = (matrix, *fractures, *point_subs.values())
-    grid = MixedDimGrid(2, subdomains, tuple(interfaces), _build_partition(subdomains, interfaces))
-    return grid.validate()
+    return _network(2, n, [(1 - s.axis, s.line, [(s.lo, s.hi)]) for s in segs], bc or BoundaryConfig())
 
 
 def build_cross_2d(n: int, bc: BoundaryConfig | None = None) -> MixedDimGrid:
@@ -550,11 +628,6 @@ def build_random_network_2d(
     return build_network_2d(n, segments, bc)
 
 
-# -- 3d builder --------------------------------------------------------------
-
-Plane = namedtuple("Plane", "axis line")  # axis = normal axis
-
-
 def build_regular_network_3d(
     n: int, num_planes: int, bc: BoundaryConfig | None = None
 ) -> MixedDimGrid:
@@ -589,95 +662,5 @@ def build_regular_network_3d(
             raise ValueError(
                 f"plane {k} needs n divisible by {denom} to sit on a lattice line, got n={n}"
             )
-        planes.append(Plane(k % 3, positions[pos_idx]))
-    bc = bc or BoundaryConfig()
-    h = 1.0 / n
-
-    # intersection lines: pairs of non-parallel planes; fixed = {axis: line}
-    lines = []
-    for a in range(len(planes)):
-        for b in range(a + 1, len(planes)):
-            p, q = planes[a], planes[b]
-            if p.axis != q.axis:
-                fixed = {p.axis: p.line, q.axis: q.line}
-                run = 3 - p.axis - q.axis
-                lines.append((tuple(sorted(fixed.items())), run))
-    lines = sorted(set(lines))
-
-    # intersection points: triples of mutually orthogonal planes
-    by_axis: dict = {0: [], 1: [], 2: []}
-    for p in planes:
-        by_axis[p.axis].append(p.line)
-    pts = sorted(
-        (x, y, z) for x in by_axis[0] for y in by_axis[1] for z in by_axis[2]
-    )
-
-    def on_line(pt, fixed):
-        return all(pt[a] == line for a, line in fixed)
-
-    def in_plane_axis(p, run):
-        # a plane's lattice axes are its two in-plane axes in increasing
-        # order; this is the one a line running along `run` is fixed on
-        return int(3 - p.axis - run > run)
-
-    # matrix id 0, then planes, lines and points
-    subdomains = [
-        _lattice(0, (n, n, n), h, bc, axes=(0, 1, 2),
-                 cuts=[(p.axis, p.line, slice(None)) for p in planes])
-    ]
-    for p in planes:
-        # in-plane lattice lines where an intersection line disconnects the grid
-        cuts = [
-            (in_plane_axis(p, run), dict(fixed)[3 - p.axis - run], slice(None))
-            for fixed, run in lines
-            if dict(fixed).get(p.axis) == p.line
-        ]
-        subdomains.append(_lattice(
-            len(subdomains), (n, n), h, bc, axes=tuple(a for a in range(3) if a != p.axis),
-            cuts=cuts,
-        ))
-    for fixed, run in lines:
-        splits = {pt[run] for pt in pts if on_line(pt, fixed)}
-        subdomains.append(_lattice(
-            len(subdomains), (n,), h, bc, axes=(run,), cuts=[(0, t, slice(None)) for t in splits],
-        ))
-    for pt in pts:
-        subdomains.append(_lattice(len(subdomains), (), h, bc))
-    matrix = subdomains[0]
-    plane_subs = dict(zip(planes, subdomains[1:]))
-    line_subs = dict(zip(lines, subdomains[1 + len(planes):]))
-    point_subs = dict(zip(pts, subdomains[1 + len(planes) + len(lines):]))
-
-    interfaces = []
-    # matrix <-> plane interfaces
-    for p in planes:
-        for sign, layer in ((1, p.line - 1), (-1, p.line)):
-            cells = _layer((n, n, n), p.axis, layer)
-            interfaces.append(
-                _coupling(len(interfaces), matrix, plane_subs[p], cells, 2.0 * h, h * h, sign)
-            )
-
-    # plane <-> line interfaces
-    for fixed, run in lines:
-        for p in planes:
-            if dict(fixed).get(p.axis) != p.line:
-                continue
-            k = dict(fixed)[3 - p.axis - run]
-            for sign, layer in ((1, k - 1), (-1, k)):
-                cells = _layer((n, n), in_plane_axis(p, run), layer)
-                interfaces.append(_coupling(
-                    len(interfaces), plane_subs[p], line_subs[(fixed, run)], cells, 2.0, h, sign
-                ))
-
-    # line <-> point interfaces
-    for fixed, run in lines:
-        for pt in pts:
-            if on_line(pt, fixed):
-                t = pt[run]
-                interfaces.append(_coupling(
-                    len(interfaces), line_subs[(fixed, run)], point_subs[pt], [t - 1, t],
-                    2.0 / h, 1.0, [1, -1],
-                ))
-
-    grid = MixedDimGrid(3, tuple(subdomains), tuple(interfaces), _build_partition(subdomains, interfaces))
-    return grid.validate()
+        planes.append((k % 3, positions[pos_idx], [(0, n), (0, n)]))
+    return _network(3, n, planes, bc or BoundaryConfig())

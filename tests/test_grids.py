@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mdsolve.assembly import PhysicalParams, assemble, monolithic
 from mdsolve.grids import (
     BoundaryConfig,
     Segment,
@@ -14,7 +16,10 @@ from mdsolve.grids import (
     build_random_network_2d,
     build_regular_network_3d,
     _index_dtype,
+    _network,
 )
+from mdsolve.krylov import SolveConfig, gmres
+from mdsolve.precond import build_preconditioner
 
 
 def dims_of(grid):
@@ -230,6 +235,62 @@ def test_pure_neumann_config():
     g = build_cross_2d(2, bc=BoundaryConfig(dirichlet_axis=None))
     dirichlet = np.concatenate([s.bnd_dirichlet for s in g.subdomains])
     assert dirichlet.size > 0 and not dirichlet.any()
+
+
+# -- partial rectangles in 3d ----------------------------------------------------
+
+# at n=8: a full plane x=4; a plane y=4 over x in [4, 8] that ends on it in a
+# T-junction; a plane z=4 over x in [2, 6] with two immersed edges. They meet
+# in the lines (x=4, y=4), (x=4, z=4) and (y=4, z=4) over x in [4, 6], and in
+# the triple point (4, 4, 4).
+FULL = (0, 4, ((0, 8), (0, 8)))
+T_PLANE = (1, 4, ((4, 8), (0, 8)))
+IMMERSED = (2, 4, ((2, 6), (0, 8)))
+
+
+def test_partial_rectangles_in_3d():
+    grid = _network(3, 8, [FULL, T_PLANE, IMMERSED], BoundaryConfig()).validate()
+    cells = [s.cell_count for s in grid.subdomains]
+    # matrix, the three planes, the lines (x=4, y=4), (x=4, z=4), (y=4, z=4), the point
+    assert [s.dim for s in grid.subdomains] == [3, 2, 2, 2, 1, 1, 1, 0]
+    assert cells == [8**3, 8 * 8, 4 * 8, 4 * 8, 8, 8, 2, 1]
+    # the matrix loses the faces each plane covers: 64, 32 and 32
+    assert len(grid.subdomain(0).face_a) == 3 * 8 * 8 * 7 - 64 - 32 - 32
+    pairs = [(i.higher_id, i.lower_id) for i in grid.interfaces]
+    # matrix-plane: two sides each; plane-line: two sides except on the edge of
+    # the T-junction plane; line-point: one interface per line
+    assert pairs == [(0, 1), (0, 1), (0, 2), (0, 2), (0, 3), (0, 3),
+                     (1, 4), (1, 4), (2, 4),
+                     (1, 5), (1, 5), (3, 5), (3, 5),
+                     (2, 6), (2, 6), (3, 6), (3, 6),
+                     (4, 7), (5, 7), (6, 7)]
+    mortars = [len(i.area) for i in grid.interfaces]
+    assert mortars == [64, 64, 32, 32, 32, 32] + [8] * 3 + [8] * 4 + [2] * 4 + [2, 2, 1]
+    assert grid.dof_partition.n_gamma == 2 * (64 + 32 + 32) + 3 * 8 + 4 * 8 + 4 * 2 + 5
+    # the T-junction plane couples to its edge line from its one side
+    t_side = [i for i in grid.interfaces if (i.higher_id, i.lower_id) == (2, 4)]
+    assert [list(np.unique(i.orientation)) for i in t_side] == [[-1]]
+    # the immersed edges x=2 and x=6 of plane 3, and the tip x=6 of line 6,
+    # have neither boundary faces nor couplings: plane 3 keeps only the
+    # boundary faces of its ends y=0 and y=8, and its couplings are the lines
+    assert len(grid.subdomain(3).bnd_cell) == 2 * 4
+    assert len(grid.subdomain(6).bnd_cell) == 0
+    assert {i.lower_id for i in grid.interfaces if i.higher_id == 3} == {5, 6}
+
+    system = assemble(grid, PhysicalParams(k_parallel=1e4, kappa=1e-4))
+    rep = gmres(monolithic(system), system.rhs, build_preconditioner(system, kind="ml"), SolveConfig())
+    print(f"partial rectangles, n=8, (1e4, 1e-4): ml GMRES converged={rep.converged} "
+          f"in {rep.iterations} iterations")
+    assert rep.converged
+
+
+@pytest.mark.parametrize("other", [(0, 4, ((4, 8), (0, 8))), (0, 4, ((2, 6), (2, 6)))],
+                         ids=["touching", "overlapping"])
+def test_coplanar_rectangles_that_meet_are_rejected(other):
+    first = (0, 4, ((0, 4), (0, 8)))
+    with pytest.raises(ValueError, match=rf"coplanar fractures {re.escape(str(first))} "
+                                         rf"and {re.escape(str(other))} overlap or touch"):
+        _network(3, 8, [first, other], BoundaryConfig())
 
 
 # -- storage: dtypes, views and memory ------------------------------------------
