@@ -441,8 +441,8 @@ def _sides(higher, lower) -> list:
 
 
 def _coupling(iid, higher, lower, sides, h) -> Interface:
-    """Interface whose mortar cells meet the ``cells`` of ``higher``, with outward
-    normal component ``orientation``, of each of ``sides`` in turn.
+    """Interface that joins ``lower`` to the cells of ``higher`` on each of
+    ``sides`` in turn, one ``(orientation, cells)`` pair per side.
 
     Every mortar cell of a point meets its single cell; otherwise mortar
     cell ``m`` meets lower cell ``m``. Every index array is a copy of its own.

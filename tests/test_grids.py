@@ -241,8 +241,8 @@ def test_pure_neumann_config():
 
 # at n=8: a full plane x=4; a plane y=4 over x in [4, 8] that ends on it in a
 # T-junction; a plane z=4 over x in [2, 6] with two immersed edges. They meet
-# in the lines (x=4, y=4), (x=4, z=4) and (y=4, z=4) over x in [4, 6], and in
-# the triple point (4, 4, 4).
+# in the full lines (x=4, y=4) and (x=4, z=4), in the line (y=4, z=4) over x
+# in [4, 6], and in the triple point (4, 4, 4).
 FULL = (0, 4, ((0, 8), (0, 8)))
 T_PLANE = (1, 4, ((4, 8), (0, 8)))
 IMMERSED = (2, 4, ((2, 6), (0, 8)))
