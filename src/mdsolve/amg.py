@@ -8,10 +8,11 @@ seed a singleton aggregate and coarsening would stall, so on every level
 below the finest a second pass attaches each such node to the aggregate of
 its strongest neighbor that has a strong neighbor. The solve side is a
 V(1,1) cycle with a symmetric Gauss-Seidel smoother: one forward sweep
-before the coarse-grid correction, one backward sweep after it, with a dense
-LU solve on the coarsest level. Each level factors only its lower triangle
-``tril(A)``; the backward sweep is a transposed solve with that factor,
-``tril(A)^T = triu(A)`` for a symmetric A. The input must therefore be
+before the coarse-grid correction, one backward sweep after it, and a SuperLU
+solve on the coarsest level, whose memory grows with the factor's nonzeros,
+not with the square of the level's size. Each level factors only its lower
+triangle ``tril(A)``; the backward sweep is a transposed solve with that
+factor, ``tril(A)^T = triu(A)`` for a symmetric A. The input must therefore be
 symmetric exactly, and :func:`amg_setup` rejects any other. The Galerkin
 coarse operators ``P^T A P`` are symmetric only to rounding (entries of
 ``A - A^T`` up to about 4e-16 of ``max|A|``); there the backward sweep uses
@@ -42,9 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgetrs
 
-from .sparse import CsrMatrix, canonical, csr_equal, dense_lu
+from .sparse import CsrMatrix, SingularMatrixError, canonical, csr_equal
 
 __all__ = ["AmgLevel", "AmgHierarchy", "AmgSetupWarning", "amg_setup", "v_cycle",
            "apply_preconditioner_vcycle"]
@@ -60,15 +60,16 @@ OMEGA_FACTOR = 4.0 / 3.0  # prolongator smoothing weight is OMEGA_FACTOR / rho(D
 class AmgSetupWarning(UserWarning):
     """The hierarchy stopped with a coarsest level of at least
     ``MAX_COARSE_SIZE`` rows: aggregation stalled or ``MAX_LEVELS`` was
-    reached. The hierarchy is still usable, but its coarsest solve is a dense
-    LU of that size."""
+    reached. The hierarchy is still usable, but its coarsest solve is a sparse
+    LU of that size, whose factor grows with its nonzeros."""
 
 
 @dataclass
 class AmgLevel:
     """One level: its operator, the prolongator from the next coarser level
-    and its transpose, the smoother's triangular factor, and dense LU factors
-    on the coarsest level.
+    and its transpose, the smoother's triangular factor, and on the coarsest
+    level the SuperLU factor of ``a`` (:func:`_coarse_factor`), whose memory
+    grows with its nonzeros rather than with ``n**2``.
 
     ``_lower`` is the SuperLU factor of ``tril(a)`` and serves both sweeps of
     the symmetric Gauss-Seidel smoother: ``solve(r)`` is the forward sweep,
@@ -86,7 +87,7 @@ class AmgLevel:
     p: sp.csr_array | None = None
     r: sp.csc_array | None = field(default=None, repr=False)
     _lower: object = field(default=None, repr=False)  # splu of tril(A)
-    _coarse_lu: tuple | None = field(default=None, repr=False)
+    _coarse_lu: object = field(default=None, repr=False)  # splu of A
 
     @property
     def n(self) -> int:
@@ -351,6 +352,22 @@ def _galerkin(a: sp.csr_array, p: sp.csr_array) -> CsrMatrix:
     return canonical(pta @ p)
 
 
+def _coarse_factor(a: sp.csr_array):
+    """SuperLU factor of the coarsest operator, with its default ordering
+    and pivoting. Raises SingularMatrixError if a pivot is at most 1e-14
+    times ``||a||_inf``: SuperLU itself refuses only an exactly zero pivot,
+    and a singular operator such as a pure-Neumann Laplacian can leave one
+    of rounding size instead."""
+    message = "amg_setup: coarsest-level operator is singular"
+    try:
+        lu = spla.splu(a.tocsc())
+    except RuntimeError as err:  # "Factor is exactly singular"
+        raise SingularMatrixError(message) from err
+    if np.min(np.abs(lu.U.diagonal())) <= 1e-14 * spla.norm(a, np.inf):
+        raise SingularMatrixError(message)
+    return lu
+
+
 def amg_setup(a: CsrMatrix) -> AmgHierarchy:
     """Build a smoothed-aggregation hierarchy for a square operator.
 
@@ -424,14 +441,7 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
                     AmgSetupWarning,
                     stacklevel=2,
                 )
-            levels.append(
-                AmgLevel(
-                    a=current,
-                    _coarse_lu=dense_lu(
-                        current.toarray(), "amg_setup: coarsest-level operator is singular"
-                    ),
-                )
-            )
+            levels.append(AmgLevel(a=current, _coarse_lu=_coarse_factor(current)))
             break
         idx = sp.get_index_dtype(maxval=n)  # int32 indices, as in canonical()
         p_tent = sp.csr_array(
@@ -453,7 +463,7 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
 def _cycle(levels, depth: int, b: np.ndarray, x: np.ndarray | None) -> np.ndarray:
     lev = levels[depth]
     if lev.is_coarsest:
-        return dgetrs(*lev._coarse_lu, b)[0]
+        return lev._coarse_lu.solve(b)
     a = lev.a
     if x is None:
         x = lev._lower.solve(b)  # forward sweep from a zero guess

@@ -1,21 +1,18 @@
-"""Sparse and small-dense linear algebra on scipy's CSR arrays.
+"""Sparse linear algebra on scipy's CSR arrays.
 
 The package's matrix type is :class:`CsrMatrix`, a ``scipy.sparse.csr_array``
 that the constructors here leave canonical and read-only; sums, products,
 transposes and solves are scipy's own. What scipy does not promise is kept
 as functions: canonical form (:func:`canonical`), exact equality
-(:func:`csr_equal`), a dense LU with a singularity check, and lossless
-Matrix Market exchange, written in the ``general`` encoding and read in any
-real one. Dense operands are plain ndarrays.
+(:func:`csr_equal`), and lossless Matrix Market exchange, written in the
+``general`` encoding and read in any real one. Dense operands are plain
+ndarrays.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.io
-import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
@@ -24,7 +21,6 @@ __all__ = [
     "canonical",
     "csr_from_triplets",
     "csr_equal",
-    "dense_lu",
     "read_matrix_market",
     "write_matrix_market",
     "read_vector_market",
@@ -95,24 +91,6 @@ def csr_equal(a, b) -> bool:
         and np.array_equal(a.indices, b.indices)
         and np.array_equal(a.data, b.data)
     )
-
-
-def dense_lu(a: np.ndarray, message: str):
-    """LU factors ``(lu, piv)`` of a square ndarray, with partial pivoting.
-
-    Raises
-    ------
-    SingularMatrixError
-        With ``message`` if a pivot falls below 1e-14 times the infinity
-        norm of A.
-    """
-    anorm = np.abs(a).sum(axis=1).max() if a.size else 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LAPACK warns on exact zero pivots
-        lu, piv = scipy.linalg.lu_factor(a)
-    if a.size and np.min(np.abs(np.diag(lu))) <= 1e-14 * anorm:
-        raise SingularMatrixError(message)
-    return lu, piv
 
 
 # -- Matrix Market exchange ------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -10,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
@@ -240,6 +240,21 @@ def test_healthy_hierarchy_does_not_warn():
         warnings.simplefilter("error", AmgSetupWarning)
         h = amg_setup(poisson2d(64, 64))
     assert h.levels[-1].n == 18
+
+
+def test_a_forced_stall_stores_a_sparse_coarsest_factor(monkeypatch):
+    """With one level the coarsest operator is the whole Laplacian. Its
+    factor stores the entries of L and U, which grow far slower than the
+    ``n**2`` of a dense LU."""
+    monkeypatch.setattr(mdsolve.amg, "MAX_LEVELS", 1)
+    stored = {}
+    for m in (32, 64):
+        with pytest.warns(AmgSetupWarning, match=rf"has {m * m} rows after 1 levels"):
+            h = amg_setup(poisson2d(m, m))
+        lu = h.levels[-1]._coarse_lu
+        stored[m] = lu.L.nnz + lu.U.nnz
+    assert stored[64] < 8 * stored[32], stored  # n**2 grows 16x
+    assert stored[64] < 4096**2 / 20, stored
 
 
 # -- aggregation against the per-node reference ---------------------------------
@@ -517,11 +532,11 @@ def test_hierarchy_does_not_depend_on_the_blas_thread_count():
 
 
 def _reference_cycle(levels, depth, b, x):
-    """The cycle as it was with the restriction ``p.T`` built on every call
-    and ``scipy.linalg.lu_solve`` on the coarsest level, kept as the oracle."""
+    """The cycle as it was with the restriction ``p.T`` built on every call,
+    kept as the oracle; its coarsest step is the level's own factor."""
     lev = levels[depth]
     if lev.is_coarsest:
-        return scipy.linalg.lu_solve(lev._coarse_lu, b)
+        return lev._coarse_lu.solve(b)
     a = lev.a
     if x is None:
         x = lev._lower.solve(b)
@@ -551,12 +566,12 @@ def _test_geometries():
     }
 
 
-@pytest.fixture(scope="module")
-def hierarchies():
+def build_hierarchies():
     """Hierarchies of the conftest operators (also negated, as the interface
     blocks of the test geometries are all diagonal), of a single level (an
     operator below ``MAX_COARSE_SIZE`` rows), and of the Schur and interface
-    blocks of every test geometry at three parameter pairs."""
+    blocks of every test geometry at three parameter pairs. The pins below
+    are printed from them by ``tests/data/write_hierarchy_pins.py``."""
     operators = {
         "poisson1d_64": poisson1d(64),
         "poisson2d_32": poisson2d(32, 32),
@@ -573,6 +588,11 @@ def hierarchies():
         out = {name: amg_setup(a) for name, a in operators.items()}
         out["single_level"] = amg_setup(poisson2d(7, 7))
     return out
+
+
+@pytest.fixture(scope="module")
+def hierarchies():
+    return build_hierarchies()
 
 
 # (n, nnz) of each level and the operator complexity of every fixture
@@ -674,6 +694,31 @@ def test_hierarchy_bytes_match_the_recorded_hashes(hierarchies):
         assert _hierarchy_sha256(h) == HIERARCHY_SHA256[name], name
 
 
+def test_pin_generator_prints_the_recorded_tables(hierarchies):
+    spec = importlib.util.spec_from_file_location(
+        "write_hierarchy_pins", Path(__file__).parent / "data" / "write_hierarchy_pins.py"
+    )
+    pins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pins)
+    source = Path(__file__).read_text()
+    for table in pins.pin_tables(hierarchies):
+        assert table in source, table.splitlines()[0]
+
+
+def test_coarsest_solve_is_backward_stable(hierarchies):
+    """The coarsest level's factor against its operator, on its own: the
+    reference cycles call that factor, so they cannot check it."""
+    rng = np.random.default_rng(13)
+    for name, h in hierarchies.items():
+        if not h.levels:
+            continue  # a diagonal hierarchy
+        lev = h.levels[-1]
+        b = rng.standard_normal(lev.n)
+        x = lev._coarse_lu.solve(b)
+        scale = spla.norm(lev.a, np.inf) * np.abs(x).max() + np.abs(b).max()
+        assert np.abs(b - lev.a @ x).max() <= 1e-14 * scale, name
+
+
 def test_v_cycle_matches_the_reference_byte_for_byte(hierarchies):
     rng = np.random.default_rng(11)
     for name, h in hierarchies.items():
@@ -693,7 +738,7 @@ def _two_factor_cycle(levels, depth, b, x, uppers):
     the backward sweep, kept as the oracle of the symmetric smoother."""
     lev = levels[depth]
     if lev.is_coarsest:
-        return scipy.linalg.lu_solve(lev._coarse_lu, b)
+        return lev._coarse_lu.solve(b)
     a = lev.a
     if x is None:
         x = lev._lower.solve(b)
@@ -739,12 +784,13 @@ def test_restriction_is_a_view_of_the_prolongator(hierarchies):
 def test_each_level_stores_its_operator_and_prolongator_once(hierarchies):
     """A level's sparse fields are A, P and views of them: no second copy.
     Each level above the coarsest holds one triangular factor, of
-    ``tril(A)``, for both smoothing sweeps."""
+    ``tril(A)``, for both smoothing sweeps; the coarsest holds one factor,
+    of A."""
     for name, h in hierarchies.items():
         for lev in h.levels:
             factors = [f.name for f in dataclasses.fields(lev)
                        if isinstance(getattr(lev, f.name), spla.SuperLU)]
-            assert factors == ([] if lev.is_coarsest else ["_lower"]), name
+            assert factors == (["_coarse_lu"] if lev.is_coarsest else ["_lower"]), name
             assert isinstance(lev.a, CsrMatrix) and lev.a.has_canonical_format, name
             owned = [m for m in (lev.a, lev.p) if m is not None]
             owned = [arr for m in owned for arr in (m.data, m.indices, m.indptr)]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.io
@@ -14,7 +16,6 @@ from mdsolve.sparse import (
     canonical,
     csr_equal,
     csr_from_triplets,
-    dense_lu,
     read_matrix_market,
     read_vector_market,
     write_matrix_market,
@@ -323,6 +324,24 @@ def test_kernels_agree_with_dense_up_to_50_rows(seed):
 # -- dense_lu_solve ----------------------------------------------------------
 
 
+def dense_lu(a: np.ndarray, message: str):
+    """LU factors ``(lu, piv)`` of a square ndarray, with partial pivoting.
+
+    Raises
+    ------
+    SingularMatrixError
+        With ``message`` if a pivot falls below 1e-14 times the infinity
+        norm of A.
+    """
+    anorm = np.abs(a).sum(axis=1).max() if a.size else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # LAPACK warns on exact zero pivots
+        lu, piv = scipy.linalg.lu_factor(a)
+    if a.size and np.min(np.abs(np.diag(lu))) <= 1e-14 * anorm:
+        raise SingularMatrixError(message)
+    return lu, piv
+
+
 def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for a square ndarray A by LU with partial pivoting: the
     dense oracle of the solver tests, built on :func:`dense_lu`.
@@ -464,6 +483,19 @@ def test_dense_lu_factors_solve_and_singular_message():
         dense_lu(np.ones((3, 3)), "caller: singular")
 
 
+def neumann_laplacian(nx: int, ny: int, rng: np.random.Generator) -> CsrMatrix:
+    """Graph Laplacian of an nx-by-ny grid with edge weights drawn from
+    [0.1, 3]: a pure-Neumann operator, symmetric exactly, with the constants
+    as its null space."""
+    ids = np.arange(nx * ny).reshape(ny, nx)
+    i = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    j = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    w = rng.uniform(0.1, 3.0, len(i))
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([j, i, i, j])
+    return csr_from_triplets((nx * ny, nx * ny), rows, cols, np.concatenate([-w, -w, w, w]))
+
+
 def test_dense_lu_callers_keep_their_messages():
     from mdsolve.amg import amg_setup
 
@@ -471,6 +503,14 @@ def test_dense_lu_callers_keep_their_messages():
         dense_lu_solve(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(SingularMatrixError, match="^amg_setup: coarsest-level operator is singular$"):
         amg_setup(dense([[1.0, -1.0], [-1.0, 1.0]]))
+    # a pure-Neumann Laplacian on a 5x6 grid with random edge weights is
+    # singular, but SuperLU factors it with a pivot of rounding size: only
+    # the 1e-14 pivot test catches it
+    neumann = neumann_laplacian(5, 6, np.random.default_rng(26))
+    pivots = np.abs(spla.splu(neumann.tocsc()).U.diagonal())  # SuperLU does not refuse it
+    assert 0 < pivots.min() <= 1e-14 * spla.norm(neumann, np.inf)
+    with pytest.raises(SingularMatrixError, match="^amg_setup: coarsest-level operator is singular$"):
+        amg_setup(neumann)
 
 
 def test_lu_shape_errors():
