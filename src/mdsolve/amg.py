@@ -10,15 +10,26 @@ its strongest neighbor that has a strong neighbor. The solve side is a
 V(1,1) cycle with a symmetric Gauss-Seidel smoother: one forward sweep
 before the coarse-grid correction, one backward sweep after it, and a SuperLU
 solve on the coarsest level, whose memory grows with the factor's nonzeros,
-not with the square of the level's size. Each level factors only its lower
-triangle ``tril(A)``; the backward sweep is a transposed solve with that
-factor, ``tril(A)^T = triu(A)`` for a symmetric A. The input must therefore be
-symmetric exactly, and :func:`amg_setup` rejects any other. The Galerkin
-coarse operators ``P^T A P`` are symmetric only to rounding (entries of
-``A - A^T`` up to about 4e-16 of ``max|A|``); there the backward sweep uses
-the transpose of the stored lower triangle. One cycle from a zero initial
-guess is a fixed linear operator, which is what the block preconditioner
-uses for its inner solves.
+not with the square of the level's size.
+
+No level keeps its operator ``A``. A level above the coarsest keeps
+``L = tril(A, -1)`` with ``L^T`` as a view of it, its prolongator ``P`` with
+``R = P^T`` as a view of it, and the SuperLU factor ``S`` of ``tril(A)``; the coarsest keeps only the
+SuperLU factor of ``A``. ``S.solve`` is the forward sweep, and the backward
+sweep is the transposed solve, ``tril(A)^T = triu(A)`` for a symmetric A.
+The cycle's residuals come from ``L`` through ``A = tril(A) + L^T``:
+
+- after a forward sweep from zero, ``b - A x = -L^T x``;
+- after the coarse correction, the backward sweep
+  ``x + tril(A)^-T (b - A x)`` equals ``tril(A)^-T (b - L x)``.
+
+The input must therefore be symmetric exactly, and :func:`amg_setup`
+rejects any other; on level 0 both are identities in exact arithmetic. The
+Galerkin coarse operators ``P^T A P`` are symmetric only to rounding
+(entries of ``A - A^T`` up to about 4e-16 of ``max|A|``); there both use
+``L^T`` for ``triu(A, 1)``. One cycle from a zero initial guess is a fixed
+linear operator, which is what the block preconditioner uses for its inner
+solves.
 
 Set-up runs on typed arrays: no step creates a Python object per stored
 entry. Each level computes its per-entry strength masks once
@@ -66,32 +77,36 @@ class AmgSetupWarning(UserWarning):
 
 @dataclass
 class AmgLevel:
-    """One level: its operator, the prolongator from the next coarser level
-    and its transpose, the smoother's triangular factor, and on the coarsest
-    level the SuperLU factor of ``a`` (:func:`_coarse_factor`), whose memory
-    grows with its nonzeros rather than with ``n**2``.
+    """One level of ``n`` rows whose operator ``A`` stored ``nnz`` entries.
+    The level keeps ``strict_lower = tril(A, -1)`` with ``strict_upper =
+    strict_lower.T`` as a view of it, the prolongator ``p`` from the next
+    coarser level with ``r = p.T`` as a view of it, and one SuperLU factor;
+    ``A`` itself is not kept. The cycle uses ``strict_upper`` for
+    ``triu(A, 1)``, which it equals on a symmetric level.
 
-    ``_lower`` is the SuperLU factor of ``tril(a)`` and serves both sweeps of
-    the symmetric Gauss-Seidel smoother: ``solve(r)`` is the forward sweep,
-    ``solve(r, trans="T")`` the backward one. On the finest level ``a`` is
-    symmetric exactly; on Galerkin levels only to rounding, and the backward
-    sweep uses the transpose of the lower triangle in place of ``triu(a)``.
+    ``_lower`` is the factor of ``tril(A)`` and serves both sweeps of the
+    symmetric Gauss-Seidel smoother: ``solve(r)`` is the forward sweep,
+    ``solve(r, trans="T")`` the backward one. The coarsest level keeps only
+    ``_coarse_lu``, the factor of ``A`` (:func:`_coarse_factor`), whose
+    memory grows with its nonzeros rather than with ``n**2``.
 
-    ``p`` has read-only arrays but keeps, within each row, the column order
-    the smoothing product left, because the cycle's sums follow that order;
-    sorting it would change the last bits of every cycle. ``r`` is ``p.T``,
-    a CSC view of the same arrays.
+    ``strict_lower`` is canonical and read-only. ``p`` has read-only arrays
+    but keeps, within each row, the column order the smoothing product left,
+    because the cycle's sums follow that order; sorting it would change the
+    last bits of every cycle. ``strict_upper`` and ``r`` are CSC views of
+    the arrays of ``strict_lower`` and ``p``, built once: scipy's ``.T``
+    builds a new array object on every call, which costs more than a matvec
+    on a small level.
     """
 
-    a: CsrMatrix
+    n: int
+    nnz: int
+    strict_lower: CsrMatrix | None = None
+    strict_upper: sp.csc_array | None = field(default=None, repr=False)
     p: sp.csr_array | None = None
     r: sp.csc_array | None = field(default=None, repr=False)
     _lower: object = field(default=None, repr=False)  # splu of tril(A)
     _coarse_lu: object = field(default=None, repr=False)  # splu of A
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
     @property
     def is_coarsest(self) -> bool:
@@ -115,8 +130,8 @@ class AmgHierarchy:
     def operator_complexity(self) -> float:
         if self.diagonal is not None:
             return 1.0
-        nnz0 = max(self.levels[0].a.nnz, 1)
-        return sum(lev.a.nnz for lev in self.levels) / nnz0
+        nnz0 = max(self.levels[0].nnz, 1)
+        return sum(lev.nnz for lev in self.levels) / nnz0
 
     @property
     def grid_complexity(self) -> float:
@@ -135,7 +150,7 @@ class AmgHierarchy:
             }
         return {
             "mode": "multilevel",
-            "levels": [{"n": lev.n, "nnz": lev.a.nnz} for lev in self.levels],
+            "levels": [{"n": lev.n, "nnz": lev.nnz} for lev in self.levels],
             "operator_complexity": self.operator_complexity,
             "grid_complexity": self.grid_complexity,
             "negated": self.negated,
@@ -319,22 +334,31 @@ def _rho_dinv_a(a: sp.csr_array, dinv: np.ndarray) -> float:
 
 
 def _triangular_factor(a: sp.csr_array):
-    """SuperLU factor of ``tril(a)`` in natural order without pivoting, so its
-    solves are the forward (``solve``) and backward (``solve(trans="T")``)
-    Gauss-Seidel sweeps. ``tril(a)`` is built by masking the CSR arrays and
-    converting to CSC: the same CSC arrays as ``sp.tril(a).tocsc()``,
-    without its COO copy. ``panel_size=1`` leaves the factor and its
-    solves byte-identical to the default panel size but shrinks SuperLU's
-    panel workspace: on the 3d n=36 Schur block it halved the level-0 factor
-    time (23.6 to 10.1 ms), and a factor of ``triu(A)`` kept 19 MiB resident
-    with the default panel size against 2.3 MiB with this one."""
-    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
-    lower = a.indices <= rows
-    indptr = np.zeros_like(a.indptr)
-    np.cumsum(np.bincount(rows[lower], minlength=a.shape[0]), out=indptr[1:])
-    del rows
-    tril = sp.csr_array((a.data[lower], a.indices[lower], indptr), shape=a.shape).tocsc()
-    return spla.splu(tril, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1)
+    """``tril(a, -1)`` as a canonical, read-only CsrMatrix, and the SuperLU
+    factor of ``tril(a)`` in natural order without pivoting, whose solves
+    are the forward (``solve``) and backward (``solve(trans="T")``)
+    Gauss-Seidel sweeps. Both triangles are masked out of the CSR arrays in
+    one row pass; ``tril(a)`` is converted to CSC, the same CSC arrays as
+    ``sp.tril(a).tocsc()``, without its COO copy. ``panel_size=1`` leaves
+    the factor and its solves byte-identical to the default panel size but
+    shrinks SuperLU's panel workspace: on the 3d n=36 Schur block it halved
+    the level-0 factor time (23.6 to 10.1 ms), and a factor of ``triu(A)``
+    kept 19 MiB resident with the default panel size against 2.3 MiB with
+    this one."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
+    masks = a.indices <= rows, a.indices < rows  # tril(a), tril(a, -1)
+    indptrs = np.zeros_like(a.indptr), np.zeros_like(a.indptr)
+    for mask, indptr in zip(masks, indptrs):
+        np.cumsum(np.bincount(rows[mask], minlength=n), out=indptr[1:])
+    del rows  # one entry per stored value; must not live through the CSC copy
+
+    def triangle(k):
+        return sp.csr_array((a.data[masks[k]], a.indices[masks[k]], indptrs[k]), shape=a.shape)
+
+    factor = spla.splu(triangle(0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       panel_size=1)
+    return canonical(triangle(1)), factor
 
 
 def _galerkin(a: sp.csr_array, p: sp.csr_array) -> CsrMatrix:
@@ -441,7 +465,7 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
                     AmgSetupWarning,
                     stacklevel=2,
                 )
-            levels.append(AmgLevel(a=current, _coarse_lu=_coarse_factor(current)))
+            levels.append(AmgLevel(n=n, nnz=current.nnz, _coarse_lu=_coarse_factor(current)))
             break
         idx = sp.get_index_dtype(maxval=n)  # int32 indices, as in canonical()
         p_tent = sp.csr_array(
@@ -455,24 +479,29 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
         for arr in (p.indptr, p.indices, p.data):
             arr.flags.writeable = False
         coarse = _galerkin(current, p)
-        levels.append(AmgLevel(a=current, p=p, r=p.T, _lower=_triangular_factor(current)))
+        strict_lower, factor = _triangular_factor(current)
+        levels.append(AmgLevel(n=n, nnz=current.nnz, strict_lower=strict_lower,
+                               strict_upper=strict_lower.T, p=p, r=p.T, _lower=factor))
         current = coarse
     return AmgHierarchy(levels=levels, negated=negated)
 
 
-def _cycle(levels, depth: int, b: np.ndarray, x: np.ndarray | None) -> np.ndarray:
+def _cycle(levels, depth: int, b: np.ndarray, x0: np.ndarray | None) -> np.ndarray:
+    """One cycle from ``depth`` down. With ``L = strict_lower`` and
+    ``A = tril(A) + L^T``, the residual after the forward sweep is
+    ``-L^T (x - x0)``, so ``d`` is its negative and the correction is
+    subtracted; the backward sweep solves with ``b - L x``."""
     lev = levels[depth]
     if lev.is_coarsest:
         return lev._coarse_lu.solve(b)
-    a = lev.a
-    if x is None:
+    if x0 is None:
         x = lev._lower.solve(b)  # forward sweep from a zero guess
+        d = lev.strict_upper @ x
     else:
-        x = x + lev._lower.solve(b - a @ x)
-    resid = b - a @ x
-    correction = _cycle(levels, depth + 1, lev.r @ resid, None)
-    x = x + lev.p @ correction
-    return x + lev._lower.solve(b - a @ x, trans="T")  # backward sweep
+        x = lev._lower.solve(b - lev.strict_upper @ x0)
+        d = lev.strict_upper @ (x - x0)
+    x -= lev.p @ _cycle(levels, depth + 1, lev.r @ d, None)
+    return lev._lower.solve(b - lev.strict_lower @ x, trans="T")  # backward sweep
 
 
 def v_cycle(h: AmgHierarchy, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:

@@ -95,6 +95,45 @@ def _check_shapes(shapes: dict):
             raise ValueError(f"{name} has shape {got}, expected {want}")
 
 
+def _csr_block(block) -> sp.csr_array:
+    """``block`` as canonical float64 CSR, without writing to its arrays: a
+    canonical CSR block's arrays are shared, any other block is converted
+    and its own copy canonicalised."""
+    m = sp.csr_array(block, dtype=np.float64)
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    return m
+
+
+def _stack(blocks, n_omega: int, n_gamma: int) -> CsrMatrix:
+    """The operator of the two-by-two grid of canonical CSR ``blocks``,
+    written straight into its CSR arrays: each row holds the left block's
+    row, then the right block's with its columns shifted by ``n_omega``.
+    Byte for byte ``canonical(sp.bmat(blocks))``, without scipy's stacking
+    copies; its only per-entry temporaries are two boolean masks."""
+    n = n_omega + n_gamma
+    nnz = sum(b.nnz for row in blocks for b in row)
+    idx = sp.get_index_dtype(maxval=max(n, nnz))
+    counts = [[np.diff(b.indptr) for b in row] for row in blocks]
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.concatenate([left + right for left, right in counts]), out=indptr[1:])
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz)
+    for (left, right), (n_left, n_right), (start, stop) in zip(
+        blocks, counts, ((0, n_omega), (n_omega, n))
+    ):
+        seg = slice(indptr[start], indptr[stop])
+        from_left = np.repeat(np.tile([True, False], stop - start),
+                              np.column_stack([n_left, n_right]).ravel())
+        from_right = ~from_left
+        data[seg][from_left] = left.data
+        data[seg][from_right] = right.data
+        indices[seg][from_left] = left.indices
+        indices[seg][from_right] = np.add(right.indices, n_omega, dtype=idx)
+    return canonical(sp.csr_array((data, indices, indptr), shape=(n, n)))
+
+
 @dataclass(frozen=True)
 class BlockSystem:
     """The assembled two-by-two block system plus its DOF partition.
@@ -127,8 +166,9 @@ class BlockSystem:
                     rhs_omega, rhs_gamma, partition: DofPartition) -> "BlockSystem":
         """The system of four sparse blocks, stacked once into its operator.
 
-        The blocks are copied, so nothing of them is kept. Each block
-        property of the result equals the canonical form of the block given.
+        The blocks are copied, so nothing of them is kept, and none is
+        written to. Each block property of the result equals the canonical
+        form of the block given.
 
         Raises
         ------
@@ -143,10 +183,9 @@ class BlockSystem:
             "a_gamma_omega": (a_gamma_omega.shape, (ng, no)),
             "a_gamma_gamma": (a_gamma_gamma.shape, (ng, ng)),
         })
-        operator = canonical(sp.bmat(
-            [[a_omega_omega, a_omega_gamma], [a_gamma_omega, a_gamma_gamma]], format="csr"
-        ))
-        return cls(operator, rhs_omega, rhs_gamma, partition)
+        blocks = [[_csr_block(a_omega_omega), _csr_block(a_omega_gamma)],
+                  [_csr_block(a_gamma_omega), _csr_block(a_gamma_gamma)]]
+        return cls(_stack(blocks, no, ng), rhs_omega, rhs_gamma, partition)
 
     @property
     def n_omega(self) -> int:

@@ -49,19 +49,26 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
     Equals the exact Schur complement whenever A_gg is diagonal, which is the
     matching-grid case this package assembles. scipy forms the product and
     the difference, so a stored zero of an imported A_oo that the difference
-    leaves at zero is dropped; an assembled A_oo stores none. Each block is
-    sliced out of the system's operator once; without interfaces the Schur
-    complement is the operator itself.
+    leaves at zero is dropped; an assembled A_oo stores none. Without
+    interfaces the Schur complement is the operator itself.
     """
-    diag = system.a_gamma_gamma.diagonal()
+    if system.n_gamma == 0:
+        return system.operator
+    return _schur_complement(system.a_omega_omega, system.a_omega_gamma,
+                             system.a_gamma_omega, system.a_gamma_gamma)
+
+
+def _schur_complement(a_omega_omega, a_omega_gamma, a_gamma_omega, a_gamma_gamma) -> CsrMatrix:
+    """:func:`approx_schur` of the four blocks, already sliced out."""
+    diag = a_gamma_gamma.diagonal()
     zero = np.flatnonzero(diag == 0.0)
     if len(zero):
         raise ValueError(
             f"approx_schur: zero diagonal entry in the interface block "
             f"at interface DOF {zero[0]}"
         )
-    if system.n_gamma == 0:
-        return system.operator
+    if a_gamma_gamma.shape[0] == 0:
+        return a_omega_omega
     with np.errstate(over="ignore"):  # a subnormal entry overflows; reported below
         dinv = 1.0 / diag
     bad = np.flatnonzero(~np.isfinite(dinv))
@@ -70,8 +77,8 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
             f"approx_schur: interface block diagonal entry {float(diag[bad[0]])!r} has no finite "
             f"inverse at interface DOF {bad[0]}"
         )
-    coupling = system.a_omega_gamma @ sp.diags_array(dinv) @ system.a_gamma_omega
-    return canonical(system.a_omega_omega - coupling)
+    coupling = a_omega_gamma @ sp.diags_array(dinv) @ a_gamma_omega
+    return canonical(a_omega_omega - coupling)
 
 
 def _vcycle(block: CsrMatrix):
@@ -86,8 +93,11 @@ class BlockPreconditioner:
     Instances are created by :func:`build_preconditioner`. The setup (Schur
     assembly, then one AMG hierarchy per diagonal block) is done once and is
     reusable across right-hand sides and, through :meth:`with_kind`, across
-    kinds. The hierarchies built are kept for :meth:`hierarchies`. Apply
-    allocates its own scratch, so concurrent applications are safe.
+    kinds. The instance keeps the inner solves, the hierarchies behind them
+    (for :meth:`hierarchies`) and the two coupling blocks; it does not keep
+    the Schur complement, so set-up frees it on return. Call
+    :func:`approx_schur` for that matrix. Apply allocates its own scratch, so
+    concurrent applications are safe.
 
     The constructor takes any inner solves ``q_omega`` and ``q_gamma`` (maps
     from a block's residual to its correction), so a caller can build the
@@ -96,7 +106,7 @@ class BlockPreconditioner:
     """
 
     def __init__(self, kind, n_omega, n_gamma, q_omega, q_gamma, a_gamma_omega,
-                 a_omega_gamma, schur_matrix, hierarchies):
+                 a_omega_gamma, hierarchies):
         self.kind = kind
         self.n_omega = n_omega
         self.n_gamma = n_gamma
@@ -104,7 +114,6 @@ class BlockPreconditioner:
         self._q_gamma = q_gamma
         self._a_gamma_omega = a_gamma_omega
         self._a_omega_gamma = a_omega_gamma
-        self.schur_matrix = schur_matrix
         self._hierarchies = hierarchies
 
     @property
@@ -115,8 +124,8 @@ class BlockPreconditioner:
         """This preconditioner with another kind, at no set-up cost.
 
         The kinds differ only in the order of the apply steps, so the result
-        shares every factor of this one: the Schur matrix, both inner solves
-        with their hierarchies, and the coupling blocks. Its ``apply`` equals
+        shares every factor of this one: both inner solves with their
+        hierarchies, and the coupling blocks. Its ``apply`` equals
         that of a preconditioner built afresh with ``kind``.
         """
         _check_kind(kind)
@@ -166,7 +175,8 @@ def build_preconditioner(system: BlockSystem, kind: str = "ml") -> BlockPrecondi
     The Schur complement is :func:`approx_schur`, the diagonal approximation
     of the interface block inside it, which is exact when the interface block
     is diagonal. Each diagonal block gets one AMG V-cycle; on a purely
-    diagonal interface block that is the exact diagonal solve.
+    diagonal interface block that is the exact diagonal solve. Each block is
+    sliced out of the system's operator once.
 
     Parameters
     ----------
@@ -175,17 +185,18 @@ def build_preconditioner(system: BlockSystem, kind: str = "ml") -> BlockPrecondi
         Block lower triangular, upper triangular, or block diagonal.
     """
     _check_kind(kind)
-    schur = approx_schur(system)
-    q_omega, h_omega = _vcycle(schur)
-    q_gamma, h_gamma = _vcycle(system.a_gamma_gamma)
+    a_omega_gamma, a_gamma_omega = system.a_omega_gamma, system.a_gamma_omega
+    a_gamma_gamma = system.a_gamma_gamma
+    q_omega, h_omega = _vcycle(_schur_complement(system.a_omega_omega, a_omega_gamma,
+                                                 a_gamma_omega, a_gamma_gamma))
+    q_gamma, h_gamma = _vcycle(a_gamma_gamma)
     return BlockPreconditioner(
         kind=kind,
         n_omega=system.n_omega,
         n_gamma=system.n_gamma,
         q_omega=q_omega,
         q_gamma=q_gamma,
-        a_gamma_omega=system.a_gamma_omega,
-        a_omega_gamma=system.a_omega_gamma,
-        schur_matrix=schur,
+        a_gamma_omega=a_gamma_omega,
+        a_omega_gamma=a_omega_gamma,
         hierarchies={"schur": h_omega, "interface": h_gamma},
     )

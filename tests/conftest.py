@@ -1,10 +1,12 @@
-"""Shared test helpers: model problems, random matrix factories and a
-system whose preconditioner set-up fails."""
+"""Shared test helpers: model problems, random matrix factories, the
+operators of an AMG hierarchy's levels, and a system whose preconditioner
+set-up fails."""
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import settings
 
+from mdsolve.amg import _galerkin
 from mdsolve.assembly import BlockSystem, PhysicalParams, assemble
 from mdsolve.grids import build_cross_2d
 from mdsolve.sparse import CsrMatrix, canonical, csr_from_triplets
@@ -38,6 +40,22 @@ def poisson2d(nx: int, ny: int) -> CsrMatrix:
         [-np.ones(n - nx), -np.ones(n - nx)], offsets=[-nx, nx]
     )
     return canonical(a)
+
+
+def level_operators(a, h) -> list:
+    """The operator of each level of ``h = amg_setup(a)``, which the levels
+    do not keep: ``a``, negated when set-up negated it, then ``P^T A P``
+    level by level from the stored prolongators, through the same
+    ``amg._galerkin`` that set-up calls. Byte for byte what set-up computed;
+    empty for a diagonal hierarchy."""
+    if h.diagonal is not None:
+        return []
+    current = canonical(-a) if h.negated else a
+    operators = [current]
+    for lev in h.levels[:-1]:
+        current = _galerkin(current, lev.p)
+        operators.append(current)
+    return operators
 
 
 def random_csr(rng: np.random.Generator, nrows: int, ncols: int, density: float = 0.3) -> CsrMatrix:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import itertools
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdsolve
-from conftest import eye, poisson1d, poisson2d
+from conftest import eye, level_operators, poisson1d, poisson2d
 from mdsolve import (
     AmgSetupWarning,
     PhysicalParams,
@@ -75,12 +77,14 @@ def test_identity_operator_solved_exactly():
 
 
 def test_galerkin_identity_on_every_level():
-    h = amg_setup(poisson2d(32, 32))
+    a = poisson2d(32, 32)
+    h = amg_setup(a)
     assert len(h.levels) >= 2
-    for fine, coarse in zip(h.levels[:-1], h.levels[1:]):
+    ops = level_operators(a, h)
+    for fine, coarse, fine_a, coarse_a in zip(h.levels[:-1], h.levels[1:], ops[:-1], ops[1:]):
         p = fine.p
-        explicit = (p.T @ fine.a @ p).toarray()  # oracle triple product
-        assert np.abs(explicit - coarse.a.toarray()).max() < 1e-12
+        explicit = (p.T @ fine_a @ p).toarray()  # oracle triple product
+        assert np.abs(explicit - coarse_a.toarray()).max() < 1e-12
         assert fine.p.shape == (fine.n, coarse.n)
 
 
@@ -392,12 +396,13 @@ def test_aggregation_matches_reference_on_generated_operators(case):
 @pytest.mark.parametrize("k_par, kappa", [(1.0, 1.0), (1e4, 1e-4)])
 def test_aggregation_matches_reference_on_every_schur_level(grid, k_par, kappa):
     system = assemble(grid(), PhysicalParams(k_parallel=k_par, kappa=kappa))
+    schur = approx_schur(system)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmgSetupWarning)
-        h = amg_setup(approx_schur(system))
+        h = amg_setup(schur)
     assert len(h.levels) >= 2
-    for lev in h.levels:
-        _assert_matches_reference(lev.a, STRENGTH_THRESHOLD)
+    for a in level_operators(schur, h):
+        _assert_matches_reference(a, STRENGTH_THRESHOLD)
 
 
 # -- attaching strength-isolated nodes on coarse levels -------------------------
@@ -456,9 +461,10 @@ def test_attach_isolated_on_every_coarse_schur_level():
     for grid in (build_regular_network_3d(8, 3), build_random_network_2d(16, 6, seed=3)):
         for k_par, kappa in ((1.0, 1.0), (1e4, 1e-4), (1e-4, 1e4)):
             system = assemble(grid, PhysicalParams(k_parallel=k_par, kappa=kappa))
-            h = amg_setup(approx_schur(system))
-            for depth, lev in enumerate(h.levels[1:], start=1):
-                n_agg, moved = _assert_isolated_nodes_attached(lev.a, STRENGTH_THRESHOLD)
+            schur = approx_schur(system)
+            h = amg_setup(schur)
+            for depth, a in enumerate(level_operators(schur, h)[1:], start=1):
+                n_agg, moved = _assert_isolated_nodes_attached(a, STRENGTH_THRESHOLD)
                 attached += moved
                 if depth + 1 < len(h.levels):
                     assert n_agg == h.levels[depth + 1].n
@@ -497,6 +503,27 @@ def test_setup_python_heap_peak_is_at_most_five_times_its_input():
     assert peak <= 5 * csr_bytes, f"peak {peak / csr_bytes:.2f} x the input's CSR bytes"
 
 
+def test_setup_keeps_at_most_1_6_times_its_input_on_the_python_heap():
+    """The Python heap that ``amg_setup`` keeps on a 3d Schur block, built
+    inside the trace and dropped by the caller, stays within 1.6 times the
+    block's CSR bytes: each level's ``tril(A, -1)`` and P (2.3 times while
+    every level kept its operator). SuperLU's factors are C allocations that
+    ``tracemalloc`` does not see."""
+    system = assemble(build_regular_network_3d(24, 3), PhysicalParams(k_parallel=1e4, kappa=1e-4))
+    schur = approx_schur(system)
+    csr_bytes = schur.data.nbytes + schur.indices.nbytes + schur.indptr.nbytes
+    del schur
+    tracemalloc.start()
+    try:
+        h = amg_setup(approx_schur(system))
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h.levels) >= 3
+    assert kept <= 1.6 * csr_bytes, f"kept {kept / csr_bytes:.2f} x the input's CSR bytes"
+
+
 _HIERARCHY_BYTES = """
 import hashlib
 from mdsolve import PhysicalParams, assemble, build_regular_network_3d
@@ -505,16 +532,24 @@ from mdsolve.precond import approx_schur
 system = assemble(build_regular_network_3d(28, 3), PhysicalParams(k_parallel=1e4, kappa=1e-4))
 h = amg_setup(approx_schur(system))
 for lev in h.levels:
-    digest = hashlib.sha256()
-    for m in (lev.a, lev.p):
+    arrays = []
+    for m in (lev.strict_lower, lev.p):
         if m is not None:
-            for arr in (m.data, m.indices, m.indptr):
-                digest.update(arr.tobytes())
-    print(lev.n, digest.hexdigest())
+            arrays += [m.data, m.indices, m.indptr]
+    factor = lev._coarse_lu if lev.is_coarsest else lev._lower
+    for m in (factor.L, factor.U):
+        arrays += [m.data, m.indices, m.indptr]
+    arrays += [factor.perm_r, factor.perm_c]
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr.tobytes())
+    print(lev.n, len(arrays), digest.hexdigest())
 """
 
 
 def test_hierarchy_does_not_depend_on_the_blas_thread_count():
+    """Every array each level stores, its factor's included, hashes the
+    same with one and with two BLAS threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mdsolve.__file__)))
     out = []
     for threads in ("1", "2"):
@@ -531,21 +566,21 @@ def test_hierarchy_does_not_depend_on_the_blas_thread_count():
 # -- V-cycle against the per-call-transpose reference ---------------------------
 
 
-def _reference_cycle(levels, depth, b, x):
-    """The cycle as it was with the restriction ``p.T`` built on every call,
-    kept as the oracle; its coarsest step is the level's own factor."""
+def _reference_cycle(levels, depth, b, x0):
+    """The cycle with the restriction ``p.T`` built on every call, kept as
+    the oracle; its coarsest step is the level's own factor."""
     lev = levels[depth]
     if lev.is_coarsest:
         return lev._coarse_lu.solve(b)
-    a = lev.a
-    if x is None:
+    lower = lev.strict_lower
+    if x0 is None:
         x = lev._lower.solve(b)
+        d = lower.T @ x
     else:
-        x = x + lev._lower.solve(b - a @ x)
-    resid = b - a @ x
-    correction = _reference_cycle(levels, depth + 1, lev.p.T @ resid, None)
-    x = x + lev.p @ correction
-    return x + lev._lower.solve(b - a @ x, trans="T")
+        x = lev._lower.solve(b - lower.T @ x0)
+        d = lower.T @ (x - x0)
+    x = x - lev.p @ _reference_cycle(levels, depth + 1, lev.p.T @ d, None)
+    return lev._lower.solve(b - lower @ x, trans="T")
 
 
 def _reference_v_cycle(h, b, x0):
@@ -566,12 +601,11 @@ def _test_geometries():
     }
 
 
-def build_hierarchies():
-    """Hierarchies of the conftest operators (also negated, as the interface
-    blocks of the test geometries are all diagonal), of a single level (an
-    operator below ``MAX_COARSE_SIZE`` rows), and of the Schur and interface
-    blocks of every test geometry at three parameter pairs. The pins below
-    are printed from them by ``tests/data/write_hierarchy_pins.py``."""
+def build_operators():
+    """The conftest operators (also negated, as the interface blocks of the
+    test geometries are all diagonal), an operator below ``MAX_COARSE_SIZE``
+    rows (a single level), and the Schur and interface blocks of every test
+    geometry at three parameter pairs."""
     operators = {
         "poisson1d_64": poisson1d(64),
         "poisson2d_32": poisson2d(32, 32),
@@ -583,16 +617,26 @@ def build_hierarchies():
             system = assemble(grid, PhysicalParams(k_parallel=k_par, kappa=kappa))
             operators[f"{name}_{k_par:g}_{kappa:g}_schur"] = approx_schur(system)
             operators[f"{name}_{k_par:g}_{kappa:g}_interface"] = system.a_gamma_gamma
+    operators["single_level"] = poisson2d(7, 7)
+    return operators
+
+
+def build_hierarchies(operators):
+    """The hierarchy of each of :func:`build_operators`' operators. The pins
+    below are printed from them by ``tests/data/write_hierarchy_pins.py``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AmgSetupWarning)
-        out = {name: amg_setup(a) for name, a in operators.items()}
-        out["single_level"] = amg_setup(poisson2d(7, 7))
-    return out
+        return {name: amg_setup(a) for name, a in operators.items()}
 
 
 @pytest.fixture(scope="module")
-def hierarchies():
-    return build_hierarchies()
+def operators():
+    return build_operators()
+
+
+@pytest.fixture(scope="module")
+def hierarchies(operators):
+    return build_hierarchies(operators)
 
 
 # (n, nnz) of each level and the operator complexity of every fixture
@@ -676,10 +720,12 @@ HIERARCHY_SHA256 = {
 }
 
 
-def _hierarchy_sha256(h) -> str:
+def _hierarchy_sha256(a, h) -> str:
+    """The digest of ``HIERARCHY_SHA256`` for ``h = amg_setup(a)``, with each
+    level's operator replayed by ``level_operators``."""
     digest = hashlib.sha256()
-    for lev in h.levels:
-        for m in (lev.a, lev.p):
+    for op, lev in zip(level_operators(a, h), h.levels):
+        for m in (op, lev.p):
             if m is not None:
                 for arr in (m.indptr, m.indices, m.data):
                     digest.update(arr.tobytes())
@@ -688,24 +734,24 @@ def _hierarchy_sha256(h) -> str:
     return digest.hexdigest()
 
 
-def test_hierarchy_bytes_match_the_recorded_hashes(hierarchies):
+def test_hierarchy_bytes_match_the_recorded_hashes(operators, hierarchies):
     assert hierarchies.keys() == HIERARCHY_SHA256.keys()
     for name, h in hierarchies.items():
-        assert _hierarchy_sha256(h) == HIERARCHY_SHA256[name], name
+        assert _hierarchy_sha256(operators[name], h) == HIERARCHY_SHA256[name], name
 
 
-def test_pin_generator_prints_the_recorded_tables(hierarchies):
+def test_pin_generator_prints_the_recorded_tables(operators, hierarchies):
     spec = importlib.util.spec_from_file_location(
         "write_hierarchy_pins", Path(__file__).parent / "data" / "write_hierarchy_pins.py"
     )
     pins = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pins)
     source = Path(__file__).read_text()
-    for table in pins.pin_tables(hierarchies):
+    for table in pins.pin_tables(operators, hierarchies):
         assert table in source, table.splitlines()[0]
 
 
-def test_coarsest_solve_is_backward_stable(hierarchies):
+def test_coarsest_solve_is_backward_stable(operators, hierarchies):
     """The coarsest level's factor against its operator, on its own: the
     reference cycles call that factor, so they cannot check it."""
     rng = np.random.default_rng(13)
@@ -713,10 +759,11 @@ def test_coarsest_solve_is_backward_stable(hierarchies):
         if not h.levels:
             continue  # a diagonal hierarchy
         lev = h.levels[-1]
+        a = level_operators(operators[name], h)[-1]
         b = rng.standard_normal(lev.n)
         x = lev._coarse_lu.solve(b)
-        scale = spla.norm(lev.a, np.inf) * np.abs(x).max() + np.abs(b).max()
-        assert np.abs(b - lev.a @ x).max() <= 1e-14 * scale, name
+        scale = spla.norm(a, np.inf) * np.abs(x).max() + np.abs(b).max()
+        assert np.abs(b - a @ x).max() <= 1e-14 * scale, name
 
 
 def test_v_cycle_matches_the_reference_byte_for_byte(hierarchies):
@@ -733,32 +780,32 @@ def test_v_cycle_matches_the_reference_byte_for_byte(hierarchies):
     assert max(len(h.levels) for h in hierarchies.values()) >= 4
 
 
-def _two_factor_cycle(levels, depth, b, x, uppers):
-    """The cycle as it was with a second SuperLU factor, of ``triu(A)``, for
-    the backward sweep, kept as the oracle of the symmetric smoother."""
+def _two_factor_cycle(levels, depth, b, x0, uppers):
+    """The cycle with a second SuperLU factor, of ``triu(A)``, for the
+    backward sweep, kept as the oracle of the symmetric smoother."""
     lev = levels[depth]
     if lev.is_coarsest:
         return lev._coarse_lu.solve(b)
-    a = lev.a
-    if x is None:
+    lower = lev.strict_lower
+    if x0 is None:
         x = lev._lower.solve(b)
+        d = lower.T @ x
     else:
-        x = x + lev._lower.solve(b - a @ x)
-    resid = b - a @ x
-    correction = _two_factor_cycle(levels, depth + 1, lev.p.T @ resid, None, uppers)
-    x = x + lev.p @ correction
-    return x + uppers[depth].solve(b - a @ x)
+        x = lev._lower.solve(b - lower.T @ x0)
+        d = lower.T @ (x - x0)
+    x = x - lev.p @ _two_factor_cycle(levels, depth + 1, lev.p.T @ d, None, uppers)
+    return uppers[depth].solve(b - lower @ x)
 
 
-def test_v_cycle_is_within_rounding_of_the_two_factor_cycle(hierarchies):
+def test_v_cycle_is_within_rounding_of_the_two_factor_cycle(operators, hierarchies):
     rng = np.random.default_rng(12)
     compared = 0
     for name, h in hierarchies.items():
         if h.diagonal is not None:
             continue
         uppers = [
-            spla.splu(sp.triu(lev.a, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-            for lev in h.levels[:-1]
+            spla.splu(sp.triu(a, 0).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            for a in level_operators(operators[name], h)[:-1]
         ]
         b = rng.standard_normal(h.n)
         for x0 in (None, rng.standard_normal(h.n)):
@@ -768,6 +815,37 @@ def test_v_cycle_is_within_rounding_of_the_two_factor_cycle(hierarchies):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
             compared += len(uppers) > 0
     assert compared >= 20  # multilevel hierarchies, negated ones among them
+
+
+def _full_residual_cycle(levels, operators, depth, b):
+    """The cycle from a zero guess as it was when every level kept its
+    operator ``A``: both residuals are ``b - A x`` in full."""
+    lev = levels[depth]
+    if lev.is_coarsest:
+        return lev._coarse_lu.solve(b)
+    a = operators[depth]
+    x = lev._lower.solve(b)
+    resid = b - a @ x
+    x = x + lev.p @ _full_residual_cycle(levels, operators, depth + 1, lev.r @ resid)
+    return x + lev._lower.solve(b - a @ x, trans="T")
+
+
+def test_v_cycle_is_within_rounding_of_the_full_residual_cycle(operators, hierarchies):
+    """From a zero guess the residuals taken from ``tril(A, -1)`` are those
+    of ``A`` up to rounding: exactly on level 0, and on the Galerkin levels
+    with ``L^T`` for ``triu(A, 1)``."""
+    rng = np.random.default_rng(14)
+    compared = 0
+    for name, h in hierarchies.items():
+        if h.diagonal is not None:
+            continue
+        b = rng.standard_normal(h.n)
+        ops = level_operators(operators[name], h)
+        ref = _full_residual_cycle(h.levels, ops, 0, -b if h.negated else b)
+        got = apply_preconditioner_vcycle(h, b)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name
+        compared += len(h.levels) > 1
+    assert compared >= 16  # multilevel hierarchies, negated ones among them
 
 
 def test_restriction_is_a_view_of_the_prolongator(hierarchies):
@@ -781,23 +859,38 @@ def test_restriction_is_a_view_of_the_prolongator(hierarchies):
             assert h.levels[-1].r is None
 
 
-def test_each_level_stores_its_operator_and_prolongator_once(hierarchies):
-    """A level's sparse fields are A, P and views of them: no second copy.
-    Each level above the coarsest holds one triangular factor, of
-    ``tril(A)``, for both smoothing sweeps; the coarsest holds one factor,
-    of A."""
+def test_each_level_stores_its_strict_lower_triangle_and_prolongator_once(operators, hierarchies):
+    """No level keeps its operator. A level above the coarsest stores
+    ``tril(A, -1)`` and P, each once, their transposes as views, and one
+    triangular factor, of ``tril(A)``, for both smoothing sweeps; the coarsest stores
+    one factor, of A, and no sparse matrix."""
     for name, h in hierarchies.items():
-        for lev in h.levels:
+        for lev, a in zip(h.levels, level_operators(operators[name], h)):
+            assert (lev.n, lev.nnz) == (a.shape[0], a.nnz), name
             factors = [f.name for f in dataclasses.fields(lev)
                        if isinstance(getattr(lev, f.name), spla.SuperLU)]
             assert factors == (["_coarse_lu"] if lev.is_coarsest else ["_lower"]), name
-            assert isinstance(lev.a, CsrMatrix) and lev.a.has_canonical_format, name
-            owned = [m for m in (lev.a, lev.p) if m is not None]
-            owned = [arr for m in owned for arr in (m.data, m.indices, m.indptr)]
+            stored = [f.name for f in dataclasses.fields(lev) if sp.issparse(getattr(lev, f.name))]
+            assert stored == ([] if lev.is_coarsest else ["strict_lower", "strict_upper", "p", "r"]), name
+            if lev.is_coarsest:
+                continue
+            lower = lev.strict_lower
+            assert isinstance(lower, CsrMatrix) and lower.has_canonical_format, name
+            assert csr_equal(lower, canonical(sp.tril(a, -1))), name
+            owned = [arr for m in (lower, lev.p) for arr in (m.data, m.indices, m.indptr)]
             assert not any(arr.flags.writeable for arr in owned), name
-            for f in dataclasses.fields(lev):
-                m = getattr(lev, f.name)
-                if not sp.issparse(m):
-                    continue
-                for arr in (m.data, m.indices, m.indptr):
-                    assert any(np.shares_memory(arr, o) for o in owned), (name, f.name)
+            assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(owned, 2)), name
+            for view in (lev.strict_upper, lev.r):
+                assert view.format == "csc"
+                for arr in (view.data, view.indices, view.indptr):
+                    assert any(np.shares_memory(arr, o) for o in owned), name
+
+
+def test_the_hierarchy_keeps_no_reference_to_its_input():
+    a = poisson2d(32, 32)
+    h = amg_setup(a)
+    assert len(h.levels) >= 2
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None

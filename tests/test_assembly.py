@@ -353,6 +353,63 @@ def test_from_blocks_gives_back_each_block_byte_for_byte(case, tmp_path):
             assert getattr(system, name) is not got, name  # each access copies
 
 
+def _unsorted_duplicates_case(_tmp_path):
+    """cross_2d n=8 with A_oo's rows reversed in storage and its first row's
+    diagonal split into two stored halves."""
+    fixture = import_system(DATA / "systems" / "cross_2d_n8")
+    blocks = _fixture_blocks("cross_2d_n8")
+    a_oo = blocks[0]
+    rows = np.repeat(np.arange(a_oo.shape[0]), np.diff(a_oo.indptr))
+    order = np.lexsort((-np.arange(a_oo.nnz), rows))  # each row's entries reversed
+    first = a_oo.indptr[0] + np.flatnonzero(a_oo.indices[:a_oo.indptr[1]] == 0)[0]
+    data = a_oo.data.copy()
+    data[first] /= 2
+    messy = sp.csr_array((np.r_[data[order][:1], data[first], data[order][1:]],
+                          np.r_[a_oo.indices[order][:1], 0, a_oo.indices[order][1:]],
+                          np.r_[0, a_oo.indptr[1:] + 1]), shape=a_oo.shape)
+    assert not messy.has_canonical_format
+    return [messy, *blocks[1:]], fixture
+
+
+STACK_CASES = {**ROUND_TRIP, "unsorted-duplicates": _unsorted_duplicates_case}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_from_blocks_stacks_like_bmat_byte_for_byte(case, tmp_path):
+    """The operator written straight from the blocks equals scipy's stacked
+    one: dtypes, stored zeros and all. No block is written to."""
+    blocks, source = STACK_CASES[case](tmp_path)
+    before = [(m.indptr.copy(), m.indices.copy(), m.data.copy(),
+               [a.flags.writeable for a in (m.indptr, m.indices, m.data)]) for m in blocks]
+    built = BlockSystem.from_blocks(*blocks, source.rhs_omega, source.rhs_gamma, source.partition)
+    want = canonical(sp.bmat([blocks[:2], blocks[2:]], format="csr"))
+    for field in ("indptr", "indices", "data"):
+        g, w = getattr(built.operator, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+    for m, (indptr, indices, data, writeable) in zip(blocks, before):
+        assert np.array_equal(m.indptr, indptr) and np.array_equal(m.indices, indices)
+        assert m.data.tobytes() == data.tobytes()
+        assert [a.flags.writeable for a in (m.indptr, m.indices, m.data)] == writeable
+
+
+def test_from_blocks_python_heap_peak_is_at_most_1_6_times_its_blocks():
+    """The ``tracemalloc`` peak of ``from_blocks`` on a 2d network stays
+    below 1.6 times the CSR bytes of the four blocks given, which are
+    allocated before tracing starts; the operator it keeps is about 0.95
+    times. Stacking with ``sp.bmat`` peaked at 1.9 times, through scipy's
+    stacking copies."""
+    system = assemble(build_random_network_2d(64, 20, seed=0), PhysicalParams(k_parallel=1e4, kappa=1e-4))
+    blocks = [getattr(system, name) for name in BLOCKS]
+    block_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in blocks)
+    tracemalloc.start()
+    try:
+        BlockSystem.from_blocks(*blocks, system.rhs_omega, system.rhs_gamma, system.partition)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * block_bytes, f"peak {peak / block_bytes:.2f} x the blocks' CSR bytes"
+
+
 def test_replacing_a_right_hand_side_shares_the_operator():
     system = assemble(build_cross_2d(4), PhysicalParams(k_parallel=1e4, kappa=1e-4))
     moved = replace(system, rhs_omega=system.rhs_omega + 1.0)

@@ -1,8 +1,11 @@
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdsolve.precond
 from mdsolve.amg import apply_preconditioner_vcycle
 from mdsolve.assembly import BlockSystem, PhysicalParams, assemble, monolithic
 from mdsolve.grids import (
@@ -167,6 +170,44 @@ def test_approx_schur_equals_the_triplet_merge_byte_for_byte():
     assert len(systems) == 27 + 6 + 6
     for name, system in systems:
         assert _same_bytes(approx_schur(system), reference_schur(system)), name
+
+
+BLOCKS = ("a_omega_omega", "a_omega_gamma", "a_gamma_omega", "a_gamma_gamma")
+
+
+def test_set_up_slices_each_block_once(monkeypatch):
+    system = cross_system(8, k_parallel=1e4, kappa=1e-4)
+    reads = dict.fromkeys(BLOCKS, 0)
+    for name in BLOCKS:
+        def counted(self, fget=getattr(BlockSystem, name).fget, name=name):
+            reads[name] += 1
+            return fget(self)
+        monkeypatch.setattr(BlockSystem, name, property(counted))
+    build_preconditioner(system)
+    assert reads == dict.fromkeys(BLOCKS, 1)
+
+
+def test_set_up_frees_the_schur_complement_it_builds(monkeypatch):
+    """The Schur complement that set-up builds from the sliced blocks is
+    :func:`approx_schur`'s byte for byte, and no part of the built
+    preconditioner keeps it: the hierarchy holds no operator."""
+    system = cross_system(8, k_parallel=1e4, kappa=1e-4)
+    want = approx_schur(system)
+    built = []
+    schur_complement = mdsolve.precond._schur_complement
+
+    def capture(*blocks):
+        schur = schur_complement(*blocks)
+        built.append((_same_bytes(schur, want), weakref.ref(schur)))
+        return schur
+
+    monkeypatch.setattr(mdsolve.precond, "_schur_complement", capture)
+    prec = build_preconditioner(system)
+    gc.collect()
+    [(same, ref)] = built
+    assert same
+    assert ref() is None
+    assert len(prec.hierarchies()["schur"].levels) >= 2
 
 
 def test_approx_schur_names_an_interface_entry_without_a_finite_inverse(tmp_path):
@@ -357,7 +398,6 @@ def test_with_kind_is_a_view_equal_to_a_fresh_build():
     for kind in ("ml", "bu", "bd"):
         view = base.with_kind(kind)
         assert view.kind == kind
-        assert view.schur_matrix is base.schur_matrix
         assert set(view.hierarchies()) == {"schur", "interface"}
         for name, hierarchy in view.hierarchies().items():
             assert hierarchy is base.hierarchies()[name]

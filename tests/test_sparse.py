@@ -424,7 +424,6 @@ def exact_preconditioner(system, kind: str = "ml") -> BlockPreconditioner:
         q_gamma=solve(system.a_gamma_gamma.toarray(), "interface"),
         a_gamma_omega=system.a_gamma_omega,
         a_omega_gamma=system.a_omega_gamma,
-        schur_matrix=schur,
         hierarchies={},
     )
 
@@ -444,7 +443,6 @@ def lu_preconditioner(system, kind: str = "ml") -> BlockPreconditioner:
         q_gamma=spla.splu(system.a_gamma_gamma.tocsc()).solve,
         a_gamma_omega=system.a_gamma_omega,
         a_omega_gamma=system.a_omega_gamma,
-        schur_matrix=schur,
         hierarchies={},
     )
 
