@@ -27,9 +27,10 @@ The input must therefore be symmetric exactly, and :func:`amg_setup`
 rejects any other; on level 0 both are identities in exact arithmetic. The
 Galerkin coarse operators ``P^T A P`` are symmetric only to rounding
 (entries of ``A - A^T`` up to about 4e-16 of ``max|A|``); there both use
-``L^T`` for ``triu(A, 1)``. One cycle from a zero initial guess is a fixed
-linear operator, which is what the block preconditioner uses for its inner
-solves.
+``L^T`` for ``triu(A, 1)``. Every cycle, on every level, starts from a zero
+guess, so one cycle is a fixed linear operator: the block preconditioner's
+inner solve. A cycle from a guess ``x0`` is the defect correction
+``x0 + v_cycle(h, b - A @ x0)``.
 
 Set-up runs on typed arrays: no step creates a Python object per stored
 entry. Each level computes its per-entry strength masks once
@@ -486,46 +487,38 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
     return AmgHierarchy(levels=levels, negated=negated)
 
 
-def _cycle(levels, depth: int, b: np.ndarray, x0: np.ndarray | None) -> np.ndarray:
-    """One cycle from ``depth`` down. With ``L = strict_lower`` and
-    ``A = tril(A) + L^T``, the residual after the forward sweep is
-    ``-L^T (x - x0)``, so ``d`` is its negative and the correction is
+def _cycle(levels, depth: int, b: np.ndarray) -> np.ndarray:
+    """One cycle from ``depth`` down, from a zero guess. With ``L =
+    strict_lower`` and ``A = tril(A) + L^T``, the residual after the forward
+    sweep is ``-L^T x``, so ``d`` is its negative and the correction is
     subtracted; the backward sweep solves with ``b - L x``."""
     lev = levels[depth]
     if lev.is_coarsest:
         return lev._coarse_lu.solve(b)
-    if x0 is None:
-        x = lev._lower.solve(b)  # forward sweep from a zero guess
-        d = lev.strict_upper @ x
-    else:
-        x = lev._lower.solve(b - lev.strict_upper @ x0)
-        d = lev.strict_upper @ (x - x0)
-    x -= lev.p @ _cycle(levels, depth + 1, lev.r @ d, None)
+    x = lev._lower.solve(b)  # forward sweep
+    d = lev.strict_upper @ x
+    x -= lev.p @ _cycle(levels, depth + 1, lev.r @ d)
     return lev._lower.solve(b - lev.strict_lower @ x, trans="T")  # backward sweep
 
 
-def v_cycle(h: AmgHierarchy, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-    """One V(1,1) cycle for the hierarchy's operator, starting from ``x0``.
+def v_cycle(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
+    """One V(1,1) cycle for the hierarchy's operator ``A`` from a zero
+    initial guess: a fixed linear function of ``b``, the inner solve of the
+    block preconditioner. On a single-level (or diagonal) hierarchy this is
+    an exact solve.
 
-    With ``x0 = 0`` the result is a fixed linear function of ``b``. On a
-    single-level (or diagonal) hierarchy this is an exact solve.
+    A V(1,1) cycle started from a guess ``x0`` is, in exact arithmetic, the
+    defect correction ``x0 + v_cycle(h, b - A @ x0)``; iterating that is the
+    stationary multigrid method.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or len(b) != h.n:
         raise ValueError(f"v_cycle: right-hand side length {b.shape} does not match n={h.n}")
     if h.diagonal is not None:
         return b / h.diagonal
-    if x0 is None:
-        x = None
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != b.shape:
-            raise ValueError("v_cycle: initial guess length mismatch")
-        x = x0 if np.any(x0) else None
-    return _cycle(h.levels, 0, -b if h.negated else b, x)
+    return _cycle(h.levels, 0, -b if h.negated else b)
 
 
-def apply_preconditioner_vcycle(h: AmgHierarchy, r: np.ndarray) -> np.ndarray:
-    """One V-cycle from a zero initial guess: the fixed linear operator used
-    as an inner solve inside the block preconditioner."""
-    return v_cycle(h, r, None)
+# the block preconditioner's inner solve: ``precond`` calls it by this name,
+# which perfbench wraps there to time the V-cycles
+apply_preconditioner_vcycle = v_cycle

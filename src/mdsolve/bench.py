@@ -18,7 +18,7 @@ import numpy as np
 
 from .assembly import PhysicalParams, assemble, monolithic
 from .grids import build_cross_2d, build_random_network_2d, build_regular_network_3d
-from .krylov import SolveConfig, gmres
+from .krylov import SolveConfig, check_count, gmres
 from .precond import KINDS, build_preconditioner
 from .sysio import import_system
 
@@ -62,6 +62,10 @@ class SweepSpec:
         for name in ("mesh_sizes", "k_parallel_values", "kappa_values", "precond_kinds"):
             if not len(getattr(self, name)):
                 raise ValueError(f"{name} must be nonempty")
+        for n in self.mesh_sizes:
+            check_count("mesh_sizes", n)
+        for name in ("num_fractures", "num_planes", "seed"):
+            check_count(name, getattr(self, name))
         if any(n < 2 for n in self.mesh_sizes) and self.geometry != "imported":
             raise ValueError("mesh sizes must be at least 2")
         if any(v <= 0 for v in self.k_parallel_values + self.kappa_values):
@@ -181,7 +185,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     rows = []
     for n, k_par, kappa, system in sweep_systems(spec):
-        operator = monolithic(system)
+        operator, rhs = monolithic(system), system.rhs  # rhs is a new array on every read
         shared = None  # this system's preconditioner, or its set-up error text
         for kind in spec.precond_kinds:
             row = SweepRow(
@@ -202,7 +206,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             else:
                 try:
                     prec = None if kind == "none" else shared.with_kind(kind)
-                    report = gmres(operator, system.rhs, prec, spec.solver)
+                    report = gmres(operator, rhs, prec, spec.solver)
                     row.iterations = report.iterations
                     row.converged = report.converged
                     row.residual = report.true_residual

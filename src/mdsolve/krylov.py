@@ -13,6 +13,7 @@ each cycle ends with one more preconditioner apply, ``x += M(V y)``.
 from __future__ import annotations
 
 import mmap
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -21,6 +22,14 @@ import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = ["SolveConfig", "SolveReport", "as_operator", "gmres"]
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (a numpy integer
+    counts; a bool does not): a float count would fail only deep inside the
+    solve, and ``True`` would run as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,9 @@ class SolveConfig:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        check_count("max_iters", self.max_iters)
+        if self.restart is not None:
+            check_count("restart", self.restart)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.restart is not None and self.restart < 1:

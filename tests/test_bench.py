@@ -3,7 +3,7 @@ import pytest
 
 from conftest import export_zero_interface_diagonal
 import mdsolve.bench
-from mdsolve.assembly import PhysicalParams, assemble, monolithic
+from mdsolve.assembly import BlockSystem, PhysicalParams, assemble, monolithic
 from mdsolve.bench import SweepResult, SweepRow, SweepSpec, emit_table, run_sweep
 from mdsolve.grids import build_cross_2d, build_random_network_2d
 from mdsolve.krylov import SolveConfig, gmres
@@ -127,6 +127,39 @@ def test_setup_is_shared_across_kinds_of_each_system(monkeypatch):
         assert (row.iterations, row.converged, row.residual) == (
             report.iterations, report.converged, report.true_residual
         )
+
+
+def test_each_system_reads_its_right_hand_side_once(monkeypatch):
+    # BlockSystem.rhs concatenates the two blocks on every read
+    reads = []
+    rhs = BlockSystem.rhs
+
+    def counted(system):
+        reads.append(system)
+        return rhs.fget(system)
+
+    monkeypatch.setattr(BlockSystem, "rhs", property(counted))
+    spec = small_spec(mesh_sizes=(4, 8), precond_kinds=("ml", "bu", "bd"))
+    result = run_sweep(spec)
+    assert len(reads) == 2 and len(result.rows) == 6
+    monkeypatch.undo()
+    for row in result.rows:
+        system = assemble(build_cross_2d(row.n), PhysicalParams())
+        prec = build_preconditioner(system, kind=row.kind)
+        report = gmres(monolithic(system), system.rhs, prec, spec.solver)
+        assert row.history.tobytes() == report.residual_history.tobytes()
+        assert row.residual == report.true_residual
+
+
+def test_spec_rejects_non_integer_counts():
+    for name, value in (("mesh_sizes", (8.0,)), ("mesh_sizes", (4, True)),
+                        ("num_fractures", 4.0), ("num_planes", 3.0), ("num_planes", True),
+                        ("seed", 1.5), ("seed", False)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_spec(geometry="regular_3d", **{name: value})
+    spec = small_spec(geometry="random_2d", mesh_sizes=(np.int64(8),),
+                      num_fractures=np.int32(4), seed=np.int64(3))
+    assert all(r.converged for r in run_sweep(spec).rows)
 
 
 def test_sweep_calls_each_patched_stage_through_the_bench_module(monkeypatch):

@@ -119,6 +119,16 @@ def test_solve_config_validation():
         SolveConfig(restart=0)
 
 
+def test_solve_config_rejects_non_integer_counts():
+    for name, value in (("max_iters", 10.0), ("max_iters", True), ("restart", 5.0),
+                        ("restart", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolveConfig(**{name: value})
+    cfg = SolveConfig(max_iters=np.int64(10), restart=np.int32(5))
+    report = gmres(poisson1d(8), np.ones(8), cfg=cfg)
+    assert report.converged
+
+
 # -- conjugate gradient baseline ------------------------------------------------
 
 
