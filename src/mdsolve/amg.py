@@ -41,10 +41,16 @@ operator is copied into CSC. Only aggregation's root pass is a Python loop,
 over ``memoryview``s of the strong graph; its straggler pass is vectorised
 and gives the same aggregates as the sequential pass.
 
-Two special cases are handled transparently: operators whose off-diagonal
-part is entirely zero are solved directly (no hierarchy), and operators with
-an all-negative diagonal (the interface block as assembled) are negated for
-setup, with the cycle solving the original sign convention.
+An operator whose off-diagonal part is entirely zero is solved directly,
+with no hierarchy. Every other operator, of either sign, is set up and
+cycled as given. Both commute exactly with negation: strength, aggregation,
+the attach pass and filtering read only ``|a_ij|`` and ``|a_ii a_jj|``;
+``D^-1 A``, and so ``P``, is the same for ``A`` and ``-A``; and the coarse
+operators, ``tril(A, -1)`` and the SuperLU ``U`` factors of ``-A`` are
+exactly those of ``A`` negated, since pivoting reads absolute values and
+rounding is symmetric under a sign flip. A negative definite operator, such
+as an interface block, thus cycles as ``cycle_{-A}(b) = cycle_A(-b)``, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -117,10 +123,9 @@ class AmgLevel:
 @dataclass
 class AmgHierarchy:
     """Level stack, finest first. ``diagonal`` short-circuits the cycle with
-    an exact diagonal solve; ``negated`` records that setup ran on -A."""
+    an exact diagonal solve."""
 
     levels: list
-    negated: bool = False
     diagonal: np.ndarray | None = None
 
     @property
@@ -141,25 +146,18 @@ class AmgHierarchy:
         return sum(lev.n for lev in self.levels) / max(self.levels[0].n, 1)
 
     def stats(self) -> dict:
-        if self.diagonal is not None:
-            return {
-                "mode": "diagonal",
-                "levels": [{"n": len(self.diagonal), "nnz": len(self.diagonal)}],
-                "operator_complexity": 1.0,
-                "grid_complexity": 1.0,
-                "negated": self.negated,
-            }
+        diagonal = self.diagonal is not None
         return {
-            "mode": "multilevel",
-            "levels": [{"n": lev.n, "nnz": lev.nnz} for lev in self.levels],
+            "mode": "diagonal" if diagonal else "multilevel",
+            "levels": ([{"n": self.n, "nnz": self.n}] if diagonal
+                       else [{"n": lev.n, "nnz": lev.nnz} for lev in self.levels]),
             "operator_complexity": self.operator_complexity,
             "grid_complexity": self.grid_complexity,
-            "negated": self.negated,
         }
 
     def describe(self) -> str:
         s = self.stats()
-        lines = [f"amg hierarchy ({s['mode']}, negated={s['negated']})"]
+        lines = [f"amg hierarchy ({s['mode']})"]
         for i, lev in enumerate(s["levels"]):
             lines.append(f"  level {i}: n={lev['n']:>8}  nnz={lev['nnz']:>10}")
         lines.append(
@@ -399,11 +397,11 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
     Parameters
     ----------
     a : CsrMatrix
-        Square symmetric operator, intended for positive (semi)definite
-        M-matrix-like problems. Symmetric means equal to its transpose
-        entry for entry; explicit zeros count as zeros. An all-negative
-        diagonal is handled by internal negation; a purely diagonal operator
-        skips the hierarchy.
+        Square symmetric operator, intended for definite M-matrix-like
+        problems of either sign: set-up and cycle commute exactly with
+        negation. Symmetric means equal to its transpose entry for entry;
+        explicit zeros count as zeros. A purely diagonal operator skips the
+        hierarchy.
 
     Raises
     ------
@@ -438,10 +436,9 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
     del rows  # one entry per stored value; must not live through the level loop
     if diagonal_only:
         # (block-)diagonal operator: invert directly, no hierarchy needed
-        return AmgHierarchy(levels=[], negated=False, diagonal=diag.copy())
+        return AmgHierarchy(levels=[], diagonal=diag)
 
-    negated = bool(np.all(diag < 0.0))
-    current = canonical(-a) if negated else a
+    current = a
 
     levels: list[AmgLevel] = []
     for depth in range(MAX_LEVELS):
@@ -484,7 +481,7 @@ def amg_setup(a: CsrMatrix) -> AmgHierarchy:
         levels.append(AmgLevel(n=n, nnz=current.nnz, strict_lower=strict_lower,
                                strict_upper=strict_lower.T, p=p, r=p.T, _lower=factor))
         current = coarse
-    return AmgHierarchy(levels=levels, negated=negated)
+    return AmgHierarchy(levels=levels)
 
 
 def _cycle(levels, depth: int, b: np.ndarray) -> np.ndarray:
@@ -516,7 +513,7 @@ def v_cycle(h: AmgHierarchy, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"v_cycle: right-hand side length {b.shape} does not match n={h.n}")
     if h.diagonal is not None:
         return b / h.diagonal
-    return _cycle(h.levels, 0, -b if h.negated else b)
+    return _cycle(h.levels, 0, b)
 
 
 # the block preconditioner's inner solve: ``precond`` calls it by this name,

@@ -212,7 +212,7 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
             rel = np.abs(g[k + 1]) / b_norm
             history.append(rel)
             if rel <= cfg.rel_tol or breakdown:
-                converged = rel <= cfg.rel_tol or breakdown
+                converged = True
                 break
         if k_done:
             upper = np.zeros((k_done, k_done))

@@ -95,11 +95,12 @@ def import_system(directory) -> BlockSystem:
         Naming the sidecar if it is not valid JSON or not a block system,
         naming the sidecar and the key if the sidecar lacks one or holds a
         value of the wrong shape (not an integer, a list of ``[id, start,
-        stop]`` integer lists or an object of file names), naming the
-        file of a block or right-hand side that holds a NaN or inf, or
-        naming the mismatch if the sidecar partition does not sum to the
-        matrix sizes, if block shapes disagree, or if the coupling blocks
-        are not exact transposes of each other.
+        stop]`` integer lists or an object of file names, each a plain name
+        of a file in ``directory``), naming the file of a block or
+        right-hand side that holds a NaN or inf, or naming the mismatch if
+        the sidecar partition does not sum to the matrix sizes, if block
+        shapes disagree, or if the coupling blocks are not exact transposes
+        of each other.
     """
     directory = Path(directory)
     sidecar_path = directory / SIDECAR_NAME
@@ -122,6 +123,10 @@ def import_system(directory) -> BlockSystem:
     for key in _FILES:
         if key not in files:
             raise ValueError(f"sidecar {sidecar_path} has no key {key!r} in 'files'")
+        name = files[key]
+        if Path(name).name != name or name in ("", ".", ".."):
+            raise _sidecar_error(sidecar_path, "files",
+                                 f"a file name in {directory} for {key!r}", name)
     for key in ("n_omega", "n_gamma"):
         if not _is_int(meta[key]):
             raise _sidecar_error(sidecar_path, key, "an integer", meta[key])

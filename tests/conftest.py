@@ -44,13 +44,12 @@ def poisson2d(nx: int, ny: int) -> CsrMatrix:
 
 def level_operators(a, h) -> list:
     """The operator of each level of ``h = amg_setup(a)``, which the levels
-    do not keep: ``a``, negated when set-up negated it, then ``P^T A P``
-    level by level from the stored prolongators, through the same
-    ``amg._galerkin`` that set-up calls. Byte for byte what set-up computed;
-    empty for a diagonal hierarchy."""
+    do not keep: ``a``, then ``P^T A P`` level by level from the stored
+    prolongators, through the same ``amg._galerkin`` that set-up calls. Byte
+    for byte what set-up computed; empty for a diagonal hierarchy."""
     if h.diagonal is not None:
         return []
-    current = canonical(-a) if h.negated else a
+    current = a
     operators = [current]
     for lev in h.levels[:-1]:
         current = _galerkin(current, lev.p)

@@ -113,7 +113,7 @@ def test_non_symmetric_is_rejected():
     with pytest.raises(ValueError, match="^amg_setup: operator is not symmetric$"):
         amg_setup(canonical(a))
     with pytest.raises(ValueError, match="^amg_setup: operator is not symmetric$"):
-        amg_setup(canonical(-a))  # checked before the negation
+        amg_setup(canonical(-a))  # of either sign
 
 
 def test_explicit_zeros_count_as_zeros_in_the_symmetry_check():
@@ -215,7 +215,6 @@ def test_negative_definite_operator_is_handled_transparently():
     a_pos = poisson2d(16, 16)
     a_neg = canonical(-a_pos)
     h = amg_setup(a_neg)
-    assert h.negated
     rng = np.random.default_rng(4)
     b = rng.standard_normal(256)
     x = np.zeros_like(b)
@@ -585,7 +584,7 @@ def _reference_v_cycle(h, b, x0):
     if h.diagonal is not None:
         return b / h.diagonal
     x = x0 if x0 is not None and np.any(x0) else None
-    return _reference_cycle(h.levels, 0, -b if h.negated else b, x)
+    return _reference_cycle(h.levels, 0, b, x)
 
 
 def _test_geometries():
@@ -689,7 +688,7 @@ HIERARCHY_SHA256 = {
     "poisson1d_64": "e56b865f283283d94be5d8c433de8da7dce5ad03de02627d9236fa9898312abc",
     "poisson2d_32": "e28a9895c32619b895a100697caacac2bc27093b422ce06d564406bf735346b5",
     "poisson2d_64": "3a7cc5cc890eab0256c6ae24f80296980e4354b95b667a7c22fbbdf63008bdf9",
-    "negated_poisson2d_16": "3dcbbff94d1068d38ddc00bec68af1aadd242ac1f54c90916c8081d73932ae60",
+    "negated_poisson2d_16": "b5009e0fde56541047fcdcc893d7624c42708c6a657042bdcc111c6c90aa2831",
     "cross_2d_1_1_schur": "d0592deb9ef1aa9cfd903965b336e52aa7e92f27dd8267873b153f1e2ca4a617",
     "cross_2d_1_1_interface": "ce8038610c0ff56ff405aebb707cfff0fff1b064451e29bdf74167f0a7e335b2",
     "cross_2d_10000_0.0001_schur": "73f569f7d448186a7f776d75f76c24248ee8672ed8aaec30a7fd0135584f3268",
@@ -769,11 +768,43 @@ def test_v_cycle_matches_the_reference_byte_for_byte(hierarchies):
     for name, h in hierarchies.items():
         b = rng.standard_normal(h.n)
         assert v_cycle(h, b).tobytes() == _reference_v_cycle(h, b, None).tobytes(), name
-    # the cases cover every path through the cycle
-    assert any(h.negated for h in hierarchies.values())
+    # the cases cover every path through the cycle, on operators of both signs
+    assert len(hierarchies["negated_poisson2d_16"].levels) > 1
     assert any(h.diagonal is not None for h in hierarchies.values())
     assert len(hierarchies["single_level"].levels) == 1
     assert max(len(h.levels) for h in hierarchies.values()) >= 4
+
+
+def test_set_up_and_cycle_commute_with_negation(operators, hierarchies):
+    """``amg_setup(-A)`` builds the hierarchy of ``A`` with every operator
+    negated and the same prolongators, so ``v_cycle`` on ``-A`` at ``b`` is
+    byte for byte ``v_cycle`` on ``A`` at ``-b``: the set-up reads only
+    ``|a_ij|``, ``|a_ii a_jj|`` and ``D^-1 A``, and rounding is symmetric
+    under a sign flip."""
+    rng = np.random.default_rng(16)
+    compared = set()
+    for name, h_pos in hierarchies.items():
+        if len(h_pos.levels) < 2:
+            continue
+        h_neg = amg_setup(canonical(-operators[name]))
+        assert [(lev.n, lev.nnz) for lev in h_neg.levels] == \
+            [(lev.n, lev.nnz) for lev in h_pos.levels], name
+        for neg, pos in zip(h_neg.levels[:-1], h_pos.levels[:-1]):
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(neg.p, attr).tobytes() == getattr(pos.p, attr).tobytes(), name
+            lower_neg, lower_pos = neg.strict_lower, pos.strict_lower
+            assert np.array_equal(lower_neg.indptr, lower_pos.indptr), name
+            assert np.array_equal(lower_neg.indices, lower_pos.indices), name
+            assert (-lower_neg.data).tobytes() == lower_pos.data.tobytes(), name
+        b = rng.standard_normal(h_pos.n)
+        assert v_cycle(h_neg, b).tobytes() == v_cycle(h_pos, -b).tobytes(), name
+        compared.add(name)
+    assert len(compared) == 16 and "negated_poisson2d_16" in compared
+    # the hierarchy of A, pinned: that of -A differs from it only in its operators' signs
+    a = poisson2d(16, 16)
+    assert _hierarchy_sha256(a, amg_setup(a)) == (
+        "3dcbbff94d1068d38ddc00bec68af1aadd242ac1f54c90916c8081d73932ae60"
+    )
 
 
 def _two_factor_cycle(levels, depth, b, uppers):
@@ -799,7 +830,7 @@ def test_v_cycle_is_within_rounding_of_the_two_factor_cycle(operators, hierarchi
             for a in level_operators(operators[name], h)[:-1]
         ]
         b = rng.standard_normal(h.n)
-        ref = _two_factor_cycle(h.levels, 0, -b if h.negated else b, uppers)
+        ref = _two_factor_cycle(h.levels, 0, b, uppers)
         got = v_cycle(h, b)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
         if uppers:
@@ -847,7 +878,7 @@ def test_v_cycle_is_within_rounding_of_the_full_residual_cycle(operators, hierar
             continue
         b = rng.standard_normal(h.n)
         ops = level_operators(operators[name], h)
-        ref = _full_residual_cycle(h.levels, ops, 0, -b if h.negated else b)
+        ref = _full_residual_cycle(h.levels, ops, 0, b)
         got = apply_preconditioner_vcycle(h, b)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name
         compared += len(h.levels) > 1

@@ -100,48 +100,48 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "sys
 AMG_STATS = {
     ("--geometry", "cross_2d", "--n", "16"): (
         "hierarchy for the approximate Schur complement:\n"
-        "amg hierarchy (multilevel, negated=False)\n"
+        "amg hierarchy (multilevel)\n"
         "  level 0: n=     289  nnz=      1377\n"
         "  level 1: n=      62  nnz=       636\n"
         "  operator complexity 1.462, grid complexity 1.215\n"
         "hierarchy for the interface block:\n"
-        "amg hierarchy (diagonal, negated=False)\n"
+        "amg hierarchy (diagonal)\n"
         "  level 0: n=      68  nnz=        68\n"
         "  operator complexity 1.000, grid complexity 1.000\n"
     ),
     # no fractures: the interface block is empty, and its hierarchy too
     ("--geometry", "random_2d", "--n", "8", "--num-fractures", "0"): (
         "hierarchy for the approximate Schur complement:\n"
-        "amg hierarchy (multilevel, negated=False)\n"
+        "amg hierarchy (multilevel)\n"
         "  level 0: n=      64  nnz=       288\n"
         "  level 1: n=      12  nnz=        70\n"
         "  operator complexity 1.243, grid complexity 1.188\n"
         "hierarchy for the interface block:\n"
-        "amg hierarchy (diagonal, negated=False)\n"
+        "amg hierarchy (diagonal)\n"
         "  level 0: n=       0  nnz=         0\n"
         "  operator complexity 1.000, grid complexity 1.000\n"
     ),
     ("--geometry", "regular_3d", "--n", "8"): (
         "hierarchy for the approximate Schur complement:\n"
-        "amg hierarchy (multilevel, negated=False)\n"
+        "amg hierarchy (multilevel)\n"
         "  level 0: n=     729  nnz=      4617\n"
         "  level 1: n=     189  nnz=      2353\n"
         "  level 2: n=      41  nnz=       573\n"
         "  operator complexity 1.634, grid complexity 1.316\n"
         "hierarchy for the interface block:\n"
-        "amg hierarchy (diagonal, negated=False)\n"
+        "amg hierarchy (diagonal)\n"
         "  level 0: n=     486  nnz=       486\n"
         "  operator complexity 1.000, grid complexity 1.000\n"
     ),
     ("--geometry", "imported", "--import", os.path.join(FIXTURES, "random_2d_n16_f20_s3")): (
         "hierarchy for the approximate Schur complement:\n"
-        "amg hierarchy (multilevel, negated=False)\n"
+        "amg hierarchy (multilevel)\n"
         "  level 0: n=     369  nnz=      1741\n"
         "  level 1: n=     109  nnz=       877\n"
         "  level 2: n=      24  nnz=       174\n"
         "  operator complexity 1.604, grid complexity 1.360\n"
         "hierarchy for the interface block:\n"
-        "amg hierarchy (diagonal, negated=False)\n"
+        "amg hierarchy (diagonal)\n"
         "  level 0: n=     244  nnz=       244\n"
         "  operator complexity 1.000, grid complexity 1.000\n"
     ),

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 from pathlib import Path
 
@@ -371,6 +372,37 @@ def test_hierarchies_are_exposed_for_stats():
     hs = p.hierarchies()
     assert hs.keys() == {"schur", "interface"}
     assert hs["interface"].diagonal is not None  # matching grid: direct inverse
+
+
+# sha256 of the residual history of each kind on the system below
+NEGATIVE_DEFINITE_INTERFACE_HISTORIES = {
+    "ml": "234fccde80c6b33a0854ab5f66eb95158d8bdcc5c6d42df765f9fd85fb4f9dff",
+    "bu": "54fabbe96a5cff27edfda33355e2c23cd5cf744e2106da29420c68b95d28d8c5",
+    "bd": "2b7178988c6478985aeb29181a5988793fe5f34fb6040242d8736077ee46a6a1",
+}
+
+
+def test_a_negative_definite_interface_block_with_couplings_solves_end_to_end():
+    """``cross_2d`` n=32 with ``c tridiag(1, -2, 1)``, ``c`` half the
+    smallest ``|diag A_gg|``, added to its diagonal interface block: the
+    block stays negative definite, gets off-diagonal entries, and its AMG
+    hierarchy is multilevel. The pinned histories are those of the set-up
+    that negated such a block before coarsening it."""
+    s = cross_system(32, k_parallel=1e4, kappa=1e-4)
+    a_gg = s.a_gamma_gamma
+    n = a_gg.shape[0]
+    c = 0.5 * np.abs(a_gg.diagonal()).min()
+    tridiag = sp.diags_array([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                             offsets=[-1, 0, 1])
+    sys_ = BlockSystem.from_blocks(s.a_omega_omega, s.a_omega_gamma, s.a_gamma_omega,
+                                   canonical(a_gg + c * tridiag), s.rhs_omega, s.rhs_gamma,
+                                   s.partition)
+    base = build_preconditioner(sys_)
+    assert [lev.n for lev in base.hierarchies()["interface"].levels] == [132, 47]
+    for kind, digest in NEGATIVE_DEFINITE_INTERFACE_HISTORIES.items():
+        rep = gmres(monolithic(sys_), sys_.rhs, base.with_kind(kind), SolveConfig())
+        assert rep.converged and rep.iterations == 6, kind
+        assert hashlib.sha256(rep.residual_history.tobytes()).hexdigest() == digest, kind
 
 
 @pytest.mark.parametrize("build", [build_preconditioner, lu_preconditioner],

@@ -97,7 +97,14 @@ def test_incomplete_sidecar_names_the_sidecar_and_the_key(tmp_path, path, named)
     (lambda s: s.update(gamma_ranges=[[0, 1]]), ", key 'gamma_ranges': expected [id, start, "
                                                 "stop] lists of integers, got [0, 1]"),
     (lambda s: s.update(n_omega="x"), ", key 'n_omega': expected an integer, got 'x'"),
-], ids=["omega_ranges", "files", "list", "gamma_ranges", "n_omega"])
+    (lambda s: s["files"].update(rhs_gamma="/elsewhere/rhs_gamma.mtx"),
+     ", key 'files': expected a file name in {dir} for 'rhs_gamma', "
+     "got '/elsewhere/rhs_gamma.mtx'"),
+    (lambda s: s["files"].update(rhs_gamma="../elsewhere/rhs_gamma.mtx"),
+     ", key 'files': expected a file name in {dir} for 'rhs_gamma', "
+     "got '../elsewhere/rhs_gamma.mtx'"),
+], ids=["omega_ranges", "files", "list", "gamma_ranges", "n_omega", "files.absolute",
+        "files.relative"])
 def test_malformed_sidecar_exits_2_naming_the_sidecar_and_the_key(tmp_path, capsys, change,
                                                                    named):
     export_system(assemble(build_cross_2d(2), PhysicalParams()), tmp_path)
@@ -105,6 +112,7 @@ def test_malformed_sidecar_exits_2_naming_the_sidecar_and_the_key(tmp_path, caps
     sidecar = change(sidecar) or sidecar
     (tmp_path / SIDECAR_NAME).write_text(json.dumps(sidecar))
     assert main(["import", str(tmp_path)]) == 2
+    named = named.replace("{dir}", str(tmp_path))
     assert capsys.readouterr().err == f"error: sidecar {tmp_path / SIDECAR_NAME}{named}\n"
 
 
