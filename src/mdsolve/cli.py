@@ -45,7 +45,6 @@ SPEC_FIELDS = {
 }
 SOLVER_FIELDS = {"tol": "rel_tol", "max_iters": "max_iters", "restart": "restart"}
 OUTPUT_DEFAULTS = {"format": "aligned-text"}
-KIND_ALIASES = {"bl": "ml"}  # so scripts and config files naming "bl" still run
 
 
 def _read_config(path) -> dict:
@@ -93,15 +92,13 @@ def _apply_config(args, config: dict, path):
 
 
 def _fill_defaults(args):
-    """Give unset output flags their defaults, check the table format a
-    config file may have set, and resolve kind aliases."""
+    """Give unset output flags their defaults and check the table format a
+    config file may have set."""
     for key, default in OUTPUT_DEFAULTS.items():
         if getattr(args, key, default) is None:
             setattr(args, key, default)
     if getattr(args, "format", None) not in (None, *TABLE_FORMATS):
         raise ValueError(f"unknown table format {args.format!r}, expected one of {TABLE_FORMATS}")
-    if getattr(args, "precond", None):
-        args.precond = [KIND_ALIASES.get(k, k) for k in args.precond]
     return args
 
 
@@ -126,8 +123,7 @@ def _add_param_flags(p):
 
 def _add_solver_flags(p):
     p.add_argument("--precond", action="append", default=None,
-                   choices=[*KINDS, *KIND_ALIASES, "none"],
-                   help="preconditioner kind; repeatable; 'bl' is 'ml'")
+                   choices=[*KINDS, "none"], help="preconditioner kind; repeatable")
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iters", type=int, dest="max_iters")
     p.add_argument("--restart", type=int)

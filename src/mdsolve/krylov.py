@@ -12,8 +12,10 @@ each cycle ends with one more preconditioner apply, ``x += M(V y)``.
 
 from __future__ import annotations
 
+import errno
 import mmap
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 
@@ -85,8 +87,11 @@ def as_operator(obj, n: int):
 
 
 # mmap's default anonymous mapping is shared (shmem-backed) on POSIX, and its
-# first-touch page faults cost more than a private one's; Windows' takes no flags
-_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+# first-touch page faults cost more than a private one's; Windows' takes no flags.
+# Linux accounts a whole writable private mapping when it is made, unless it is
+# MAP_NORESERVE (0x4000; Python 3.11's mmap has no constant for it)
+_NORESERVE = 0x4000 if sys.platform == "linux" else 0
+_PRIVATE = {"flags": mmap.MAP_PRIVATE | _NORESERVE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
 def _reserve_rows(rows: int, n: int) -> np.ndarray:
@@ -94,8 +99,19 @@ def _reserve_rows(rows: int, n: int) -> np.ndarray:
 
     Only the pages of rows that are written become resident, and the mapping
     goes back to the OS when the array is released, whatever the C heap keeps.
+    ``MAP_NORESERVE`` on Linux lets a basis larger than RAM plus swap be
+    reserved while the rows written fit; a reservation the OS refuses for
+    lack of memory raises ``MemoryError``.
     """
-    buffer = mmap.mmap(-1, rows * n * 8, **_PRIVATE)
+    try:
+        buffer = mmap.mmap(-1, rows * n * 8, **_PRIVATE)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(
+            f"gmres: cannot reserve the Krylov basis of {rows} rows of n = {n} "
+            f"({rows * n * 8} bytes); a smaller restart reserves fewer rows"
+        ) from exc
     return np.frombuffer(buffer, dtype=np.float64).reshape(rows, n)
 
 
@@ -124,6 +140,8 @@ def gmres(a, b: np.ndarray, m=None, cfg: SolveConfig | None = None) -> SolveRepo
     FloatingPointError
         At the first iteration whose Arnoldi vector is not finite, that is
         when the operator or the preconditioner returned inf or NaN.
+    MemoryError
+        When the OS refuses to reserve the basis of a cycle, naming its size.
 
     Notes
     -----

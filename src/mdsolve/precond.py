@@ -14,7 +14,9 @@ interface block.
 
 On the matching grids this package assembles, the interface block is
 diagonal, so the approximate Schur complement is the exact one; the dense
-exact-factorization oracle that checks this lives in the tests.
+exact-factorization oracle that checks this lives in the tests. Set-up
+looks up ``approx_schur``, ``amg_setup`` and ``apply_preconditioner_vcycle``
+in this module at call time, so a tracer that wraps them here times them.
 """
 
 from __future__ import annotations
@@ -54,21 +56,13 @@ def approx_schur(system: BlockSystem) -> CsrMatrix:
     """
     if system.n_gamma == 0:
         return system.operator
-    return _schur_complement(system.a_omega_omega, system.a_omega_gamma,
-                             system.a_gamma_omega, system.a_gamma_gamma)
-
-
-def _schur_complement(a_omega_omega, a_omega_gamma, a_gamma_omega, a_gamma_gamma) -> CsrMatrix:
-    """:func:`approx_schur` of the four blocks, already sliced out."""
-    diag = a_gamma_gamma.diagonal()
+    diag = system.a_gamma_gamma.diagonal()
     zero = np.flatnonzero(diag == 0.0)
     if len(zero):
         raise ValueError(
             f"approx_schur: zero diagonal entry in the interface block "
             f"at interface DOF {zero[0]}"
         )
-    if a_gamma_gamma.shape[0] == 0:
-        return a_omega_omega
     with np.errstate(over="ignore"):  # a subnormal entry overflows; reported below
         dinv = 1.0 / diag
     bad = np.flatnonzero(~np.isfinite(dinv))
@@ -77,14 +71,8 @@ def _schur_complement(a_omega_omega, a_omega_gamma, a_gamma_omega, a_gamma_gamma
             f"approx_schur: interface block diagonal entry {float(diag[bad[0]])!r} has no finite "
             f"inverse at interface DOF {bad[0]}"
         )
-    coupling = a_omega_gamma @ sp.diags_array(dinv) @ a_gamma_omega
-    return canonical(a_omega_omega - coupling)
-
-
-def _vcycle(block: CsrMatrix):
-    """One AMG V-cycle on a diagonal block, and the hierarchy behind it."""
-    hierarchy = amg_setup(block)
-    return (lambda r: apply_preconditioner_vcycle(hierarchy, r)), hierarchy
+    coupling = system.a_omega_gamma @ sp.diags_array(dinv) @ system.a_gamma_omega
+    return canonical(system.a_omega_omega - coupling)
 
 
 class BlockPreconditioner:
@@ -102,14 +90,14 @@ class BlockPreconditioner:
     The constructor takes any inner solves ``q_omega`` and ``q_gamma`` (maps
     from a block's residual to its correction), so a caller can build the
     same three-step apply with, say, sparse LU solves of the Schur and
-    interface blocks; ``hierarchies`` then may be empty.
+    interface blocks; ``hierarchies`` then may be empty. ``n_omega`` and
+    ``n_gamma`` are read from the shape of ``a_gamma_omega``.
     """
 
-    def __init__(self, kind, n_omega, n_gamma, q_omega, q_gamma, a_gamma_omega,
-                 a_omega_gamma, hierarchies):
+    def __init__(self, kind, q_omega, q_gamma, a_gamma_omega, a_omega_gamma, hierarchies):
+        _check_kind(kind)
         self.kind = kind
-        self.n_omega = n_omega
-        self.n_gamma = n_gamma
+        self.n_gamma, self.n_omega = a_gamma_omega.shape
         self._q_omega = q_omega
         self._q_gamma = q_gamma
         self._a_gamma_omega = a_gamma_omega
@@ -172,11 +160,11 @@ class BlockPreconditioner:
 def build_preconditioner(system: BlockSystem, kind: str = "ml") -> BlockPreconditioner:
     """Set up a block preconditioner for an assembled system.
 
-    The Schur complement is :func:`approx_schur`, the diagonal approximation
-    of the interface block inside it, which is exact when the interface block
-    is diagonal. Each diagonal block gets one AMG V-cycle; on a purely
-    diagonal interface block that is the exact diagonal solve. Each block is
-    sliced out of the system's operator once.
+    Set-up forms :func:`approx_schur` and sets up one AMG V-cycle for it and
+    one for the interface block; on a purely diagonal interface block that
+    is the exact diagonal solve. The interface and coupling blocks are
+    sliced after the Schur hierarchy is built, so they are not alive during
+    its set-up.
 
     Parameters
     ----------
@@ -184,19 +172,14 @@ def build_preconditioner(system: BlockSystem, kind: str = "ml") -> BlockPrecondi
     kind : {"ml", "bu", "bd"}
         Block lower triangular, upper triangular, or block diagonal.
     """
-    _check_kind(kind)
-    a_omega_gamma, a_gamma_omega = system.a_omega_gamma, system.a_gamma_omega
-    a_gamma_gamma = system.a_gamma_gamma
-    q_omega, h_omega = _vcycle(_schur_complement(system.a_omega_omega, a_omega_gamma,
-                                                 a_gamma_omega, a_gamma_gamma))
-    q_gamma, h_gamma = _vcycle(a_gamma_gamma)
+    _check_kind(kind)  # before any set-up work
+    h_omega = amg_setup(approx_schur(system))
+    h_gamma = amg_setup(system.a_gamma_gamma)
     return BlockPreconditioner(
         kind=kind,
-        n_omega=system.n_omega,
-        n_gamma=system.n_gamma,
-        q_omega=q_omega,
-        q_gamma=q_gamma,
-        a_gamma_omega=a_gamma_omega,
-        a_omega_gamma=a_omega_gamma,
+        q_omega=lambda r: apply_preconditioner_vcycle(h_omega, r),
+        q_gamma=lambda r: apply_preconditioner_vcycle(h_gamma, r),
+        a_gamma_omega=system.a_gamma_omega,
+        a_omega_gamma=system.a_omega_gamma,
         hierarchies={"schur": h_omega, "interface": h_gamma},
     )

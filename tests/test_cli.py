@@ -305,19 +305,16 @@ def test_explicit_flag_equal_to_the_default_beats_the_config(capsys, tmp_path):
     assert "did NOT converge in 3 iterations" in capsys.readouterr().out
 
 
-def test_precond_bl_is_an_alias_for_ml(capsys, tmp_path):
-    runs = []
-    for kind in ("bl", "ml"):
-        assert main(["sweep", "--geometry", "cross_2d", "--n", "8", "--precond", kind,
-                     "--format", "csv"]) == 0
-        runs.append(capsys.readouterr().out.splitlines())
-    header, bl, ml = runs[0][0].split(","), runs[0][1].split(","), runs[1][1].split(",")
-    kind, iterations = header.index("kind"), header.index("iterations")
-    assert bl[kind] == ml[kind] == "ml"
-    assert bl[iterations] == ml[iterations]
+def test_precond_bl_is_rejected(capsys, tmp_path):
+    # "bl" was an alias of "ml"; it is now an unknown kind like any other
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--geometry", "cross_2d", "--n", "4", "--precond", "bl"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bl'" in capsys.readouterr().err
     cfg = tmp_path / "bl.cfg"
     cfg.write_text("precond = bl\n")
-    assert main(["--config", str(cfg), "solve", "--geometry", "cross_2d", "--n", "4"]) == 0
+    assert main(["--config", str(cfg), "solve", "--geometry", "cross_2d", "--n", "4"]) == 2
+    assert capsys.readouterr().err == "error: unknown preconditioner kind 'bl' in precond_kinds\n"
 
 
 def _history_csv(history) -> str:

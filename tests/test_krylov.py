@@ -1,4 +1,6 @@
+import errno
 import functools
+import os
 import time
 
 import numpy as np
@@ -442,3 +444,40 @@ def test_basis_rows_live_in_a_private_mapping():
             assert perms.endswith("p"), line
             return
     pytest.fail("the basis rows lie in no mapping")
+
+
+@pytest.mark.skipif(not hasattr(krylov.mmap, "MAP_PRIVATE"), reason="mmap takes no flags here")
+def test_the_basis_is_reserved_without_committing_it(monkeypatch):
+    calls = []
+
+    def recording_mmap(fileno, length, **kwargs):
+        calls.append((fileno, length, kwargs))
+        return bytearray(length)
+
+    monkeypatch.setattr(krylov.mmap, "mmap", recording_mmap)
+    rows = krylov._reserve_rows(3, 4)
+    assert rows.shape == (3, 4) and rows.dtype == np.float64
+    noreserve = 0x4000 if krylov.sys.platform == "linux" else 0  # Linux's MAP_NORESERVE
+    assert calls == [(-1, 96, {"flags": krylov.mmap.MAP_PRIVATE | noreserve})]
+
+
+def test_a_refused_reservation_names_the_basis_and_restart(monkeypatch):
+    def refusing_mmap(code):
+        def mmap(fileno, length, **kwargs):
+            raise OSError(code, os.strerror(code))
+        return mmap
+
+    monkeypatch.setattr(krylov.mmap, "mmap", refusing_mmap(errno.ENOMEM))
+    with pytest.raises(MemoryError, match=r"^gmres: cannot reserve the Krylov basis of 501 rows "
+                                          r"of n = 2246535 \(9004112280 bytes\); a smaller "
+                                          r"restart reserves fewer rows$"):
+        krylov._reserve_rows(501, 2_246_535)
+    a = poisson1d(8)
+    with pytest.raises(MemoryError, match=r"basis of 501 rows of n = 8 "):
+        gmres(a, np.ones(8))
+    with pytest.raises(MemoryError, match=r"basis of 6 rows of n = 8 "):
+        gmres(a, np.ones(8), cfg=SolveConfig(restart=5))
+    monkeypatch.setattr(krylov.mmap, "mmap", refusing_mmap(errno.EINVAL))  # not a lack of memory
+    with pytest.raises(OSError) as exc:
+        krylov._reserve_rows(3, 4)
+    assert exc.type is OSError and exc.value.errno == errno.EINVAL

@@ -42,3 +42,4 @@ def test_a_traced_run_sees_every_patch_point():
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     assert metrics["amg.setups"] == 2 * metrics["precond.setups"] > 0, metrics
     assert metrics["amg.vcycles"] > 0, metrics
+    assert metrics["precond.schur_s"] > 0, metrics  # set-up forms it through approx_schur

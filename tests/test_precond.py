@@ -16,7 +16,7 @@ from mdsolve.grids import (
     build_regular_network_3d,
 )
 from mdsolve.krylov import SolveConfig, gmres
-from mdsolve.precond import approx_schur, build_preconditioner
+from mdsolve.precond import BlockPreconditioner, approx_schur, build_preconditioner
 import scipy.sparse as sp
 
 from mdsolve.sparse import SingularMatrixError, canonical, csr_equal
@@ -176,7 +176,9 @@ def test_approx_schur_equals_the_triplet_merge_byte_for_byte():
 BLOCKS = ("a_omega_omega", "a_omega_gamma", "a_gamma_omega", "a_gamma_gamma")
 
 
-def test_set_up_slices_each_block_once(monkeypatch):
+def test_set_up_slices_the_subdomain_block_once(monkeypatch):
+    """Set-up slices A_oo once, for the Schur complement; the interface and
+    coupling blocks are sliced for it and again after its hierarchy is built."""
     system = cross_system(8, k_parallel=1e4, kappa=1e-4)
     reads = dict.fromkeys(BLOCKS, 0)
     for name in BLOCKS:
@@ -185,24 +187,24 @@ def test_set_up_slices_each_block_once(monkeypatch):
             return fget(self)
         monkeypatch.setattr(BlockSystem, name, property(counted))
     build_preconditioner(system)
-    assert reads == dict.fromkeys(BLOCKS, 1)
+    assert reads == {"a_omega_omega": 1, "a_omega_gamma": 2, "a_gamma_omega": 2,
+                     "a_gamma_gamma": 2}
 
 
 def test_set_up_frees_the_schur_complement_it_builds(monkeypatch):
-    """The Schur complement that set-up builds from the sliced blocks is
-    :func:`approx_schur`'s byte for byte, and no part of the built
-    preconditioner keeps it: the hierarchy holds no operator."""
+    """Set-up builds the Schur complement through :func:`approx_schur`, and
+    no part of the built preconditioner keeps it: the hierarchy holds no
+    operator."""
     system = cross_system(8, k_parallel=1e4, kappa=1e-4)
     want = approx_schur(system)
     built = []
-    schur_complement = mdsolve.precond._schur_complement
 
-    def capture(*blocks):
-        schur = schur_complement(*blocks)
+    def capture(s):
+        schur = approx_schur(s)
         built.append((_same_bytes(schur, want), weakref.ref(schur)))
         return schur
 
-    monkeypatch.setattr(mdsolve.precond, "_schur_complement", capture)
+    monkeypatch.setattr(mdsolve.precond, "approx_schur", capture)
     prec = build_preconditioner(system)
     gc.collect()
     [(same, ref)] = built
@@ -359,11 +361,23 @@ def test_apply_is_linear():
 
 def test_mode_validation():
     sys_ = cross_system(2)
-    for kind in ("xl", "bl"):  # "bl" ran the same code as "ml"; only the CLI keeps the name
+    for kind in ("xl", "bl"):  # "bl" ran the same code as "ml"; the CLI dropped it too
         with pytest.raises(ValueError, match="kind"):
             build_preconditioner(sys_, kind=kind)
     with pytest.raises(ValueError, match="length"):
         build_preconditioner(sys_).apply(np.zeros(3))
+
+
+def test_the_constructor_checks_the_kind_and_reads_the_sizes():
+    sys_ = cross_system(2)
+    parts = dict(q_omega=lambda r: r, q_gamma=lambda r: r, a_gamma_omega=sys_.a_gamma_omega,
+                 a_omega_gamma=sys_.a_omega_gamma, hierarchies={})
+    prec = BlockPreconditioner(kind="bd", **parts)
+    assert (prec.n_omega, prec.n_gamma) == (sys_.n_omega, sys_.n_gamma)
+    assert sys_.n_omega != sys_.n_gamma
+    # "xl" used to be accepted and applied the block-diagonal branch
+    with pytest.raises(ValueError, match=r"^unknown preconditioner kind 'xl', expected one of "):
+        BlockPreconditioner(kind="xl", **parts)
 
 
 def test_hierarchies_are_exposed_for_stats():

@@ -418,8 +418,6 @@ def exact_preconditioner(system, kind: str = "ml") -> BlockPreconditioner:
     schur = exact_schur(system)
     return BlockPreconditioner(
         kind=kind,
-        n_omega=system.n_omega,
-        n_gamma=system.n_gamma,
         q_omega=solve(schur, "Schur"),
         q_gamma=solve(system.a_gamma_gamma.toarray(), "interface"),
         a_gamma_omega=system.a_gamma_omega,
@@ -437,8 +435,6 @@ def lu_preconditioner(system, kind: str = "ml") -> BlockPreconditioner:
     schur = approx_schur(system)
     return BlockPreconditioner(
         kind=kind,
-        n_omega=system.n_omega,
-        n_gamma=system.n_gamma,
         q_omega=spla.splu(schur.tocsc()).solve,
         q_gamma=spla.splu(system.a_gamma_gamma.tocsc()).solve,
         a_gamma_omega=system.a_gamma_omega,
