@@ -170,7 +170,9 @@ def sweep_systems(spec: SweepSpec):
 
 
 def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+    """``<ExceptionType>: <message>``; any lack of memory reads ``MemoryError``."""
+    kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    return f"{kind}: {exc}"
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -231,7 +233,8 @@ def _format_value(v):
 def emit_table(result: SweepResult, fmt: str = "aligned-text") -> str:
     """Render a sweep as csv, aligned-text, or markdown.
 
-    The first two are lossless row dumps. Markdown pivots iteration counts
+    The first two dump every row: csv losslessly, aligned-text with floats
+    rounded to 4 significant digits. Markdown pivots iteration counts
     into one column per mesh size, one row per parameter pair and
     preconditioner kind, the way robustness tables are usually typeset;
     unconverged entries are starred.

@@ -3,15 +3,15 @@
 Subcommands cover each pipeline stage: ``generate`` (grid summaries),
 ``assemble`` (block statistics), ``export`` / ``import`` (file exchange),
 ``solve`` (one system), ``sweep`` (parameter grids), and ``amg-stats``
-(hierarchy dumps). Flags can be preloaded from a plain-text
-config file of ``key = value`` lines, where keys are the long names of the
-flags that take a value (``LIST_KEYS`` and ``SCALAR_KEYS``), with dashes or
-underscores, except that ``--import`` is ``import_path``; ``--history-csv``
-and ``--json`` have no key. List-valued flags take comma-separated values,
-and explicit command-line flags win. The flags of every subcommand that
-builds a grid or a system become one :class:`~mdsolve.bench.SweepSpec`, so a
-flag given nowhere keeps the ``SweepSpec`` or ``SolveConfig`` default, and
-``solve`` is a one-row :func:`~mdsolve.bench.run_sweep`.
+(hierarchy dumps). Flags can be preloaded from a plain-text config file of
+``key = value`` lines. A key is the dest of a subcommand flag that takes a
+value, with dashes or underscores (``--import`` is ``import_path``), and the
+flag's own argparse action casts and checks it: its ``type``, its
+``choices``, and comma-separated values for a repeatable flag. Explicit
+command-line flags win. The flags of every subcommand that builds a grid or
+a system become one :class:`~mdsolve.bench.SweepSpec`, so a flag given
+nowhere keeps the ``SweepSpec`` or ``SolveConfig`` default, and ``solve`` is
+a one-row :func:`~mdsolve.bench.run_sweep`.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ from .krylov import SolveConfig
 from .precond import KINDS, build_preconditioner
 from .sysio import export_system, import_system
 
-# every flag defaults to None so "was it given explicitly" is visible; these
-# cast the values of a config file
-LIST_KEYS = {"n": int, "kpar": float, "kappa": float, "precond": str}
-SCALAR_KEYS = {
-    "geometry": str, "num_fractures": int, "num_planes": int, "seed": int,
-    "import_path": str, "matrix_perm": float, "tol": float, "max_iters": int,
-    "restart": int, "format": str, "out": str,
-}
+# every flag defaults to None so "was it given explicitly" is visible;
 # flag -> SweepSpec or SolveConfig field; run defaults live there alone
 SPEC_FIELDS = {
     "geometry": "geometry", "n": "mesh_sizes", "kpar": "k_parallel_values",
@@ -44,7 +37,6 @@ SPEC_FIELDS = {
     "num_planes": "num_planes", "seed": "seed", "import_path": "import_path",
 }
 SOLVER_FIELDS = {"tol": "rel_tol", "max_iters": "max_iters", "restart": "restart"}
-OUTPUT_DEFAULTS = {"format": "aligned-text"}
 
 
 def _read_config(path) -> dict:
@@ -61,45 +53,41 @@ def _read_config(path) -> dict:
     return values
 
 
-def _parse(kind, text: str, key: str, path):
-    """Cast one config value, naming the key and the file if it does not
-    parse, as argparse names the flag."""
+def _value(action, text: str, key: str, path):
+    """Cast and check one config value with its flag's action, naming the key
+    and the file where argparse would name the flag."""
+    kind = action.type or str
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValueError(f"config {path}, key {key!r}: invalid {kind.__name__} value: "
                          f"{text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config {path}, key {key!r}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, action.choices))})")
+    return value
 
 
-def _apply_config(args, config: dict, path):
+def _apply_config(args, config: dict, path, parser):
     """Fill config values into flags the user did not give.
 
     Keys the current subcommand does not use are ignored, so one config file
-    can serve several subcommands; keys no subcommand knows are rejected, and
-    a value that does not parse names its key and the file.
+    can serve several subcommands; keys no subcommand knows are rejected.
     """
-    for key, value in config.items():
-        if key not in LIST_KEYS and key not in SCALAR_KEYS:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for p in sub.choices.values() for a in p._actions
+               if a.option_strings and a.nargs != 0}  # the flags that take a value
+    for key, text in config.items():
+        if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
         if not hasattr(args, key) or getattr(args, key) is not None:
             continue  # the subcommand has no such flag, or it was given
-        if key in LIST_KEYS:
-            setattr(args, key, [_parse(LIST_KEYS[key], p.strip(), key, path)
-                                for p in value.split(",") if p.strip()])
+        action = actions[key]
+        if isinstance(action, argparse._AppendAction):
+            setattr(args, key, [_value(action, p.strip(), key, path)
+                                for p in text.split(",") if p.strip()])
         else:
-            setattr(args, key, _parse(SCALAR_KEYS[key], value, key, path))
-    return args
-
-
-def _fill_defaults(args):
-    """Give unset output flags their defaults and check the table format a
-    config file may have set."""
-    for key, default in OUTPUT_DEFAULTS.items():
-        if getattr(args, key, default) is None:
-            setattr(args, key, default)
-    if getattr(args, "format", None) not in (None, *TABLE_FORMATS):
-        raise ValueError(f"unknown table format {args.format!r}, expected one of {TABLE_FORMATS}")
-    return args
+            setattr(args, key, _value(action, text, key, path))
 
 
 def _add_geometry_flags(p):
@@ -183,10 +171,10 @@ def _spec(args) -> SweepSpec:
     """
     given = {key: value for key, value in vars(args).items() if value not in (None, [])}
     if args.command != "sweep":
-        for key in LIST_KEYS:
-            if len(given.get(key, ())) > 1:
+        for key, value in given.items():
+            if isinstance(value, list) and len(value) > 1:
                 raise ValueError(f"this subcommand takes exactly one --{key}")
-    fields = {field: tuple(given[key]) if key in LIST_KEYS else given[key]
+    fields = {field: tuple(given[key]) if isinstance(given[key], list) else given[key]
               for key, field in SPEC_FIELDS.items() if key in given}
     solver = {field: given[key] for key, field in SOLVER_FIELDS.items() if key in given}
     return SweepSpec(**fields, solver=SolveConfig(**solver))
@@ -202,8 +190,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, _read_config(args.config), args.config)
-        return _dispatch(_fill_defaults(args))
+            _apply_config(args, _read_config(args.config), args.config, parser)
+        return _dispatch(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -234,7 +222,7 @@ def _dispatch(args) -> int:
         (row,) = run_sweep(_spec(args)).rows
         if row.error:
             print(f"error: {row.error}", file=sys.stderr)
-            return 2
+            return 3 if row.error.startswith("MemoryError:") else 2
         status = "converged" if row.converged else "did NOT converge"
         print(f"{status} in {row.iterations} iterations "
               f"(true relative residual {row.residual:.3e}, "
@@ -248,7 +236,7 @@ def _dispatch(args) -> int:
 
     if cmd == "sweep":
         result = run_sweep(_spec(args))
-        table = emit_table(result, args.format)
+        table = emit_table(result, args.format or "aligned-text")
         if args.out:
             Path(args.out).write_text(table)
             print(f"table written to {args.out}")

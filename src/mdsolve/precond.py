@@ -154,8 +154,6 @@ class BlockPreconditioner:
             z_gamma = self._q_gamma(r_gamma)
         return np.concatenate([z_omega, z_gamma])
 
-    __call__ = apply
-
 
 def build_preconditioner(system: BlockSystem, kind: str = "ml") -> BlockPreconditioner:
     """Set up a block preconditioner for an assembled system.
