@@ -68,8 +68,10 @@ class SweepSpec:
             check_count(name, getattr(self, name))
         if any(n < 2 for n in self.mesh_sizes) and self.geometry != "imported":
             raise ValueError("mesh sizes must be at least 2")
-        if any(v <= 0 for v in self.k_parallel_values + self.kappa_values):
-            raise ValueError("permeability values must be positive")
+        for name in ("k_parallel_values", "kappa_values", "matrix_permeability"):
+            for v in np.ravel(getattr(self, name)):
+                if not (np.isfinite(v) and v > 0):
+                    raise ValueError(f"{name} must be positive and finite, got {float(v)}")
         unknown = [k for k in self.precond_kinds if k not in KINDS + ("none",)]
         if unknown:
             raise ValueError(f"unknown preconditioner kind {unknown[0]!r} in precond_kinds")

@@ -84,8 +84,11 @@ def _apply_config(args, config: dict, path, parser):
             continue  # the subcommand has no such flag, or it was given
         action = actions[key]
         if isinstance(action, argparse._AppendAction):
-            setattr(args, key, [_value(action, p.strip(), key, path)
-                                for p in text.split(",") if p.strip()])
+            values = [_value(action, p.strip(), key, path) for p in text.split(",") if p.strip()]
+            if not values:
+                raise ValueError(f"config {path}, key {key!r}: expected comma-separated "
+                                 f"values, got {text!r}")
+            setattr(args, key, values)
         else:
             setattr(args, key, _value(action, text, key, path))
 

@@ -23,8 +23,6 @@ __all__ = [
     "csr_equal",
     "read_matrix_market",
     "write_matrix_market",
-    "read_vector_market",
-    "write_vector_market",
 ]
 
 
@@ -109,27 +107,3 @@ def read_matrix_market(path) -> CsrMatrix:
     """
     return canonical(scipy.io.mmread(str(path)))
 
-
-def write_vector_market(path, v: np.ndarray):
-    """Write a 1-d vector as an n-by-1 coordinate, ``general`` Matrix Market file.
-
-    The coordinate encoding sidesteps a scipy hang on zero-length dense
-    arrays and stays lossless (implicit entries read back as zeros).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("write_vector_market expects a 1-d array")
-    scipy.io.mmwrite(str(path), sp.coo_matrix(v.reshape(-1, 1)), field="real", symmetry="general")
-
-
-def read_vector_market(path) -> np.ndarray:
-    """Read an n-by-1 Matrix Market file (coordinate or array) as a 1-d vector."""
-    v = scipy.io.mmread(str(path))
-    if sp.issparse(v):
-        v = v.toarray()
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 2:
-        if v.shape[1] != 1:
-            raise ValueError(f"expected an n-by-1 vector file, got shape {v.shape}")
-        v = v[:, 0]
-    return v

@@ -1,13 +1,14 @@
 """Block system exchange on disk.
 
-A system is stored as a directory of four coordinate Matrix Market files,
-one per block sliced out of the system's operator, two n-by-1 coordinate
-Matrix Market files for the right-hand sides, and a JSON sidecar recording
-the DOF partition. The writer emits full-precision values, so an
-export/import round trip reproduces every block bit for bit. Import rejects
-NaN and inf values and validates the sidecar against the matrices and the
-exact-transpose contract between the two coupling blocks, so externally
-generated systems are checked before any solve touches them.
+A system is stored as a directory of six coordinate, ``general`` Matrix
+Market files under fixed names: one per block sliced out of the system's
+operator and an n-by-1 file per right-hand side. A JSON sidecar records the
+DOF partition and lists the six names, which must be the fixed ones. The
+writer emits full-precision values, so an export/import round trip
+reproduces every block bit for bit. Import rejects NaN and inf values and
+validates the sidecar against the matrices and the exact-transpose contract
+between the two coupling blocks, so externally generated systems are
+checked before any solve touches them.
 """
 
 from __future__ import annotations
@@ -16,16 +17,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import BlockSystem
 from .grids import DofPartition
-from .sparse import (
-    csr_equal,
-    read_matrix_market,
-    read_vector_market,
-    write_matrix_market,
-    write_vector_market,
-)
+from .sparse import csr_equal, read_matrix_market, write_matrix_market
 
 __all__ = ["export_system", "import_system", "SIDECAR_NAME"]
 
@@ -48,12 +44,11 @@ def export_system(system: BlockSystem, directory) -> Path:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_matrix_market(directory / _FILES["a_omega_omega"], system.a_omega_omega)
-    write_matrix_market(directory / _FILES["a_omega_gamma"], system.a_omega_gamma)
-    write_matrix_market(directory / _FILES["a_gamma_omega"], system.a_gamma_omega)
-    write_matrix_market(directory / _FILES["a_gamma_gamma"], system.a_gamma_gamma)
-    write_vector_market(directory / _FILES["rhs_omega"], system.rhs_omega)
-    write_vector_market(directory / _FILES["rhs_gamma"], system.rhs_gamma)
+    for key, name in _FILES.items():
+        value = getattr(system, key)
+        if key.startswith("rhs"):
+            value = sp.coo_array(value[:, None])
+        write_matrix_market(directory / name, value)
     sidecar = {
         "format": "mdsolve-block-system",
         "version": 1,
@@ -94,13 +89,13 @@ def import_system(directory) -> BlockSystem:
     ValueError
         Naming the sidecar if it is not valid JSON or not a block system,
         naming the sidecar and the key if the sidecar lacks one or holds a
-        value of the wrong shape (not an integer, a list of ``[id, start,
-        stop]`` integer lists or an object of file names, each a plain name
-        of a file in ``directory``), naming the file of a block or
-        right-hand side that holds a NaN or inf, or naming the mismatch if
-        the sidecar partition does not sum to the matrix sizes, if block
-        shapes disagree, or if the coupling blocks are not exact transposes
-        of each other.
+        value of the wrong shape (not an integer, not a list of ``[id,
+        start, stop]`` integer lists, or a ``files`` object other than the
+        fixed names), naming the file of a block or right-hand side that
+        holds a NaN or inf or of a right-hand side that is not n-by-1, or
+        naming the mismatch if the sidecar partition does not sum to the
+        matrix sizes, if a block's shape disagrees with it, or if the
+        coupling blocks are not exact transposes of each other.
     """
     directory = Path(directory)
     sidecar_path = directory / SIDECAR_NAME
@@ -117,16 +112,8 @@ def import_system(directory) -> BlockSystem:
     for key in ("n_omega", "n_gamma", "omega_ranges", "gamma_ranges"):
         if key not in meta:
             raise ValueError(f"sidecar {sidecar_path} has no key {key!r}")
-    files = meta.get("files", _FILES)
-    if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
-        raise _sidecar_error(sidecar_path, "files", "an object of file names", files)
-    for key in _FILES:
-        if key not in files:
-            raise ValueError(f"sidecar {sidecar_path} has no key {key!r} in 'files'")
-        name = files[key]
-        if Path(name).name != name or name in ("", ".", ".."):
-            raise _sidecar_error(sidecar_path, "files",
-                                 f"a file name in {directory} for {key!r}", name)
+    if meta.get("files", _FILES) != _FILES:
+        raise _sidecar_error(sidecar_path, "files", f"the file names {_FILES}", meta["files"])
     for key in ("n_omega", "n_gamma"):
         if not _is_int(meta[key]):
             raise _sidecar_error(sidecar_path, key, "an integer", meta[key])
@@ -135,15 +122,14 @@ def import_system(directory) -> BlockSystem:
     gamma_ranges = _ranges(sidecar_path, "gamma_ranges", meta["gamma_ranges"])
     partition = DofPartition(omega_ranges, gamma_ranges)
 
-    blocks = {key: read_matrix_market(directory / files[key]) for key in
-              ("a_omega_omega", "a_omega_gamma", "a_gamma_omega", "a_gamma_gamma")}
-    rhs_omega = read_vector_market(directory / files["rhs_omega"])
-    rhs_gamma = read_vector_market(directory / files["rhs_gamma"])
-    values = {key: block.data for key, block in blocks.items()}
-    values.update(rhs_omega=rhs_omega, rhs_gamma=rhs_gamma)
-    for key, v in values.items():
-        if not np.isfinite(v).all():
-            raise ValueError(f"{directory / files[key]} holds a non-finite value (nan or inf)")
+    read = {key: read_matrix_market(directory / name) for key, name in _FILES.items()}
+    for key, m in read.items():
+        if not np.isfinite(m.data).all():
+            raise ValueError(f"{directory / _FILES[key]} holds a non-finite value (nan or inf)")
+        if key.startswith("rhs") and m.shape[1] != 1:
+            raise ValueError(f"{directory / _FILES[key]}: expected an n-by-1 vector file, "
+                             f"got shape {m.shape}")
+    rhs = {key: read.pop(key).toarray()[:, 0] for key in ("rhs_omega", "rhs_gamma")}
 
     omega_sum = sum(stop - start for _, start, stop in omega_ranges)
     gamma_sum = sum(stop - start for _, start, stop in gamma_ranges)
@@ -155,17 +141,11 @@ def import_system(directory) -> BlockSystem:
         raise ValueError(
             f"sidecar gamma ranges sum to {gamma_sum} dofs but n_gamma = {n_gamma}"
         )
-    if blocks["a_omega_omega"].shape != (n_omega, n_omega):
-        raise ValueError(
-            f"a_omega_omega has shape {blocks['a_omega_omega'].shape}, "
-            f"sidecar partition implies ({n_omega}, {n_omega})"
-        )
     partition.validate()
 
-    if not csr_equal(blocks["a_omega_gamma"], blocks["a_gamma_omega"].T.tocsr()):
+    if not csr_equal(read["a_omega_gamma"], read["a_gamma_omega"].T.tocsr()):
         raise ValueError(
             "a_omega_gamma is not the exact transpose of a_gamma_omega; "
             "this importer only accepts systems honoring that contract"
         )
-    return BlockSystem.from_blocks(**blocks, rhs_omega=rhs_omega, rhs_gamma=rhs_gamma,
-                                   partition=partition)
+    return BlockSystem.from_blocks(**read, **rhs, partition=partition)

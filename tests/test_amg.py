@@ -236,6 +236,20 @@ def test_coarsest_level_above_max_coarse_size_warns(monkeypatch):
     assert [lev.n for lev in h.levels] == [1024, 176]
 
 
+def test_a_stalled_aggregation_stops_coarsening_and_warns():
+    # off-diagonals of 0.01 * diag are all weak: every row is its own
+    # aggregate, so the first level is the coarsest and is solved exactly
+    n = 100
+    off = -0.01 * 2.0 * np.ones(n - 1)
+    a = canonical(sp.diags_array([2.0 * np.ones(n), off, off], offsets=[0, -1, 1]))
+    with pytest.warns(AmgSetupWarning, match=r"has 100 rows after 1 levels"):
+        h = amg_setup(a)
+    assert [lev.n for lev in h.levels] == [n]
+    b = np.random.default_rng(0).standard_normal(n)
+    x = v_cycle(h, b)
+    assert np.linalg.norm(a @ x - b) <= 1e-14 * np.linalg.norm(b)
+
+
 def test_healthy_hierarchy_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AmgSetupWarning)

@@ -218,6 +218,17 @@ def test_spec_validation():
         small_spec(precond_kinds=("bl",))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k_parallel_values", (1.0, np.inf)), ("kappa_values", (np.nan,)),
+    ("kappa_values", (-1.0,)), ("matrix_permeability", 0.0), ("matrix_permeability", np.inf),
+], ids=["kpar-inf", "kappa-nan", "kappa-negative", "matrix-perm-zero", "matrix-perm-inf"])
+def test_spec_rejects_a_permeability_that_is_not_positive_and_finite(field, value):
+    # the spec is checked when it is made, before run_sweep builds any grid
+    bad = float(np.ravel(value)[-1])
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {bad}$"):
+        small_spec(**{field: value})
+
+
 def test_spec_rejects_unknown_set_up_modes():
     # every set-up is one AMG V-cycle per block; there is no mode to choose
     for name in ("inner_omega", "inner_gamma"):

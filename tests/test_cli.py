@@ -263,7 +263,9 @@ def test_there_is_no_inner_solve_flag(flag, capsys):
     ("n = abc", "key 'n': invalid int value: 'abc'"),
     ("tol = 1e-6x", "key 'tol': invalid float value: '1e-6x'"),
     ("n = 4, x", "key 'n': invalid int value: 'x'"),
-], ids=["int", "float", "list_item"])
+    ("n =", "key 'n': expected comma-separated values, got ''"),
+    ("kappa = , ,", "key 'kappa': expected comma-separated values, got ', ,'"),
+], ids=["int", "float", "list_item", "empty_list", "list_without_items"])
 def test_a_config_value_that_does_not_parse_names_its_key_and_file(line, message, capsys,
                                                                   tmp_path, monkeypatch):
     def no_grid(*args):
@@ -439,3 +441,41 @@ def test_import_and_solve_reject_a_non_finite_block(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == 2 * f"error: {path} holds a non-finite value (nan or inf)\n"
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--kpar", "1", "--kpar", "inf"], "k_parallel_values must be positive and finite, got inf"),
+    (["--kappa", "nan"], "kappa_values must be positive and finite, got nan"),
+    (["--matrix-perm", "-1"], "matrix_permeability must be positive and finite, got -1.0"),
+    (["--matrix-perm", "inf"], "matrix_permeability must be positive and finite, got inf"),
+], ids=["kpar-inf", "kappa-nan", "matrix-perm-negative", "matrix-perm-inf"])
+def test_a_non_finite_permeability_exits_2_before_any_grid(flags, named, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(mdsolve.bench, "build_grid", no_grid)
+    assert main(["sweep", "--n", "64", "--n", "128", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {named}\n")
+
+
+def test_markdown_marks_a_failed_set_up_and_an_unconverged_solve(capsys, tmp_path):
+    target = export_zero_interface_diagonal(tmp_path / "system")
+    assert main(["sweep", "--geometry", "imported", "--import", target, "--precond", "ml",
+                 "--precond", "none", "--max-iters", "1", "--format", "markdown"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "| K_par | kappa | precond | n=16 |",
+        "| --- | --- | --- | --- |",
+        "| 1 | 1 | ml | fail |",
+        "| 1 | 1 | none | 1* |",
+    ]
+
+
+def test_import_names_a_subdomain_block_of_the_wrong_shape(capsys, tmp_path):
+    system = assemble(build_cross_2d(4), PhysicalParams())
+    export_system(system, tmp_path)
+    n = system.n_omega
+    a = system.a_omega_omega.toarray()
+    write_matrix_market(tmp_path / "a_omega_omega.mtx", canonical(np.pad(a, ((0, 1), (0, 1)))))
+    assert main(["import", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: a_omega_omega has shape ({n + 1}, {n + 1}), "
+                                       f"expected ({n}, {n})\n")

@@ -507,6 +507,42 @@ def test_validate_rejects_range_mismatches():
         replace(grid, dof_partition=gamma).validate()
 
 
+def _gap_before_first_range(part):
+    (i0, a0, b0), *rest = part.omega_ranges
+    return replace(part, omega_ranges=((i0, a0 + 1, b0), *rest))
+
+
+# changes to the layout of build_cross_2d(4), whose interface 3 couples the
+# 2d matrix (subdomain 0) to the 1d fracture subdomain 2
+LAYOUT_CORRUPTIONS = {
+    "duplicate-subdomain-id": (lambda g: replace(g, subdomains=g.subdomains + g.subdomains[:1]),
+                               "duplicate subdomain ids"),
+    "duplicate-interface-id": (lambda g: replace(g, interfaces=g.interfaces + g.interfaces[:1]),
+                               "duplicate interface ids"),
+    "dim-out-of-range": (lambda g: _corrupt_subdomain(g, 2, lambda s: replace(s, dim=3)),
+                         "subdomain 2 has dim 3 outside 0..2"),
+    "short-cell-array": (
+        lambda g: _corrupt_subdomain(g, 2, lambda s: replace(s, cell_volumes=s.cell_volumes[1:])),
+        "subdomain 2: cell array lengths mismatch"),
+    "unknown-neighbour": (lambda g: _corrupt_interface(g, 3, lambda i: replace(i, lower_id=99)),
+                          "interface 3: unknown neighbor id"),
+    "broken-dimension-chain": (lambda g: _corrupt_interface(g, 3, lambda i: replace(i, dim=0)),
+                               re.escape("interface 3: dimension chain broken "
+                                         "(higher 2, lower 1, interface 0)")),
+    "non-contiguous-ranges": (lambda g: replace(g, dof_partition=_gap_before_first_range(
+                                  g.dof_partition)),
+                              "DOF ranges must be contiguous and ordered"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(LAYOUT_CORRUPTIONS))
+def test_validate_rejects_a_corrupt_layout(what):
+    change, message = LAYOUT_CORRUPTIONS[what]
+    grid = change(build_cross_2d(4))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        grid.validate()
+
+
 def test_validate_allows_one_cell_on_both_sides_of_an_interface():
     # a face is the pair (cell, side): one cell may meet the mortar on both sides
     grid = build_cross_2d(4)

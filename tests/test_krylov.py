@@ -32,6 +32,17 @@ def test_zero_rhs_returns_zero_without_iterating():
     assert report.true_residual == 0.0
 
 
+def test_a_start_already_within_tolerance_returns_without_iterating():
+    # the zero start has relative residual 1.0, which rel_tol = 1.0 accepts
+    def no_apply(x):
+        raise AssertionError("the preconditioner was applied")
+
+    report = gmres(poisson1d(5), np.ones(5), no_apply, SolveConfig(rel_tol=1.0))
+    assert report.converged and report.iterations == 0
+    assert report.residual_history.tolist() == [1.0]
+    assert not report.solution.any() and report.true_residual == 1.0
+
+
 def test_exact_lower_preconditioner_needs_at_most_two_iterations():
     sys_ = assemble(build_cross_2d(4), PhysicalParams(k_parallel=1e3, kappa=1e-2))
     a = monolithic(sys_)

@@ -17,9 +17,7 @@ from mdsolve.sparse import (
     csr_equal,
     csr_from_triplets,
     read_matrix_market,
-    read_vector_market,
     write_matrix_market,
-    write_vector_market,
 )
 from mdsolve.precond import BlockPreconditioner, approx_schur
 
@@ -528,21 +526,6 @@ def test_matrix_market_roundtrip_is_bit_exact(tmp_path):
         assert got.astype(np.int64).tobytes() == want.astype(np.int64).tobytes()
     assert back.data.tobytes() == a.data.tobytes()
     assert csr_equal(back, a)
-
-
-def test_vector_market_roundtrip(tmp_path):
-    v = np.random.default_rng(4).standard_normal(11)
-    path = tmp_path / "v.mtx"
-    write_vector_market(path, v)
-    assert np.array_equal(read_vector_market(path), v)
-
-
-def test_one_entry_vector_is_written_general(tmp_path):
-    # scipy detects a 1-by-1 matrix as symmetric unless told otherwise
-    path = tmp_path / "v.mtx"
-    write_vector_market(path, np.array([2.5]))
-    assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate real general"
-    assert read_vector_market(path).tobytes() == np.array([2.5]).tobytes()
 
 
 def test_symmetric_encoding_matches_general(tmp_path):
