@@ -10,9 +10,10 @@ failures are recorded in their row and do not abort the sweep.
 
 from __future__ import annotations
 
+import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,16 +87,16 @@ class SweepSpec:
                     )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SweepRow:
-    """One solve of a sweep.
+    """One solve of a sweep, built by keyword in :func:`run_sweep`; the
+    outcome fields keep their defaults until the set-up or solve fills them.
 
     ``setup_seconds`` is the preconditioner set-up time on the row that built
     it and 0.0 on rows that reused it: set-up is shared across the kinds of
     one ``(n, K_par, kappa)`` system. ``error`` holds the exception text of a
     failed set-up or solve, and is empty otherwise. ``history`` is the
-    solve's residual history (empty when it did not run); it is not a table
-    column.
+    solve's residual history; ``FIELDS``, the table columns, are the others.
     """
 
     geometry: str
@@ -103,24 +104,21 @@ class SweepRow:
     k_parallel: float
     kappa: float
     kind: str
-    iterations: int
-    converged: bool
-    residual: float
-    setup_seconds: float
-    solve_seconds: float
+    iterations: int = 0
+    converged: bool = False
+    residual: float = np.nan
+    setup_seconds: float = 0.0
+    solve_seconds: float = 0.0
     n_omega: int
     n_gamma: int
     error: str = ""
     history: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    FIELDS = (
-        "geometry", "n", "k_parallel", "kappa", "kind", "iterations",
-        "converged", "residual", "setup_seconds", "solve_seconds",
-        "n_omega", "n_gamma", "error",
-    )
-
     def as_tuple(self):
         return tuple(getattr(self, f) for f in self.FIELDS)
+
+
+SweepRow.FIELDS = tuple(f.name for f in fields(SweepRow) if f.name != "history")
 
 
 @dataclass
@@ -192,12 +190,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         operator, rhs = monolithic(system), system.rhs  # rhs is a new array on every read
         shared = None  # this system's preconditioner, or its set-up error text
         for kind in spec.precond_kinds:
-            row = SweepRow(
-                geometry=spec.geometry, n=n, k_parallel=k_par, kappa=kappa,
-                kind=kind, iterations=0, converged=False, residual=np.nan,
-                setup_seconds=0.0, solve_seconds=0.0,
-                n_omega=system.n_omega, n_gamma=system.n_gamma,
-            )
+            row = SweepRow(geometry=spec.geometry, n=n, k_parallel=k_par, kappa=kappa,
+                           kind=kind, n_omega=system.n_omega, n_gamma=system.n_gamma)
             if kind != "none" and shared is None:
                 t0 = time.perf_counter()
                 try:
@@ -235,61 +229,42 @@ def _format_value(v):
 def emit_table(result: SweepResult, fmt: str = "aligned-text") -> str:
     """Render a sweep as csv, aligned-text, or markdown.
 
-    The first two dump every row: csv losslessly, aligned-text with floats
-    rounded to 4 significant digits. Markdown pivots iteration counts
+    The first two dump every row, one column per :attr:`SweepRow.FIELDS`
+    entry. csv is lossless: a float cell, numpy floats included, is the
+    ``repr`` of the Python float, so ``float()`` reads it back exactly.
+    aligned-text rounds floats to 4 significant digits and pads each column
+    to its widest cell, header included. Markdown pivots iteration counts
     into one column per mesh size, one row per parameter pair and
     preconditioner kind, the way robustness tables are usually typeset;
-    unconverged entries are starred.
+    unconverged entries are starred and failed ones read ``fail``.
     """
     if fmt == "csv":
         out = io.StringIO()
-        import csv
-
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SweepRow.FIELDS)
-        for row in result.rows:
-            writer.writerow([_format_csv(v) for v in row.as_tuple()])
+        writer.writerows([repr(float(v)) if isinstance(v, float) else _format_value(v)
+                          for v in row.as_tuple()] for row in result.rows)
         return out.getvalue()
     if fmt == "aligned-text":
-        header = list(SweepRow.FIELDS)
-        table = [[_format_value(v) for v in row.as_tuple()] for row in result.rows]
-        widths = [max(len(h), *(len(r[i]) for r in table)) if table else len(h)
-                  for i, h in enumerate(header)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        for r in table:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        return "\n".join(lines) + "\n"
+        table = [SweepRow.FIELDS, *([_format_value(v) for v in row.as_tuple()]
+                                    for row in result.rows)]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n"
+                       for r in table)
     if fmt == "markdown":
         return _emit_markdown(result)
     raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
 
 
-def _format_csv(v):
-    if isinstance(v, bool):
-        return "yes" if v else "no"
-    if isinstance(v, float):
-        return repr(v)
-    return v
-
-
 def _emit_markdown(result: SweepResult) -> str:
     sizes = list(dict.fromkeys(row.n for row in result.rows))
-    cells = {}
-    order = []
+    cells = {}  # (K_par, kappa, kind) -> {n: mark}, in first-seen order
     for row in result.rows:
-        key = (row.k_parallel, row.kappa, row.kind)
-        if key not in cells:
-            cells[key] = {}
-            order.append(key)
         mark = str(row.iterations) if row.converged else (
             "fail" if row.error else f"{row.iterations}*"
         )
-        cells[key][row.n] = mark
+        cells.setdefault((row.k_parallel, row.kappa, row.kind), {})[row.n] = mark
     header = ["K_par", "kappa", "precond"] + [f"n={n}" for n in sizes]
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    for k_par, kappa, kind in order:
-        row = [_format_value(k_par), _format_value(kappa), kind]
-        row += [cells[(k_par, kappa, kind)].get(n, "") for n in sizes]
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+    body = [[_format_value(k_par), _format_value(kappa), kind] + [marks.get(n, "") for n in sizes]
+            for (k_par, kappa, kind), marks in cells.items()]
+    return "".join("| " + " | ".join(r) + " |\n" for r in [header, ["---"] * len(header), *body])

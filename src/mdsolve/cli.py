@@ -71,26 +71,36 @@ def _value(action, text: str, key: str, path):
 def _apply_config(args, config: dict, path, parser):
     """Fill config values into flags the user did not give.
 
-    Keys the current subcommand does not use are ignored, so one config file
-    can serve several subcommands; keys no subcommand knows are rejected.
+    Every value is cast and checked first, and the file's ``tol``,
+    ``max_iters`` and ``restart`` must make a valid ``SolveConfig``, whatever
+    the subcommand and whatever the command line gives. Only then are keys
+    the current subcommand does not use ignored, so one config file can
+    serve several subcommands; keys no subcommand knows are rejected.
     """
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     actions = {a.dest: a for p in sub.choices.values() for a in p._actions
                if a.option_strings and a.nargs != 0}  # the flags that take a value
+    values = {}
     for key, text in config.items():
         if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue  # the subcommand has no such flag, or it was given
         action = actions[key]
         if isinstance(action, argparse._AppendAction):
-            values = [_value(action, p.strip(), key, path) for p in text.split(",") if p.strip()]
-            if not values:
+            values[key] = [_value(action, p.strip(), key, path) for p in text.split(",")
+                           if p.strip()]
+            if not values[key]:
                 raise ValueError(f"config {path}, key {key!r}: expected comma-separated "
                                  f"values, got {text!r}")
-            setattr(args, key, values)
         else:
-            setattr(args, key, _value(action, text, key, path))
+            values[key] = _value(action, text, key, path)
+    try:
+        SolveConfig(**{field: values[key] for key, field in SOLVER_FIELDS.items()
+                       if key in values})
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+    for key, value in values.items():
+        if hasattr(args, key) and getattr(args, key) is None:  # taken and not given
+            setattr(args, key, value)
 
 
 def _add_geometry_flags(p):

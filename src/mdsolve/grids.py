@@ -80,7 +80,8 @@ class BoundaryConfig:
     Dirichlet pressure is imposed on the two sides perpendicular to
     ``dirichlet_axis`` (``value_low`` at coordinate 0, ``value_high`` at
     coordinate 1); every other side is no-flux Neumann. ``dirichlet_axis =
-    None`` gives a pure Neumann box.
+    None`` gives a pure Neumann box; an axis the box does not have fails the
+    grid builders with ``ValueError``.
     """
 
     dirichlet_axis: int | None = 0
@@ -481,6 +482,9 @@ def _network(dim: int, n: int, fractures, bc: BoundaryConfig) -> MixedDimGrid:
     per ambient axis with ``lo == hi`` where the object is fixed; the rules
     are in the module docstring.
     """
+    if bc.dirichlet_axis is not None and bc.dirichlet_axis not in range(dim):
+        raise ValueError(f"dirichlet_axis {bc.dirichlet_axis} is not an axis of the "
+                         f"{dim}d box, expected 0..{dim - 1} or None")
     normals = [axis for axis, _, _ in fractures]
     fracs = []
     for axis, line, spans in fractures:

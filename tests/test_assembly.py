@@ -202,6 +202,27 @@ def test_missing_and_invalid_parameters_raise():
         assemble(grid, PhysicalParams(aperture=0.0))
 
 
+def test_a_source_map_must_cover_every_subdomain_with_its_cell_count():
+    grid = build_cross_2d(2)
+    full = {s.id: np.ones(s.cell_count) for s in grid.subdomains}
+    assemble(grid, PhysicalParams(source=full))
+    with pytest.raises(ValueError, match="^missing source for id 0$"):
+        assemble(grid, PhysicalParams(source={k: v for k, v in full.items() if k != 0}))
+    n = full[0].size
+    with pytest.raises(ValueError, match=rf"^source for subdomain 0 has shape \({n + 1},\), "
+                                         rf"expected \({n},\)$"):
+        assemble(grid, PhysicalParams(source={**full, 0: np.ones(n + 1)}))
+
+
+def test_split_rejects_a_vector_of_the_wrong_length():
+    sys_ = assemble(build_cross_2d(2), PhysicalParams())
+    omega, gamma = sys_.split(np.arange(sys_.n_total))
+    assert (omega.size, gamma.size) == (sys_.n_omega, sys_.n_gamma)
+    with pytest.raises(ValueError, match=f"^vector length {sys_.n_total + 1} does not match "
+                                         f"{sys_.n_total} dofs$"):
+        sys_.split(np.zeros(sys_.n_total + 1))
+
+
 def test_per_object_parameter_maps_are_honored():
     grid = build_cross_2d(2)
     k_par = {s.id: 2.0 for s in grid.subdomains if s.dim < 2}

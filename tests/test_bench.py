@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -216,6 +219,8 @@ def test_spec_validation():
         small_spec(precond_kinds=("ml", "xl"))
     with pytest.raises(ValueError, match="kind 'bl'"):  # a CLI alias only
         small_spec(precond_kinds=("bl",))
+    with pytest.raises(ValueError, match="^mesh sizes must be at least 2$"):
+        small_spec(mesh_sizes=(4, 1))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -279,3 +284,41 @@ def test_csv_roundtrips_numeric_fields():
     line = emit_table(result, "csv").splitlines()[1].split(",")
     residual = float(line[SweepRow.FIELDS.index("residual")])
     assert residual == result.rows[0].residual
+
+
+def test_csv_reads_numpy_float_parameters_back_exactly():
+    # a numpy float is a float, but its repr is not a number: np.float64(0.0001)
+    spec = small_spec(k_parallel_values=tuple(np.logspace(-4, 4, 2)),
+                      kappa_values=tuple(np.logspace(0, 4, 2)))
+    rows = list(csv.DictReader(io.StringIO(emit_table(run_sweep(spec), "csv"))))
+    assert [(float(r["k_parallel"]), float(r["kappa"])) for r in rows] == [
+        (k, c) for k in spec.k_parallel_values for c in spec.kappa_values
+    ]
+
+
+def test_a_sweep_row_takes_keywords_and_starts_empty():
+    with pytest.raises(TypeError):
+        SweepRow("cross_2d", 4, 1.0, 1.0, "ml", n_omega=16, n_gamma=8)
+    row = SweepRow(geometry="cross_2d", n=4, k_parallel=1.0, kappa=1.0, kind="ml",
+                   n_omega=16, n_gamma=8)
+    assert (row.iterations, row.converged, row.setup_seconds, row.solve_seconds,
+            row.error, row.history.size) == (0, False, 0.0, 0.0, "", 0)
+    assert np.isnan(row.residual)
+    assert emit_table(SweepResult(spec=small_spec(), rows=[]), "csv") == (
+        "geometry,n,k_parallel,kappa,kind,iterations,converged,residual,setup_seconds,"
+        "solve_seconds,n_omega,n_gamma,error\n"
+    )
+
+
+def test_a_failed_set_up_reads_nan_in_aligned_text_and_fail_in_markdown(tmp_path):
+    spec = small_spec(geometry="imported", precond_kinds=("ml", "none"),
+                      import_path=export_zero_interface_diagonal(tmp_path / "system"))
+    result = run_sweep(spec)
+    header, failed, solved = emit_table(result, "aligned-text").splitlines()
+    cells = dict(zip(header.split(), failed.split()))
+    assert (cells["iterations"], cells["converged"], cells["residual"]) == ("0", "no", "nan")
+    assert failed.endswith(result.rows[0].error)
+    assert "nan" not in solved
+    assert emit_table(result, "markdown").splitlines()[2:] == [
+        "| 1 | 1 | ml | fail |", f"| 1 | 1 | none | {result.rows[1].iterations} |",
+    ]

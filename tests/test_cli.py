@@ -279,6 +279,70 @@ def test_a_config_value_that_does_not_parse_names_its_key_and_file(line, message
     assert (out, err) == ("", f"error: config {cfg}, {message}\n")
 
 
+GENERATE = ["generate", "--geometry", "cross_2d", "--n", "4"]
+
+
+@pytest.mark.parametrize("line, argv, message", [
+    ("n = x", GENERATE, ", key 'n': invalid int value: 'x'"),
+    ("precond = xl", GENERATE, ", key 'precond': invalid choice: 'xl' "
+                               "(choose from 'ml', 'bu', 'bd', 'none')"),
+    ("max_iters = abc", GENERATE, ", key 'max_iters': invalid int value: 'abc'"),
+    ("max_iters = -3", GENERATE, ": max_iters must be at least 1, got -3"),
+    ("max_iters = -3", ["sweep", "--max-iters", "5"], ": max_iters must be at least 1, got -3"),
+    ("tol = 0", ["solve", "--tol", "1e-6"], ": rel_tol must be positive, got 0.0"),
+    ("restart = 0", ["amg-stats"], ": restart must be at least 1, got 0"),
+    ("kpar = abc", ["solve", "--kpar", "1", "--n", "4"], ", key 'kpar': invalid float value: 'abc'"),
+    ("format = yaml", ["solve", "--n", "4"], ", key 'format': invalid choice: 'yaml' "
+                                             "(choose from 'csv', 'aligned-text', 'markdown')"),
+], ids=["generate-n", "generate-precond", "generate-max-iters", "generate-max-iters-negative",
+        "sweep-max-iters-given", "solve-tol-given", "amg-stats-restart", "solve-kpar-given",
+        "solve-format"])
+def test_a_config_value_is_checked_whether_or_not_it_is_used(line, argv, message, capsys,
+                                                            tmp_path, monkeypatch):
+    # unused by the subcommand, or overridden on the command line: still checked
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(mdsolve.bench, "build_grid", no_grid)
+    monkeypatch.setattr(cli, "build_grid", no_grid)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: config {cfg}{message}\n")
+
+
+def test_a_valid_config_key_the_subcommand_does_not_take_is_ignored(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("format = csv\nmax_iters = 3\nkpar = 1e4\nhistory_csv = h.csv\nout = o\n")
+    assert main(["--config", str(cfg), *GENERATE]) == 0
+    assert "mixed-dimensional grid" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_line_without_equals_names_the_file_and_the_line(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# grid\ngeometry cross_2d\n")
+    assert main(["--config", str(cfg), *GENERATE]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {cfg}:2: expected 'key = value', got 'geometry cross_2d'\n")
+
+
+def test_assemble_out_exports_and_sweep_out_writes_the_table(capsys, tmp_path):
+    target = tmp_path / "sys"
+    assert main(["assemble", "--geometry", "cross_2d", "--n", "4", "--out", str(target)]) == 0
+    assert capsys.readouterr().out.endswith(f"exported to {target}\n")
+    system = assemble(build_cross_2d(4), PhysicalParams())
+    imported = import_system(target)
+    assert (imported.operator != system.operator).nnz == 0
+    assert np.array_equal(imported.rhs, system.rhs)
+    table = tmp_path / "table.md"
+    argv = ["sweep", "--n", "4", "--n", "8", "--format", "markdown"]
+    assert main([*argv, "--out", str(table)]) == 0
+    assert capsys.readouterr().out == f"table written to {table}\n"
+    assert main(argv) == 0
+    assert table.read_text() == capsys.readouterr().out
+
+
 def test_generate_rejects_imported_geometry(capsys):
     assert main(["generate", "--geometry", "imported"]) == 2
     assert "geometry 'imported' has no grid" in capsys.readouterr().err

@@ -237,6 +237,42 @@ def test_pure_neumann_config():
     assert dirichlet.size > 0 and not dirichlet.any()
 
 
+def cross_8(bc):
+    return build_cross_2d(8, bc=bc)
+
+
+def planes_4(bc):
+    return build_regular_network_3d(4, 3, bc=bc)
+
+
+@pytest.mark.parametrize("build, dim, axis", [
+    (cross_8, 2, 2), (cross_8, 2, -1), (planes_4, 3, 3), (planes_4, 3, -1),
+], ids=["2d-axis-2", "2d-axis-minus-1", "3d-axis-3", "3d-axis-minus-1"])
+def test_a_dirichlet_axis_outside_the_box_is_rejected(build, dim, axis):
+    # it would build a pure Neumann grid with a zero right-hand side
+    with pytest.raises(ValueError, match=f"^dirichlet_axis {axis} is not an axis of the "
+                                         f"{dim}d box, expected 0..{dim - 1} or None$"):
+        build(BoundaryConfig(dirichlet_axis=axis))
+
+
+@pytest.mark.parametrize("build, dim", [(cross_8, 2), (planes_4, 3)], ids=["2d", "3d"])
+def test_every_axis_of_the_box_can_be_the_dirichlet_axis(build, dim):
+    for axis in range(dim):
+        g = build(BoundaryConfig(dirichlet_axis=axis))
+        assert np.concatenate([s.bnd_dirichlet for s in g.subdomains]).any()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_network_2d(8, [Segment(2, 4, 0, 8)]), "segment axis must be 0 or 1, got 2"),
+    (lambda: build_network_2d(1, []), "need n >= 2, got 1"),
+    (lambda: build_random_network_2d(1, 2), "need n >= 2, got 1"),
+    (lambda: build_random_network_2d(8, -1), "num_fractures must be nonnegative"),
+], ids=["segment-axis", "network-n", "random-n", "random-num-fractures"])
+def test_2d_builders_reject_bad_inputs(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # -- partial rectangles in 3d ----------------------------------------------------
 
 # at n=8: a full plane x=4; a plane y=4 over x in [4, 8] that ends on it in a
